@@ -12,10 +12,11 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -346,13 +347,36 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT3_COMMANDS = {"invariant", "index", "fredholm", "spectral-flow", "twist-scan"}
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")  # -33/4, -0.5, -16: never a flag
+
+
+def _shield_dash_values(argv: List[str]) -> Tuple[List[str], List[str]]:
+    """Return (tokens a report echoes, tokens argparse reads).
+
+    argparse takes a token that starts with '-' for a flag, but form specs
+    like -E8+3H and rationals like -33/4 are values.  The ``forms sum`` spec
+    goes behind '--', which the echo shows; a negative value after a flag is
+    attached to it (--rho=-33/4) for argparse only.
+    """
     if argv[:2] == ["forms", "sum"] and "--" not in argv:
-        argv = argv[:2] + ["--"] + argv[2:]  # specs like -E8+3H start with '-'
+        argv = argv[:2] + ["--"] + argv[2:]
+    tokens = []
+    for i, tok in enumerate(argv):
+        if tok == "--":
+            return argv, tokens + argv[i:]
+        prev = tokens[-1] if tokens else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_VALUE.match(tok):
+            tokens[-1] = prev + "=" + tok
+        else:
+            tokens.append(tok)
+    return argv, tokens
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv, tokens = _shield_dash_values(list(sys.argv[1:]) if argv is None else list(argv))
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(tokens)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.convention:

@@ -1,8 +1,12 @@
 """Exact arithmetic for intersection forms and spin 4-manifold invariants.
 
-Everything here is integer/rational and exact: signatures come from the
-pivoted LDL inertia over rationals, mod-2 reductions are done on
-``fractions.Fraction`` values, and no floating point ever enters.  The
+Everything here is integer/rational and exact, and no floating point ever
+enters.  The E8 and hyperbolic base blocks and forms read from raw rows
+(problem-file ``[form]`` sections) get their inertia from the pivoted LDL
+over rationals; sums, negations and diagonal forms carry it by Sylvester's
+law of inertia (it adds under direct sum, negation swaps n+ and n-, and a
+diagonal matrix is its own LDL) without another elimination.  Mod-2
+reductions are done on ``fractions.Fraction`` values.  The
 identities tying the invariants together (well-definedness of the lifted
 Rohlin invariant, of the Cappell-Shaneson invariant, and the mod-2
 agreement between them) hold at the level of rational arithmetic and are
@@ -11,6 +15,7 @@ exposed as checkable operations.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -26,7 +31,6 @@ __all__ = [
     "KOElement",
     "AlphaS1",
     "builtin_form",
-    "builtin_form_names",
     "diag_form",
     "form_from_rows",
     "direct_sum",
@@ -82,7 +86,12 @@ class Mod2Rational:
 
 @dataclass(frozen=True)
 class IntersectionForm:
-    """Exact symmetric integer bilinear form with cached inertia data."""
+    """Exact symmetric integer bilinear form with its inertia.
+
+    ``form_from_rows`` validates raw rows and computes the inertia by exact
+    LDL; ``direct_sum``, ``negate`` and ``diag_form`` derive it from their
+    already-validated inputs by Sylvester's law, with no elimination.
+    """
 
     name: str
     matrix: tuple
@@ -94,6 +103,11 @@ class IntersectionForm:
         return f"{self.name}: rank {self.rank}, signature {self.signature}"
 
 
+def _form(name: str, matrix: tuple, inertia: Inertia) -> IntersectionForm:
+    return IntersectionForm(name=name, matrix=matrix, rank=len(matrix),
+                            signature=inertia.signature, inertia=inertia)
+
+
 def form_from_rows(name: str, rows: Sequence[Sequence[int]]) -> IntersectionForm:
     matrix = tuple(tuple(int(x) for x in row) for row in rows)
     n = len(matrix)
@@ -103,9 +117,7 @@ def form_from_rows(name: str, rows: Sequence[Sequence[int]]) -> IntersectionForm
         for j in range(n):
             if matrix[i][j] != matrix[j][i]:
                 raise ContractViolation("form matrix must be symmetric")
-    inertia = rational_ldl_inertia(matrix)
-    return IntersectionForm(name=name, matrix=matrix, rank=n,
-                            signature=inertia.signature, inertia=inertia)
+    return _form(name, matrix, rational_ldl_inertia(matrix))
 
 
 _E8_ROWS = (
@@ -126,8 +138,26 @@ def diag_form(entries: Sequence[int]) -> IntersectionForm:
     ents = tuple(int(e) for e in entries)
     if not ents:
         raise ContractViolation("diagonal form needs at least one entry")
-    rows = [[ents[i] if i == j else 0 for j in range(len(ents))] for i in range(len(ents))]
-    return form_from_rows("Diag(" + ",".join(str(e) for e in ents) + ")", rows)
+    n = len(ents)
+    matrix = tuple(tuple(ents[i] if i == j else 0 for j in range(n)) for i in range(n))
+    n_plus = sum(e > 0 for e in ents)
+    n_minus = sum(e < 0 for e in ents)
+    return _form("Diag(" + ",".join(str(e) for e in ents) + ")", matrix,
+                 Inertia(n_plus=n_plus, n_minus=n_minus, n_zero=n - n_plus - n_minus))
+
+
+def _block_sum(name: str, forms: Sequence[IntersectionForm]) -> IntersectionForm:
+    total = sum(f.rank for f in forms)
+    matrix = []
+    offset = 0
+    for f in forms:
+        left, right = (0,) * offset, (0,) * (total - offset - f.rank)
+        matrix.extend(left + row + right for row in f.matrix)
+        offset += f.rank
+    inertia = Inertia(n_plus=sum(f.inertia.n_plus for f in forms),
+                      n_minus=sum(f.inertia.n_minus for f in forms),
+                      n_zero=sum(f.inertia.n_zero for f in forms))
+    return _form(name, tuple(matrix), inertia)
 
 
 def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
@@ -135,25 +165,26 @@ def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
         raise ContractViolation("direct sum of nothing")
     if len(forms) == 1:
         return forms[0]
-    total = sum(f.rank for f in forms)
-    rows = [[0] * total for _ in range(total)]
-    offset = 0
-    for f in forms:
-        for i in range(f.rank):
-            for j in range(f.rank):
-                rows[offset + i][offset + j] = f.matrix[i][j]
-        offset += f.rank
-    return form_from_rows("+".join(f.name for f in forms), rows)
+    return _block_sum("+".join(f.name for f in forms), forms)
 
 
 def negate(form: IntersectionForm) -> IntersectionForm:
-    rows = [[-x for x in row] for row in form.matrix]
+    matrix = tuple(tuple(-x for x in row) for row in form.matrix)
     name = form.name[1:] if form.name.startswith("-") else "-" + form.name
-    return form_from_rows(name, rows)
+    inertia = form.inertia
+    return _form(name, matrix, Inertia(n_plus=inertia.n_minus, n_minus=inertia.n_plus,
+                                       n_zero=inertia.n_zero))
 
 
-def builtin_form_names() -> tuple:
-    return ("E8", "H", "K3", "Diag(...)")
+@functools.lru_cache(maxsize=None)
+def _named_form(key: str) -> IntersectionForm:
+    """E8 and H from their rows, K3 from them; built once per process."""
+    if key == "E8":
+        return form_from_rows("E8", _E8_ROWS)
+    if key == "H":
+        return form_from_rows("H", _H_ROWS)
+    minus_e8, h = negate(_named_form("E8")), _named_form("H")
+    return _block_sum("K3", (minus_e8, minus_e8, h, h, h))
 
 
 def builtin_form(name: str) -> IntersectionForm:
@@ -161,16 +192,8 @@ def builtin_form(name: str) -> IntersectionForm:
     hyperbolic plane), K3 = 2(-E8) + 3H (signature -16, rank 22), and
     Diag(d1,d2,...)."""
     key = name.strip()
-    if key == "E8":
-        return form_from_rows("E8", _E8_ROWS)
-    if key == "H":
-        return form_from_rows("H", _H_ROWS)
-    if key == "K3":
-        e8 = builtin_form("E8")
-        h = builtin_form("H")
-        k3 = direct_sum(negate(e8), negate(e8), h, h, h)
-        return IntersectionForm(name="K3", matrix=k3.matrix, rank=k3.rank,
-                                signature=k3.signature, inertia=k3.inertia)
+    if key in ("E8", "H", "K3"):
+        return _named_form(key)
     m = re.fullmatch(r"Diag\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)", key)
     if m:
         return diag_form([int(tok) for tok in m.group(1).split(",")])

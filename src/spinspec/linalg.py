@@ -208,12 +208,12 @@ def rational_ldl_inertia(s: Sequence[Sequence]) -> Inertia:
             else:
                 n_minus += 1
             active.remove(piv)
-            col = {i: a[i, piv] for i in active}
-            for i in active:
-                if col[i] == 0:
-                    continue
-                for j in active:
-                    a[i, j] -= col[i] * col[j] / d
+            # rows and columns with a zero multiplier are left unchanged
+            col = [(i, a[i, piv]) for i in active if a[i, piv] != 0]
+            for i, ci in col:
+                m = ci / d
+                for j, cj in col:
+                    a[i, j] -= m * cj
             continue
         # all active diagonals vanish: look for a 2x2 block pivot
         best = None
@@ -231,9 +231,8 @@ def rational_ldl_inertia(s: Sequence[Sequence]) -> Inertia:
         n_minus += 1
         active.remove(i)
         active.remove(j)
-        ci = {k: a[k, i] for k in active}
-        cj = {k: a[k, j] for k in active}
-        for k in active:
-            for l in active:
-                a[k, l] -= (ci[k] * cj[l] + cj[k] * ci[l]) / b
+        cols = [(k, a[k, i], a[k, j]) for k in active if a[k, i] != 0 or a[k, j] != 0]
+        for k, ki, kj in cols:
+            for l, li, lj in cols:
+                a[k, l] -= (ki * lj + kj * li) / b
     return Inertia(n_plus=n_plus, n_minus=n_minus, n_zero=n - n_plus - n_minus)

@@ -149,6 +149,14 @@ class TestInvariantCommand:
         doc = run_json(capsys, "invariant", "beta", "--rho", "0", "--sig-v", "-16")
         assert doc["results"]["residue_mod2"] == "1"
 
+    def test_negative_rational_after_flag(self, capsys):
+        typed = ["invariant", "beta", "--rho", "-33/4", "--sig-v", "16"]
+        doc = run_json(capsys, *typed)
+        joined = run_json(capsys, "invariant", "beta", "--rho=-33/4", "--sig-v", "16")
+        assert doc["results"] == joined["results"] == {"value": "-37/4",
+                                                       "residue_mod2": "3/4"}
+        assert doc["command"] == typed
+
     def test_alpha(self, capsys):
         doc = run_json(capsys, "invariant", "alpha", "--n", "4", "--sign", "-16")
         assert doc["results"]["value"] == "1"
@@ -179,6 +187,10 @@ class TestFormsCommand:
         doc = run_json(capsys, "forms", "show", "K3")
         assert doc["results"]["rank"] == 22
         assert doc["results"]["signature"] == -16
+
+    def test_show_k3_inertia(self, capsys):
+        doc = run_json(capsys, "forms", "show", "K3")
+        assert doc["results"]["inertia"] == [3, 19, 0]
 
     def test_show_h(self, capsys):
         doc = run_json(capsys, "forms", "show", "H")

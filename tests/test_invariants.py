@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinspec.errors import ContractViolation
 from spinspec.invariants import (Mod2Rational, alpha_n, alpha_s1, beta,
@@ -10,6 +12,7 @@ from spinspec.invariants import (Mod2Rational, alpha_n, alpha_s1, beta,
                                  parse_form_spec, rohlin, w_cs,
                                  w_cs_mod2_matches_beta, w_invariant,
                                  w_mod2_equals_rohlin, w_welldefined_delta)
+from spinspec.linalg import Inertia, rational_ldl_inertia
 
 
 class TestBuiltinForms:
@@ -66,6 +69,57 @@ class TestFormArithmetic:
         for bad in ("", "E8+", "+E8", "2*E8", "E8-H", "Diag()"):
             with pytest.raises(ContractViolation):
                 parse_form_spec(bad)
+
+
+_RANKS = {"E8": 8, "H": 2, "K3": 22}
+
+
+@st.composite
+def signed_spec(draw, max_rank: int = 64):
+    """A form spec of signed, repeated E8, H, K3 and Diag(...) terms."""
+    terms, rank = [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["E8", "H", "K3", "Diag"]))
+        if kind == "Diag":
+            entries = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+            kind = "Diag(" + ",".join(map(str, entries)) + ")"
+            size = len(entries)
+        else:
+            size = _RANKS[kind]
+        count = draw(st.integers(1, 3))
+        if rank + count * size > max_rank:
+            break
+        rank += count * size
+        terms.append(("-" if draw(st.booleans()) else "") + (str(count) if count > 1 else "")
+                     + kind)
+    return "+".join(terms or ["H"])
+
+
+def _eigen_inertia(matrix) -> Inertia:
+    # E8's smallest eigenvalue, 2 - 2 cos(pi/30) ~ 0.011, is the closest to 0
+    eig = np.linalg.eigvalsh(np.array(matrix, dtype=float))
+    n_plus, n_minus = int(np.sum(eig > 1e-6)), int(np.sum(eig < -1e-6))
+    return Inertia(n_plus=n_plus, n_minus=n_minus, n_zero=len(eig) - n_plus - n_minus)
+
+
+class TestCarriedInertia:
+    """Sums, negations and Diag carry inertia without elimination; check it
+    against a fresh exact LDL and against floating eigenvalue signs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_spec())
+    def test_spec_inertia_matches_ldl_and_eigvalsh(self, spec):
+        f = parse_form_spec(spec)
+        assert f.inertia == rational_ldl_inertia(f.matrix)
+        assert f.inertia == _eigen_inertia(f.matrix)
+        assert (f.rank, f.signature) == (len(f.matrix), f.inertia.signature)
+
+    @settings(max_examples=30, deadline=None)
+    @given(signed_spec())
+    def test_double_negation(self, spec):
+        f = parse_form_spec(spec)
+        back = negate(negate(f))
+        assert (back.inertia, back.matrix) == (f.inertia, f.matrix)
 
 
 class TestRohlin:
