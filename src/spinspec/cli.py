@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -23,13 +22,12 @@ import numpy as np
 from . import __version__
 from .conventions import (CIRCLE_GRID, FREDHOLM_TOL, convention_block,
                           twist_to_floquet)
-from .discretize import Scheme, build_circle_dirac, mass_doubled
+from .discretize import kernel_twists
 from .errors import ContractViolation, ParseError
 from .floquet import (LaurentSymbol, is_fredholm, spectral_flow, symbol_eval,
                       toeplitz_index)
 from .invariants import (Mod2Rational, alpha_n, beta, builtin_form,
                          parse_form_spec, rohlin, w_cs, w_invariant)
-from .linalg import hermitian_eigenvalues
 from .spectra import (SpinStructure, circle_spectrum, product_square_spectrum,
                       sphere_spectrum)
 
@@ -108,54 +106,10 @@ def _cmd_spectrum(args, command, t0) -> int:
     return _emit_spectrum(args, sample, command, t0)
 
 
-def _kernel_locations(spin: SpinStructure, c_from: float, c_to: float,
-                      steps: int, grid: int, mass: float, ktol: float):
-    """Scan the twist family for kernel locations: local minima of the
-    smallest |eigenvalue|, refined by golden section."""
-    if steps < 3:
-        raise ContractViolation("need at least 3 scan steps")
-    if c_to <= c_from:
-        raise ContractViolation("empty twist range")
-
-    def min_abs(c: float) -> float:
-        m = build_circle_dirac(grid, Scheme.SPECTRAL, spin, c).matrix
-        if mass != 0.0:
-            m = mass_doubled(m, mass)
-        eig = hermitian_eigenvalues(m).eigenvalues
-        return float(np.min(np.abs(eig)))
-
-    cs = np.linspace(c_from, c_to, steps)
-    vals = np.array([min_abs(c) for c in cs])
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    locations = []
-    for i in range(len(cs)):
-        left = vals[i - 1] if i > 0 else math.inf
-        right = vals[i + 1] if i + 1 < len(cs) else math.inf
-        if not (vals[i] <= left and vals[i] <= right):
-            continue
-        a = cs[i - 1] if i > 0 else cs[i]
-        b = cs[i + 1] if i + 1 < len(cs) else cs[i]
-        while b - a > 1e-12:
-            x1 = b - golden * (b - a)
-            x2 = a + golden * (b - a)
-            if min_abs(x1) <= min_abs(x2):
-                b = x2
-            else:
-                a = x1
-        c_star = 0.5 * (a + b)
-        if min_abs(c_star) < ktol:
-            locations.append(c_star % 1.0)
-    deduped = []
-    for c in sorted(locations):
-        if not deduped or min(abs(c - deduped[-1]), 1.0 - abs(c - deduped[-1])) > 1e-6:
-            deduped.append(c)
-    return deduped
-
-
 def _cmd_twist_scan(args, command, t0) -> int:
     ktol = _env_tol(1e-8)
-    locations = _kernel_locations(_spin(args.spin), args.c_from, args.c_to,
-                                  args.steps, args.grid, args.massive, ktol)
+    locations = kernel_twists(_spin(args.spin), args.c_from, args.c_to,
+                              args.steps, args.grid, args.massive, ktol)
     results = {
         "kernel_twists_mod1": [{"value": c, "tol": 1e-6} for c in locations],
         "cover_operator_fredholm": not locations,
@@ -202,7 +156,11 @@ def _cmd_spectral_flow(args, command, t0) -> int:
         raise ContractViolation("spectral flow needs a Hermitian-symmetric symbol")
 
     def family(c: float) -> np.ndarray:
-        return symbol_eval(s, twist_to_floquet(c))
+        # the symbol is Hermitian-symmetric, so A(z) is Hermitian on the
+        # circle up to evaluation rounding, which is not small relative to
+        # ||A(z)|| where an eigenvalue crosses zero: take the Hermitian part
+        a = symbol_eval(s, twist_to_floquet(c))
+        return 0.5 * (a + a.conj().T)
 
     result = spectral_flow(family, steps=args.steps)
     results = {

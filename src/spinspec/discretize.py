@@ -15,6 +15,11 @@ conjugation by z^{f} turns the one-period block into the twisted family:
 with the recorded branch of ln z, z = exp(-i c) reproduces the twist-c
 operator.  Weight lifts are stored in angle units, so the lift of a
 degree-d circle map rises by 2*pi*d across one period.
+
+``kernel_twists`` scans the twisted spectral family for kernels: it
+builds the untwisted operator once, shifts its diagonal by the twist term
+at each scan point, and refines local minima of the smallest |eigenvalue|
+with the golden-section search of ``floquet``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from .conventions import CLIFFORD_SIGN, DEFAULT_LN_BRANCH, GROUPING_TOL
 from .errors import ContractViolation
-from .floquet import LaurentSymbol
+from .floquet import LaurentSymbol, _golden_section
 from .linalg import hermitian_eigenvalues
 from .spectra import SpectrumSample, SpinStructure
 
@@ -41,6 +46,7 @@ __all__ = [
     "grid_angles",
     "build_circle_dirac",
     "gauge_conjugate",
+    "kernel_twists",
     "fourier_laplace_family",
     "cover_operator_sections",
     "period_symbol",
@@ -146,13 +152,11 @@ def build_circle_dirac(n: int, scheme: Scheme, spin: SpinStructure,
     if n < 8 or n % 2 != 0:
         raise ContractViolation("grid size must be even and at least 8")
     theta = grid_angles(n)
-    twist = CLIFFORD_SIGN * float(c)
     if scheme is Scheme.SPECTRAL:
         mu = _modes(n, spin)
         f = np.exp(-1j * np.outer(mu, theta)) / math.sqrt(n)
         m = f.conj().T @ (np.diag(-mu).astype(complex) @ f)
         m = 0.5 * (m + m.conj().T)
-        m += twist * np.eye(n)
     elif scheme is Scheme.CENTRAL_DIFFERENCE:
         h = 2.0 * np.pi / n
         t = np.zeros((n, n), dtype=complex)
@@ -160,10 +164,58 @@ def build_circle_dirac(n: int, scheme: Scheme, spin: SpinStructure,
             t[j, j + 1] = 1.0
         t[n - 1, 0] = _wrap_sign(spin)
         m = 1j * (t - t.T) / (2.0 * h)
-        m += twist * np.eye(n)
     else:
         raise ContractViolation(f"unknown scheme {scheme!r}")
-    return DiscreteDirac(n=n, scheme=scheme, spin=spin, c=float(c), matrix=m)
+    return DiscreteDirac(n=n, scheme=scheme, spin=spin, c=float(c), matrix=_twisted(m, c))
+
+
+def _twisted(untwisted: np.ndarray, c: float) -> np.ndarray:
+    """Add the scalar twist term, CLIFFORD_SIGN * c on the diagonal."""
+    return untwisted + CLIFFORD_SIGN * float(c) * np.eye(untwisted.shape[0])
+
+
+def kernel_twists(spin: SpinStructure, c_from: float, c_to: float, steps: int,
+                  grid: int, mass: float, ktol: float) -> list:
+    """Twists c mod 1 in [c_from, c_to] where the spectral-scheme operator
+    on ``grid`` sites (mass-doubled when ``mass`` is nonzero) has a kernel.
+
+    The smallest |eigenvalue| is scanned at ``steps`` evenly spaced twists;
+    each local minimum is refined by golden section to 1e-12 and kept when
+    its value is below ``ktol``.  Locations closer than 1e-6 mod 1 merge.
+    The untwisted operator is built once per scan; each twist adds its
+    term with ``_twisted``, as ``build_circle_dirac(..., c)`` does.
+    """
+    if steps < 3:
+        raise ContractViolation("need at least 3 scan steps")
+    if c_to <= c_from:
+        raise ContractViolation("empty twist range")
+    base = build_circle_dirac(grid, Scheme.SPECTRAL, spin, 0.0).matrix
+
+    def min_abs(c: float) -> float:
+        m = _twisted(base, c)
+        if mass != 0.0:
+            m = mass_doubled(m, mass)
+        eig = hermitian_eigenvalues(m).eigenvalues
+        return float(np.min(np.abs(eig)))
+
+    cs = np.linspace(c_from, c_to, steps)
+    vals = np.array([min_abs(c) for c in cs])
+    locations = []
+    for i in range(len(cs)):
+        left = vals[i - 1] if i > 0 else math.inf
+        right = vals[i + 1] if i + 1 < len(cs) else math.inf
+        if not (vals[i] <= left and vals[i] <= right):
+            continue
+        a = cs[i - 1] if i > 0 else cs[i]
+        b = cs[i + 1] if i + 1 < len(cs) else cs[i]
+        c_star, value = _golden_section(min_abs, a, b, 1e-12)
+        if value < ktol:
+            locations.append(c_star % 1.0)
+    deduped = []
+    for c in sorted(locations):
+        if not deduped or min(abs(c - deduped[-1]), 1.0 - abs(c - deduped[-1])) > 1e-6:
+            deduped.append(c)
+    return deduped
 
 
 def gauge_conjugate(d: DiscreteDirac, u: WeightFunction, c: float) -> np.ndarray:
@@ -228,23 +280,13 @@ def _period_blocks(matrix: np.ndarray):
     split to be unambiguous."""
     m = np.asarray(matrix, dtype=complex)
     n = m.shape[0]
-    a_m1 = np.zeros_like(m)
-    a_0 = np.zeros_like(m)
-    a_p1 = np.zeros_like(m)
     half = n // 2
-    for j in range(n):
-        for k in range(n):
-            v = m[j, k]
-            if v == 0:
-                continue
-            disp = (k - j + half) % n - half
-            if disp == k - j:
-                a_0[j, k] = v
-            elif disp == k - j + n:
-                a_p1[j, k] = v
-            else:
-                a_m1[j, k] = v
-    return a_m1, a_0, a_p1
+    sites = np.arange(n)
+    hop = sites[None, :] - sites[:, None]    # k - j
+    disp = (hop + half) % n - half           # nearest-image displacement
+    nonzero = m != 0
+    return tuple(np.where(nonzero & (disp == hop + seam), m, 0)
+                 for seam in (-n, 0, n))
 
 
 def _source_matrix(source: Union[DiscreteDirac, np.ndarray]) -> np.ndarray:

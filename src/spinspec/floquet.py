@@ -6,6 +6,14 @@ infinite block-banded operator with blocks A_{j-i}.  The full-line
 operator is Fredholm exactly when A(z) is invertible for every z on the
 unit circle; the half-line compression is then Fredholm with index equal
 to minus the winding number of det A(z).
+
+Unit-circle scans evaluate the symbol once per grid point, as a stack of
+blocks built in chunks of at most ``_CHUNK_BYTES`` and handed to batched
+``svd`` / ``slogdet`` calls, so memory stays bounded for large blocks.
+The winding follows the unit-modulus phase of det A(z) from ``slogdet``,
+which neither overflows nor underflows.  Grid minima are refined by one
+golden-section search, ``_golden_section``, which the twist scan in
+``discretize`` reuses.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ __all__ = [
 
 _HERM_FLAG_TOL = 1e-12
 _INDEX_FILL_LIMIT = 128  # fill the index automatically when N * max(d,1) is below this
+_CHUNK_BYTES = 2 * 1024 * 1024  # largest symbol stack one batched scan call holds
 
 
 class LaurentSymbol:
@@ -68,6 +77,9 @@ class LaurentSymbol:
             raise ContractViolation("symbol needs at least one nonzero coefficient")
         self.coeffs = blocks
         self.block_size = size
+        # Vandermonde form of the evaluation: A(z) = [z^j]_j @ stacked rows
+        self._offsets = np.array(sorted(blocks))
+        self._stacked = np.stack([blocks[j].reshape(-1) for j in sorted(blocks)])
         self.bandwidth = max(abs(j) for j in blocks)
         scale = max(np.linalg.norm(a) for a in blocks.values())
         self.hermitian_symmetric = all(
@@ -93,14 +105,40 @@ class LaurentSymbol:
         return f"LaurentSymbol(block_size={self.block_size}, offsets={js})"
 
 
-def symbol_eval(s: LaurentSymbol, z: complex) -> np.ndarray:
-    """A(z) = sum_j A_j z^j by exact polynomial evaluation."""
-    if z == 0:
+def symbol_eval(s: LaurentSymbol, z) -> np.ndarray:
+    """A(z) = sum_j A_j z^j by exact polynomial evaluation.
+
+    A scalar ``z`` gives the (N, N) block, summed term by term, which
+    costs least for the single points that refinements probe.  A 1-d
+    array of k points gives the (k, N, N) stack in one product of the
+    k x J matrix of powers z^j with the J stacked coefficients; each block
+    agrees with the scalar evaluation up to the rounding of the sum.
+    Scans over many points go through ``_scan``, so that no stack exceeds
+    ``_CHUNK_BYTES``.
+    """
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise ContractViolation("symbol evaluation takes a scalar or a 1-d array of points")
+    n = s.block_size
+    if zs.ndim == 0:
+        z = complex(zs)
+        if z == 0:
+            raise ContractViolation("symbol evaluation needs z != 0")
+        out = np.zeros((n, n), dtype=complex)
+        for j, a in s.coeffs.items():
+            out += a * (z ** j)
+        return out
+    if not zs.all():
         raise ContractViolation("symbol evaluation needs z != 0")
-    out = np.zeros((s.block_size, s.block_size), dtype=complex)
-    for j, a in s.coeffs.items():
-        out += a * (complex(z) ** j)
-    return out
+    return ((zs[:, None] ** s._offsets) @ s._stacked).reshape(-1, n, n)
+
+
+def _scan(s: LaurentSymbol, zs: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray]):
+    """Concatenate ``reduce`` over symbol stacks at ``zs``, evaluated in
+    chunks of at most ``_CHUNK_BYTES`` (at least one point per chunk)."""
+    per = max(1, _CHUNK_BYTES // (16 * s.block_size * s.block_size))
+    return np.concatenate([reduce(symbol_eval(s, zs[i:i + per]))
+                           for i in range(0, zs.size, per)])
 
 
 def symbol_direct_sum(a: LaurentSymbol, b: LaurentSymbol) -> LaurentSymbol:
@@ -144,14 +182,16 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID,
                            refine_tol: float = REFINE_TOL):
     """Global minimum of sigma_min(A(e^{i theta})) over the unit circle.
 
-    Uniform scan followed by golden-section refinement around the three
-    smallest grid points.  The scan step times the symbol's Lipschitz
-    bound controls how far the true minimum can hide from the grid.
+    Uniform scan (batched singular values) followed by golden-section
+    refinement around the three smallest grid points.  The scan step times
+    the symbol's Lipschitz bound controls how far the true minimum can
+    hide from the grid.
     """
     if grid < 16:
         raise ContractViolation("grid must be at least 16")
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    values = np.array([_sigma_min(s, t) for t in thetas])
+    values = _scan(s, np.exp(1j * thetas),
+                   lambda stack: np.linalg.svd(stack, compute_uv=False)[:, -1])
     step = 2.0 * np.pi / grid
     lam = max(s.lipschitz_bound(), 1e-12)
     xtol = min(refine_tol / lam, step)
@@ -191,9 +231,13 @@ def is_fredholm(s: LaurentSymbol, tol: float = FREDHOLM_TOL,
                           index=index, grid_used=grid, tol=tol)
 
 
+def _det_phase(s: LaurentSymbol, theta: float) -> complex:
+    return complex(np.linalg.slogdet(symbol_eval(s, cmath.exp(1j * theta)))[0])
+
+
 def _arg_increment(s: LaurentSymbol, a: float, b: float,
                    va: complex, vb: complex, depth: int = 0) -> float:
-    if abs(va) == 0 or abs(vb) == 0:
+    if va == 0 or vb == 0:
         raise ContractViolation("det A(z) vanishes on the unit circle")
     dphi = cmath.phase(vb / va)
     if abs(dphi) < math.pi / 2.0:
@@ -201,7 +245,7 @@ def _arg_increment(s: LaurentSymbol, a: float, b: float,
     if depth > 48:
         raise ContractViolation("winding refinement did not converge")
     mid = 0.5 * (a + b)
-    vm = complex(np.linalg.det(symbol_eval(s, cmath.exp(1j * mid))))
+    vm = _det_phase(s, mid)
     return (_arg_increment(s, a, mid, va, vm, depth + 1)
             + _arg_increment(s, mid, b, vm, vb, depth + 1))
 
@@ -209,8 +253,13 @@ def _arg_increment(s: LaurentSymbol, a: float, b: float,
 def toeplitz_index(s: LaurentSymbol, tol: float = FREDHOLM_TOL,
                    _min_singular: Optional[float] = None) -> int:
     """Index of the half-line compression: minus the winding number of
-    det A(z) around 0, accumulated with adaptive step halving so no step
-    turns the argument by more than pi/2."""
+    det A(z) around 0.
+
+    The winding follows the unit-modulus phase det A(z) / |det A(z)|, the
+    sign from ``slogdet``, so it holds for any scale of the symbol.  The
+    phase is taken on a batched 64-point grid, and a step that turns it
+    by pi/2 or more is halved until no step does.
+    """
     value = _min_singular
     if value is None:
         value, _ = min_singular_on_circle(s)
@@ -218,10 +267,11 @@ def toeplitz_index(s: LaurentSymbol, tol: float = FREDHOLM_TOL,
         raise ContractViolation("symbol is not Fredholm; the index is undefined")
     base = 64
     thetas = 2.0 * np.pi * np.arange(base + 1) / base
-    dets = [complex(np.linalg.det(symbol_eval(s, cmath.exp(1j * t)))) for t in thetas]
+    phases = _scan(s, np.exp(1j * thetas),
+                   lambda stack: np.linalg.slogdet(stack)[0]).tolist()
     total = 0.0
     for i in range(base):
-        total += _arg_increment(s, thetas[i], thetas[i + 1], dets[i], dets[i + 1])
+        total += _arg_increment(s, thetas[i], thetas[i + 1], phases[i], phases[i + 1])
     winding = total / (2.0 * math.pi)
     if abs(winding - round(winding)) > 1e-3:
         raise ContractViolation(f"winding number {winding} is not near an integer")
@@ -284,40 +334,35 @@ _PIN_EPS = 1e-11
 _ZERO_BAND = 1e-10  # eigenvalues this close to 0 count as 0, not negative
 
 
-def _negative_count(matrix: np.ndarray) -> int:
-    eig = hermitian_eigenvalues(matrix).eigenvalues
-    return int(np.count_nonzero(eig < -_ZERO_BAND))
-
-
-def _min_abs_eig(matrix: np.ndarray) -> float:
-    eig = hermitian_eigenvalues(matrix).eigenvalues
-    return float(np.min(np.abs(eig)))
+def _negative_count(eigenvalues: np.ndarray) -> int:
+    return int(np.count_nonzero(eigenvalues < -_ZERO_BAND))
 
 
 def spectral_flow(family: Callable[[float], np.ndarray], steps: int = 50,
                   xtol: float = 1e-9) -> SpectralFlowResult:
     """Signed count of eigenvalue crossings through 0 over c in [0, 1].
 
-    Crossing locations come from bisection on the negative-eigenvalue
-    count between scan points; the direction is the sign of the
-    eigenvalue's motion (+1 for upward).  The endpoints must be
-    isospectral away from truncation edges, which makes the flow over one
-    period well-defined.  An eigenvalue pinned at zero across consecutive
-    scan points raises ``DegenerateCrossing``.
+    Each of the ``steps + 1`` scan points is solved once; its eigenvalues
+    give the negative-eigenvalue count and the pin check, and the first
+    and last give the endpoint check.  Crossing locations come from
+    bisection on the negative-eigenvalue count between scan points, one
+    solve per step; the direction is the sign of the eigenvalue's motion
+    (+1 for upward).  The endpoints must be isospectral away from
+    truncation edges, which makes the flow over one period well-defined.
+    An eigenvalue pinned at zero across consecutive scan points raises
+    ``DegenerateCrossing``.
     """
     if steps < 2:
         raise ContractViolation("need at least 2 steps")
-    first, last = family(0.0), family(1.0)
-    s0 = SpectrumSample.from_eigenvalues(
-        hermitian_eigenvalues(first).eigenvalues, band=10 ** 9)
-    s1 = SpectrumSample.from_eigenvalues(
-        hermitian_eigenvalues(last).eigenvalues, band=10 ** 9)
+    cs = np.linspace(0.0, 1.0, steps + 1)
+    eigs = [hermitian_eigenvalues(family(c)).eigenvalues for c in cs]
+    s0 = SpectrumSample.from_eigenvalues(eigs[0], band=10 ** 9)
+    s1 = SpectrumSample.from_eigenvalues(eigs[-1], band=10 ** 9)
     if not spectra_match(s0, s1, tol=1e-8):
         raise ContractViolation("family endpoints are not isospectral")
 
-    cs = np.linspace(0.0, 1.0, steps + 1)
-    counts = [_negative_count(family(c)) for c in cs]
-    pinned = [_min_abs_eig(family(c)) < _PIN_EPS for c in cs]
+    counts = [_negative_count(e) for e in eigs]
+    pinned = [float(np.min(np.abs(e))) < _PIN_EPS for e in eigs]
     if any(a and b for a, b in zip(pinned, pinned[1:])):
         raise DegenerateCrossing("an eigenvalue stays at zero across an interval")
 
@@ -330,7 +375,7 @@ def spectral_flow(family: Callable[[float], np.ndarray], steps: int = 50,
         nlo = counts[i]
         while hi - lo > xtol:
             mid = 0.5 * (lo + hi)
-            nmid = _negative_count(family(mid))
+            nmid = _negative_count(hermitian_eigenvalues(family(mid)).eigenvalues)
             if nmid == nlo:
                 lo, nlo = mid, nmid
             else:

@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 
 import pytest
 
@@ -140,6 +142,24 @@ class TestFredholmCommands:
         assert res["flow"] == 0  # a closed symbol loop nets to zero
         locations = sorted(c["parameter"]["value"] for c in res["crossings"])
         assert any(abs(c - 0.5) < 1e-6 for c in locations)
+
+    def test_scalar_loop_crossings_at_closed_form_twists(self, capsys, tmp_path):
+        # A(z(c)) = m + 2|t| cos(2 pi c + arg t) crosses zero twice; the
+        # 1x1 family vanishes there, so only the exactly Hermitian part of
+        # the evaluated symbol passes the eigensolver's relative check
+        m, t = 0.7, 0.9 * cmath.exp(0.4j)
+        path = tmp_path / "loop.txt"
+        path.write_text(symbol_to_text(LaurentSymbol.scalar({0: m, 1: t, -1: t.conjugate()})))
+        doc = run_json(capsys, "spectral-flow", str(path), "--steps", "50")
+        res = doc["results"]
+        phase = math.acos(-m / (2 * abs(t)))
+        down = ((phase - cmath.phase(t)) / (2 * math.pi)) % 1.0
+        up = ((-phase - cmath.phase(t)) / (2 * math.pi)) % 1.0
+        assert res["flow"] == 0
+        got = sorted((c["parameter"]["value"], c["direction"]) for c in res["crossings"])
+        want = sorted([(down, -1), (up, 1)])
+        assert [d for _, d in got] == [d for _, d in want]
+        assert all(abs(a - b) < 1e-6 for (a, _), (b, _) in zip(got, want))
 
 
 class TestInvariantCommand:

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from spinspec import discretize
 from spinspec.discretize import (Scheme, WeightFunction,
                                  build_circle_dirac, cover_operator_sections,
                                  fourier_laplace_family, gauge_conjugate,
-                                 grid_angles, mass_doubled, period_symbol,
-                                 spectrum_sample)
+                                 grid_angles, kernel_twists, mass_doubled,
+                                 period_symbol, spectrum_sample)
 from spinspec.errors import ContractViolation
 from spinspec.floquet import symbol_eval
 from spinspec.conventions import twist_to_floquet
@@ -184,6 +185,92 @@ class TestFourierLaplaceFamily:
         twisted = build_circle_dirac(16, Scheme.SPECTRAL, BOUND, 0.5)
         with pytest.raises(ContractViolation):
             fourier_laplace_family(twisted, WeightFunction.standard(16), 1.0)
+
+
+def period_blocks_loop(matrix):
+    """Reference split: the entry-by-entry loop over nearest-image
+    displacements that ``_period_blocks`` vectorises."""
+    m = np.asarray(matrix, dtype=complex)
+    n = m.shape[0]
+    a_m1, a_0, a_p1 = np.zeros_like(m), np.zeros_like(m), np.zeros_like(m)
+    half = n // 2
+    for j in range(n):
+        for k in range(n):
+            v = m[j, k]
+            if v == 0:
+                continue
+            disp = (k - j + half) % n - half
+            if disp == k - j:
+                a_0[j, k] = v
+            elif disp == k - j + n:
+                a_p1[j, k] = v
+            else:
+                a_m1[j, k] = v
+    return a_m1, a_0, a_p1
+
+
+def assert_blocks_byte_identical(matrix):
+    got = discretize._period_blocks(matrix)
+    want = period_blocks_loop(matrix)
+    assert len(got) == 3
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+class TestPeriodBlocks:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_banded_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([8, 9, 16, 33]))
+        width = int(rng.integers(1, n // 2))
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        hop = np.subtract.outer(np.arange(n), np.arange(n))
+        wrapped = np.minimum(np.abs(hop), n - np.abs(hop))
+        m[wrapped > width] = 0.0
+        m[rng.random((n, n)) < 0.2] = -0.0  # signed zeros must come out as +0
+        assert_blocks_byte_identical(m)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("spin", [BOUND, NONBOUND])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_circle_sources_match_loop(self, n, spin, scheme):
+        d = build_circle_dirac(n, scheme, spin, 0.0)
+        assert_blocks_byte_identical(d.matrix)
+        assert_blocks_byte_identical(mass_doubled(d.matrix, 1.0))
+
+
+class TestKernelTwists:
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("spin", [BOUND, NONBOUND])
+    def test_diagonal_shift_is_the_built_twist(self, n, spin):
+        # the scan's twist-c operator, bit for bit
+        base = build_circle_dirac(n, Scheme.SPECTRAL, spin, 0.0).matrix
+        for c in np.random.default_rng(n).uniform(-2.0, 2.0, 10):
+            shifted = discretize._twisted(base, c)
+            built = build_circle_dirac(n, Scheme.SPECTRAL, spin, c).matrix
+            assert shifted.tobytes() == built.tobytes()
+
+    def test_one_build_and_one_solve_per_point(self, monkeypatch):
+        builds, solves = [], []
+        build, solve = discretize.build_circle_dirac, discretize.hermitian_eigenvalues
+        monkeypatch.setattr(discretize, "build_circle_dirac",
+                            lambda *a: builds.append(a) or build(*a))
+        monkeypatch.setattr(discretize, "hermitian_eigenvalues",
+                            lambda m: solves.append(1) or solve(m))
+        found = kernel_twists(BOUND, -0.3, 0.7, 40, 32, 0.0, 1e-8)
+        assert len(found) == 1 and abs(found[0] - 0.5) < 1e-9
+        assert len(builds) == 1
+        # 40 scan points; golden probes to 1e-12 over the two local minima,
+        # the bracket [c_0, c_1] at the range start (52) and the kernel's
+        # [c_i-1, c_i+1] (54)
+        assert len(solves) == 40 + 52 + 54
+
+    def test_rejects_bad_range(self):
+        with pytest.raises(ContractViolation):
+            kernel_twists(BOUND, 0.5, 0.5, 40, 16, 0.0, 1e-8)
+        with pytest.raises(ContractViolation):
+            kernel_twists(BOUND, 0.0, 1.0, 2, 16, 0.0, 1e-8)
 
 
 class TestCoverSections:

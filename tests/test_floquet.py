@@ -1,11 +1,16 @@
 import cmath
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _corpus import (circle_zero_symbols, invertible_symbols,
                      section_index_oracle, winding_test_symbols)
-from spinspec.conventions import twist_to_floquet
+from spinspec import floquet
+from spinspec.conventions import FREDHOLM_TOL, twist_to_floquet
 from spinspec.discretize import (Scheme, build_circle_dirac, mass_doubled,
                                  period_symbol)
 from spinspec.errors import ContractViolation, DegenerateCrossing
@@ -13,7 +18,7 @@ from spinspec.floquet import (LaurentSymbol, finite_section,
                               fredholm_via_sections, is_fredholm,
                               min_singular_on_circle, spectral_flow,
                               symbol_direct_sum, symbol_eval, toeplitz_index)
-from spinspec.linalg import numeric_kernel_dim
+from spinspec.linalg import hermitian_eigenvalues, numeric_kernel_dim
 from spinspec.spectra import SpinStructure
 
 BOUND = SpinStructure.BOUNDING
@@ -59,6 +64,43 @@ class TestSymbolEval:
     def test_rejects_origin(self):
         with pytest.raises(ContractViolation):
             symbol_eval(LaurentSymbol.scalar({1: 1}), 0.0)
+        with pytest.raises(ContractViolation):
+            symbol_eval(LaurentSymbol.scalar({1: 1}), np.array([1.0, 0.0]))
+
+    def test_rejects_2d_points(self):
+        with pytest.raises(ContractViolation):
+            symbol_eval(LaurentSymbol.scalar({1: 1}), np.ones((2, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=st.integers(1, 5),
+           offsets=st.sets(st.integers(-3, 3), min_size=1, max_size=4),
+           points=st.integers(1, 40),
+           per_chunk=st.integers(1, 7),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_matches_pointwise(self, block, offsets, points, per_chunk, seed):
+        # chunks of 1..7 blocks: most draws leave a short last chunk
+        rng = np.random.default_rng(seed)
+        s = LaurentSymbol({j: rng.normal(size=(block, block))
+                           + 1j * rng.normal(size=(block, block)) for j in offsets})
+        zs = rng.uniform(0.5, 2.0, points) * np.exp(2j * np.pi * rng.random(points))
+        stack = symbol_eval(s, zs)
+        with mock.patch.object(floquet, "_CHUNK_BYTES", 16 * block * block * per_chunk):
+            chunked = floquet._scan(s, zs, lambda st: st)
+        assert stack.shape == chunked.shape == (points, block, block)
+        for k, z in enumerate(zs):
+            # rounding of sum_j A_j z^j is relative to the size of its terms
+            terms = sum(abs(z) ** j * np.linalg.norm(a) for j, a in s.coeffs.items())
+            one = symbol_eval(s, z)
+            assert np.linalg.norm(stack[k] - one) <= 1e-14 * terms
+            assert np.linalg.norm(chunked[k] - one) <= 1e-14 * terms
+
+    def test_chunks_stay_within_budget(self):
+        s = LaurentSymbol({0: np.eye(128), 1: 0.5 * np.eye(128)})
+        sizes = []
+        floquet._scan(s, np.exp(2j * np.pi * np.arange(100) / 100),
+                      lambda st: sizes.append(st.nbytes) or np.zeros(len(st)))
+        assert sum(sizes) == 100 * 16 * 128 * 128
+        assert max(sizes) <= floquet._CHUNK_BYTES
 
 
 class TestMinSingularOnCircle:
@@ -111,6 +153,25 @@ class TestMinSingularOnCircle:
         with pytest.raises(ContractViolation):
             min_singular_on_circle(LaurentSymbol.scalar({0: 1}), grid=8)
 
+    @settings(max_examples=25, deadline=None)
+    @given(block=st.integers(1, 6), grid=st.integers(16, 200),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_grid_minimum_matches_looped_svd(self, block, grid, seed):
+        rng = np.random.default_rng(seed)
+        s = LaurentSymbol({j: rng.normal(size=(block, block))
+                           + 1j * rng.normal(size=(block, block)) for j in (-1, 0, 1)})
+        thetas = 2 * np.pi * np.arange(grid) / grid
+        looped = [np.linalg.svd(symbol_eval(s, cmath.exp(1j * t)), compute_uv=False)[-1]
+                  for t in thetas]
+        # a refinement that never improves leaves the grid minimum
+        no_refine = lambda f, a, b, xtol: (0.5 * (a + b), math.inf)
+        with mock.patch.object(floquet, "_golden_section", no_refine):
+            value, witness = min_singular_on_circle(s, grid=grid)
+        k = int(np.argmin(np.abs(witness - np.exp(1j * thetas))))  # the witness's grid point
+        assert abs(witness - cmath.exp(1j * thetas[k])) < 1e-12
+        assert abs(value - min(looped)) <= 1e-13 * max(looped)
+        assert abs(looped[k] - min(looped)) <= 1e-13 * max(looped)
+
 
 class TestIsFredholm:
     def test_shifted_scalar_fredholm_index_zero(self):
@@ -157,6 +218,44 @@ class TestToeplitzIndex:
         idx = toeplitz_index(symbol)
         assert idx == -winding
         assert idx == section_index_oracle(symbol, periods=96)
+
+    @pytest.mark.parametrize("coeffs, n, tol", [
+        ({0: 300.0, 1: 50.0}, 200, FREDHOLM_TOL),   # det A(z) overflows
+        ({0: 3e-9, 1: 5e-10}, 40, 1e-12),           # det A(z) underflows
+    ])
+    def test_determinant_out_of_range(self, coeffs, n, tol):
+        s = LaurentSymbol({j: v * np.eye(n) for j, v in coeffs.items()})
+        # sigma_min is |A_0| - |A_1| in closed form; passing it skips a
+        # 512-point scan of 200 x 200 blocks that the winding does not use
+        sigma = abs(coeffs[0]) - abs(coeffs[1])
+        assert toeplitz_index(s, tol=tol, _min_singular=sigma) == 0
+        if n <= 64:
+            assert toeplitz_index(s, tol=tol) == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), block=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_index_is_scale_invariant(self, data, block, seed):
+        # U diag(p_i z^j_i + q_i z^k_i) U^*: entry i winds j_i when
+        # |p_i| > |q_i| and k_i otherwise
+        rng = np.random.default_rng(seed)
+        pairs = [(0, 1), (-1, 0), (-1, 1), (0, 2), (-2, 1)]
+        coeffs, winding = {}, 0
+        for i in range(block):
+            j, k = pairs[data.draw(st.integers(0, len(pairs) - 1))]
+            p, q = rng.uniform(1.0, 2.0), rng.uniform(0.1, 0.8)
+            if data.draw(st.booleans()):
+                p, q = q, p
+            winding += j if p > q else k
+            coeffs.setdefault(j, np.zeros(block, complex))[i] += p
+            coeffs.setdefault(k, np.zeros(block, complex))[i] += q * np.exp(2j * np.pi * rng.random())
+        u, _ = np.linalg.qr(rng.normal(size=(block, block))
+                            + 1j * rng.normal(size=(block, block)))
+        blocks = {j: (u * d) @ u.conj().T for j, d in coeffs.items()}
+        assert toeplitz_index(LaurentSymbol(blocks)) == -winding
+        for exponent in (-6, 6):
+            scale = 10.0 ** exponent
+            scaled = LaurentSymbol({j: scale * a for j, a in blocks.items()})
+            assert toeplitz_index(scaled, tol=FREDHOLM_TOL * scale) == -winding
 
     def test_additivity_under_direct_sum(self):
         a = LaurentSymbol.scalar({1: 1})           # index -1
@@ -266,6 +365,17 @@ class TestSpectralFlow:
         fam = lambda c: np.diag(np.arange(8) + 0.3 * c).astype(complex)
         with pytest.raises(ContractViolation):
             spectral_flow(fam, steps=8)
+
+    def test_one_eigensolve_per_point(self):
+        # steps + 1 scan solves, then one per bisection step: the crossing
+        # at 0.43 sits in [0.4, 0.5], halved until it is at most xtol wide
+        fam = lambda c: np.diag([c - 0.43, c + 2.0]).astype(complex)
+        solves = []
+        counting = lambda m: solves.append(1) or hermitian_eigenvalues(m)
+        with mock.patch.object(floquet, "hermitian_eigenvalues", counting):
+            r = spectral_flow(fam, steps=10, xtol=1e-9)
+        assert r.flow == 1 and abs(r.crossings[0][0] - 0.43) < 1e-8
+        assert len(solves) == 11 + math.ceil(math.log2(0.1 / 1e-9))
 
     def test_symbol_loop_has_zero_net_flow(self):
         d = build_circle_dirac(16, Scheme.CENTRAL_DIFFERENCE, BOUND, 0.0)
