@@ -16,10 +16,12 @@ with the recorded branch of ln z, z = exp(-i c) reproduces the twist-c
 operator.  Weight lifts are stored in angle units, so the lift of a
 degree-d circle map rises by 2*pi*d across one period.
 
-``kernel_twists`` scans the twisted spectral family for kernels: it
-builds the untwisted operator once, shifts its diagonal by the twist term
-at each scan point, and refines local minima of the smallest |eigenvalue|
-with the golden-section search of ``floquet``.
+``kernel_twists`` scans the twisted spectral family for kernels with one
+eigensolve per scan: the twist term is a multiple of the identity, so the
+twist-c spectrum is the untwisted spectrum mu shifted to
+mu + CLIFFORD_SIGN * c, and the mass-doubled one is
++-hypot(mu + CLIFFORD_SIGN * c, m).  Local minima of the smallest
+|eigenvalue| are refined with the golden-section search of ``floquet``.
 """
 
 from __future__ import annotations
@@ -182,21 +184,26 @@ def kernel_twists(spin: SpinStructure, c_from: float, c_to: float, steps: int,
     The smallest |eigenvalue| is scanned at ``steps`` evenly spaced twists;
     each local minimum is refined by golden section to 1e-12 and kept when
     its value is below ``ktol``.  Locations closer than 1e-6 mod 1 merge.
-    The untwisted operator is built once per scan; each twist adds its
-    term with ``_twisted``, as ``build_circle_dirac(..., c)`` does.
+
+    One eigensolve per scan: the twist adds CLIFFORD_SIGN * c times the
+    identity (``_twisted``), so the twist-c eigenvalues are mu +
+    CLIFFORD_SIGN * c for the untwisted eigenvalues mu.  The mass-doubled
+    operator squares to (A^2 + m^2) (x) I, so its eigenvalues are
+    +-hypot(mu + CLIFFORD_SIGN * c, m).  A non-finite range end or mass is
+    rejected: its scan values would be nan or inf, and the scan would
+    report no kernels.
     """
+    if not all(math.isfinite(x) for x in (c_from, c_to, mass)):
+        raise ContractViolation("twist range and mass must be finite")
     if steps < 3:
         raise ContractViolation("need at least 3 scan steps")
     if c_to <= c_from:
         raise ContractViolation("empty twist range")
     base = build_circle_dirac(grid, Scheme.SPECTRAL, spin, 0.0).matrix
+    mu = hermitian_eigenvalues(base).eigenvalues
 
     def min_abs(c: float) -> float:
-        m = _twisted(base, c)
-        if mass != 0.0:
-            m = mass_doubled(m, mass)
-        eig = hermitian_eigenvalues(m).eigenvalues
-        return float(np.min(np.abs(eig)))
+        return math.hypot(np.min(np.abs(mu + CLIFFORD_SIGN * c)), mass)
 
     cs = np.linspace(c_from, c_to, steps)
     vals = np.array([min_abs(c) for c in cs])

@@ -22,7 +22,6 @@ __all__ = [
     "Inertia",
     "as_matrix",
     "hermitian_eigenvalues",
-    "jacobi_eigenvalues",
     "singular_values",
     "numeric_kernel_dim",
     "rational_ldl_inertia",
@@ -74,20 +73,12 @@ def _require_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL, method: str = "lapack") -> EigResult:
-    """Eigenvalues of a Hermitian matrix, sorted ascending.
-
-    ``method="lapack"`` uses the library eigensolver; ``method="jacobi"``
-    runs the cyclic Jacobi iteration below, which is independent of LAPACK
-    and serves as a cross-check at small dimensions.
-    """
+def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> EigResult:
+    """Eigenvalues of a Hermitian matrix, sorted ascending, from the
+    library eigensolver, with the worst residual of the eigenpairs
+    checked against ``tol``."""
     a = _require_hermitian(as_matrix(m), tol)
-    if method == "lapack":
-        vals, vecs = np.linalg.eigh(a)
-    elif method == "jacobi":
-        vals, vecs = jacobi_eigenvalues(a, tol=min(tol, 1e-12))
-    else:
-        raise ContractViolation(f"unknown eigensolver method {method!r}")
+    vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     norm = float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -98,53 +89,6 @@ def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL, method: str = "lapack") -
     if residual > max(tol, 1e-12):
         raise ContractViolation(f"eigen residual {residual:.3e} exceeds tolerance {tol:.3e}")
     return EigResult(eigenvalues=vals, residual=residual)
-
-
-def jacobi_eigenvalues(m, tol: float = 1e-13, max_sweeps: int = 60):
-    """Cyclic Jacobi eigensolver for complex Hermitian matrices.
-
-    Rotates away one off-diagonal pair at a time, sweeping all (p, q) until
-    the off-diagonal Frobenius mass drops below ``tol`` relative to the
-    matrix norm.  Returns (eigenvalues, eigenvectors); no LAPACK involved.
-    """
-    a = as_matrix(m).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = np.linalg.norm(a, "fro")
-    if scale == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-2 * tol * scale / n:
-                    continue
-                app, aqq = a[p, p].real, a[q, q].real
-                phase = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                # stable root of t^2 - 2*tau*t - 1 = 0
-                t = -np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c * np.conj(phase)
-                # columns: A <- A U with U = [[c, -conj(s)], [s, c]] on (p, q)
-                col_p = c * a[:, p] + s * a[:, q]
-                col_q = -np.conj(s) * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                # rows: A <- U^H A
-                row_p = c * a[p, :] + np.conj(s) * a[q, :]
-                row_q = -s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vc_p = c * v[:, p] + s * v[:, q]
-                vc_q = -np.conj(s) * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vc_p, vc_q
-    else:
-        raise ContractViolation("Jacobi iteration did not converge")
-    return np.diag(a).real.copy(), v
 
 
 def singular_values(m) -> np.ndarray:

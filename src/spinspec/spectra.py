@@ -23,7 +23,6 @@ from .errors import ContractViolation
 __all__ = [
     "SpinStructure",
     "SpectrumSample",
-    "ModelManifold",
     "circle_spectrum",
     "sphere_spectrum",
     "product_square_spectrum",
@@ -108,30 +107,6 @@ class SpectrumSample:
     def contains(self, x: float, tol: Optional[float] = None) -> bool:
         tol = self.grouping_tol if tol is None else tol
         return any(abs(lam - x) <= tol for lam, _ in self.pairs)
-
-
-@dataclass(frozen=True)
-class ModelManifold:
-    """Description of a model space whose spectrum has a closed form:
-    a circle with one of its two spin structures, a round sphere of
-    dimension ``sphere_dim``, or a product of a base (given by its
-    spectrum) with a round sphere."""
-
-    kind: str  # "circle" | "sphere" | "product"
-    spin: Optional[SpinStructure] = None
-    sphere_dim: int = 0
-    base_spectrum: Optional[SpectrumSample] = None
-
-    def spectrum(self, c: float = 0.0, band: int = 8, kmax: int = 8,
-                 cutoff: float = 25.0) -> SpectrumSample:
-        if self.kind == "circle":
-            return circle_spectrum(self.spin, c, band)
-        if self.kind == "sphere":
-            return sphere_spectrum(self.sphere_dim, kmax)
-        if self.kind == "product":
-            return product_square_spectrum(
-                self.base_spectrum, sphere_spectrum(self.sphere_dim, kmax), cutoff)
-        raise ContractViolation(f"unknown model kind {self.kind!r}")
 
 
 def circle_spectrum(spin: SpinStructure, c: float, band: int) -> SpectrumSample:

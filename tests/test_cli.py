@@ -97,6 +97,15 @@ class TestTwistScan:
         assert doc["results"]["kernel_twists_mod1"] == []
         assert doc["results"]["cover_operator_fredholm"] is True
 
+    @pytest.mark.parametrize("flag,value", [("--massive", "nan"), ("--massive", "inf"),
+                                            ("--c-to", "inf")])
+    def test_nonfinite_input_exit_3(self, capsys, flag, value):
+        code, out, err = run(capsys, "twist-scan", "--steps", "40", "--grid", "16",
+                             flag, value)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestFredholmCommands:
     def test_fredholm_true(self, capsys, shifted_scalar_file):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinspec import discretize
 from spinspec.discretize import (Scheme, WeightFunction,
@@ -11,7 +13,7 @@ from spinspec.discretize import (Scheme, WeightFunction,
                                  grid_angles, kernel_twists, mass_doubled,
                                  period_symbol, spectrum_sample)
 from spinspec.errors import ContractViolation
-from spinspec.floquet import symbol_eval
+from spinspec.floquet import _golden_section, symbol_eval
 from spinspec.conventions import twist_to_floquet
 from spinspec.linalg import hermitian_eigenvalues, numeric_kernel_dim, singular_values
 from spinspec.spectra import SpinStructure, circle_spectrum, spectra_match
@@ -240,6 +242,52 @@ class TestPeriodBlocks:
         assert_blocks_byte_identical(mass_doubled(d.matrix, 1.0))
 
 
+def reference_kernel_twists(spin, c_from, c_to, steps, grid, mass, ktol):
+    """The per-point scan: one eigensolve of the built twist-c operator
+    (mass-doubled when ``mass`` is nonzero) at every scan point and
+    golden-section probe."""
+    base = build_circle_dirac(grid, Scheme.SPECTRAL, spin, 0.0).matrix
+
+    def min_abs(c):
+        m = discretize._twisted(base, c)
+        if mass != 0.0:
+            m = mass_doubled(m, mass)
+        return float(np.min(np.abs(hermitian_eigenvalues(m).eigenvalues)))
+
+    cs = np.linspace(c_from, c_to, steps)
+    vals = np.array([min_abs(c) for c in cs])
+    locations = []
+    for i in range(len(cs)):
+        left = vals[i - 1] if i > 0 else math.inf
+        right = vals[i + 1] if i + 1 < len(cs) else math.inf
+        if not (vals[i] <= left and vals[i] <= right):
+            continue
+        a = cs[i - 1] if i > 0 else cs[i]
+        b = cs[i + 1] if i + 1 < len(cs) else cs[i]
+        c_star, value = _golden_section(min_abs, a, b, 1e-12)
+        if value < ktol:
+            locations.append(c_star % 1.0)
+    deduped = []
+    for c in sorted(locations):
+        if not deduped or min(abs(c - deduped[-1]), 1.0 - abs(c - deduped[-1])) > 1e-6:
+            deduped.append(c)
+    return deduped
+
+
+class TestMassDoubled:
+    @pytest.mark.parametrize("n", [1, 5, 16, 40])
+    @pytest.mark.parametrize("m", [1e-9, 0.3, 2.0])
+    def test_spectrum_is_hypot_taken_twice(self, n, m):
+        # (A (x) sz + m I (x) sx)^2 = (A^2 + m^2) (x) I
+        rng = np.random.default_rng(7 * n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = a + a.conj().T
+        doubled = np.sort(np.abs(np.linalg.eigvalsh(mass_doubled(a, m))))
+        mu = np.linalg.eigvalsh(a)
+        expected = np.sort(np.repeat(np.hypot(mu, m), 2))
+        assert np.all(np.abs(doubled - expected) <= 1e-12 * np.max(expected))
+
+
 class TestKernelTwists:
     @pytest.mark.parametrize("n", [32, 64, 128])
     @pytest.mark.parametrize("spin", [BOUND, NONBOUND])
@@ -251,26 +299,45 @@ class TestKernelTwists:
             built = build_circle_dirac(n, Scheme.SPECTRAL, spin, c).matrix
             assert shifted.tobytes() == built.tobytes()
 
-    def test_one_build_and_one_solve_per_point(self, monkeypatch):
+    @pytest.mark.parametrize("mass,kernels", [(0.0, [0.5]), (0.5, [])])
+    def test_one_build_and_one_solve_per_scan(self, monkeypatch, mass, kernels):
         builds, solves = [], []
         build, solve = discretize.build_circle_dirac, discretize.hermitian_eigenvalues
         monkeypatch.setattr(discretize, "build_circle_dirac",
                             lambda *a: builds.append(a) or build(*a))
         monkeypatch.setattr(discretize, "hermitian_eigenvalues",
                             lambda m: solves.append(1) or solve(m))
-        found = kernel_twists(BOUND, -0.3, 0.7, 40, 32, 0.0, 1e-8)
-        assert len(found) == 1 and abs(found[0] - 0.5) < 1e-9
+        found = kernel_twists(BOUND, -0.3, 0.7, 40, 32, mass, 1e-8)
+        assert len(found) == len(kernels)
+        assert all(abs(a - b) < 1e-9 for a, b in zip(found, kernels))
         assert len(builds) == 1
-        # 40 scan points; golden probes to 1e-12 over the two local minima,
-        # the bracket [c_0, c_1] at the range start (52) and the kernel's
-        # [c_i-1, c_i+1] (54)
-        assert len(solves) == 40 + 52 + 54
+        assert len(solves) == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(spin=st.sampled_from([BOUND, NONBOUND]),
+           grid=st.integers(4, 32).map(lambda k: 2 * k),
+           steps=st.integers(3, 60),
+           c_from=st.floats(-4.0, 4.0),
+           width=st.floats(0.01, 4.0),
+           mass=st.one_of(st.just(0.0), st.just(1e-9), st.floats(0.1, 1.0)))
+    def test_matches_per_point_reference(self, spin, grid, steps, c_from, width, mass):
+        found = kernel_twists(spin, c_from, c_from + width, steps, grid, mass, 1e-8)
+        expected = reference_kernel_twists(spin, c_from, c_from + width, steps,
+                                           grid, mass, 1e-8)
+        assert len(found) == len(expected)
+        for a, b in zip(found, expected):
+            assert min(abs(a - b), 1.0 - abs(a - b)) < 1e-10
 
     def test_rejects_bad_range(self):
         with pytest.raises(ContractViolation):
             kernel_twists(BOUND, 0.5, 0.5, 40, 16, 0.0, 1e-8)
         with pytest.raises(ContractViolation):
             kernel_twists(BOUND, 0.0, 1.0, 2, 16, 0.0, 1e-8)
+        for c_from, c_to, mass in ((0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+                                   (0.0, math.inf, 0.0), (-math.inf, 1.0, 0.0),
+                                   (math.nan, 1.0, 0.0)):
+            with pytest.raises(ContractViolation, match="finite"):
+                kernel_twists(BOUND, c_from, c_to, 40, 16, mass, 1e-8)
 
 
 class TestCoverSections:

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from spinspec.cli import main
 from spinspec.discretize import (Scheme, WeightFunction, build_circle_dirac,
                                  gauge_conjugate, grid_angles, spectrum_sample)
 from spinspec.errors import ContractViolation
@@ -172,27 +174,37 @@ class TestTwistChecks:
         assert not check_exact_twist_invariance(fn, 0.4, tol=1e-9)
 
 
-class TestModelManifold:
-    def test_circle_dispatch(self):
-        from spinspec.spectra import ModelManifold
-        m = ModelManifold(kind="circle", spin=BOUND)
-        assert m.spectrum(c=0.5, band=2).contains(0.0)
+class TestSpectrumCommandDispatch:
+    """`spinspec spectrum <kind>` reports the closed form of its model."""
 
-    def test_sphere_dispatch(self):
-        from spinspec.spectra import ModelManifold
-        m = ModelManifold(kind="sphere", sphere_dim=3)
-        assert m.spectrum(kmax=2).min_abs() ** 2 == pytest.approx(9.0 / 4.0)
+    @staticmethod
+    def pairs(capsys, *argv):
+        code = main(["spectrum", *argv])
+        out = capsys.readouterr().out
+        assert code == 0
+        return [tuple(p) for p in json.loads(out)["results"]["pairs"]]
 
-    def test_product_dispatch(self):
-        from spinspec.spectra import ModelManifold
-        base = circle_spectrum(BOUND, 0.0, 3)
-        m = ModelManifold(kind="product", sphere_dim=2, base_spectrum=base)
-        assert m.spectrum(kmax=2, cutoff=10.0).pairs[0][0] == pytest.approx(1.25)
+    def test_circle_dispatch(self, capsys):
+        got = self.pairs(capsys, "circle", "--spin", "bounding", "--c", "0.5", "--band", "2")
+        assert got == list(circle_spectrum(BOUND, 0.5, 2).pairs)
+        assert 0.0 in [lam for lam, _ in got]
 
-    def test_unknown_kind(self):
-        from spinspec.spectra import ModelManifold
-        with pytest.raises(ContractViolation):
-            ModelManifold(kind="torus").spectrum()
+    def test_sphere_dispatch(self, capsys):
+        got = self.pairs(capsys, "sphere", "--l", "3", "--kmax", "2")
+        assert got == list(sphere_spectrum(3, 2).pairs)
+        assert min(abs(lam) for lam, _ in got) ** 2 == pytest.approx(9.0 / 4.0)
+
+    def test_product_dispatch(self, capsys):
+        got = self.pairs(capsys, "product", "--spin", "bounding", "--c", "0", "--band", "3",
+                         "--l", "2", "--kmax", "2", "--cutoff", "10")
+        expected = product_square_spectrum(circle_spectrum(BOUND, 0.0, 3),
+                                           sphere_spectrum(2, 2), 10.0)
+        assert got == list(expected.pairs)
+        assert got[0][0] == pytest.approx(1.25)
+
+    def test_unknown_kind(self, capsys):
+        assert main(["spectrum", "torus"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestLichnerowiczBound:
