@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT3_COMMANDS = {"invariant", "index", "fredholm", "spectral-flow", "twist-scan"}
 
 
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")  # -33/4, -0.5, -16: never a flag
+# -33/4, -0.5, -16, -inf, -nan: never a flag
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
 
 def _shield_dash_values(argv: List[str]) -> Tuple[List[str], List[str]]:

@@ -39,6 +39,10 @@ DEFAULT_LN_BRANCH = 0
 # Default relative tolerance for dense numerical linear algebra.
 DEFAULT_TOL = 1e-9
 
+# Relative tolerance of the one Hermiticity rule (``linalg.is_hermitian``):
+# ||M - M^H||_F <= HERMITICITY_TOL * ||M||_F.
+HERMITICITY_TOL = 1e-12
+
 # Absolute tolerance separating symbol kernels from small positive minima
 # of the singular value over the unit circle.
 FREDHOLM_TOL = 1e-6

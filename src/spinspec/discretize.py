@@ -30,14 +30,14 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .conventions import CLIFFORD_SIGN, DEFAULT_LN_BRANCH, GROUPING_TOL
+from .conventions import CLIFFORD_SIGN, DEFAULT_LN_BRANCH
 from .errors import ContractViolation
 from .floquet import LaurentSymbol, _golden_section
-from .linalg import hermitian_eigenvalues
+from .linalg import hermitian_eigenvalues, is_hermitian
 from .spectra import SpectrumSample, SpinStructure
 
 __all__ = [
@@ -50,13 +50,10 @@ __all__ = [
     "gauge_conjugate",
     "kernel_twists",
     "fourier_laplace_family",
-    "cover_operator_sections",
     "period_symbol",
     "mass_doubled",
     "spectrum_sample",
 ]
-
-_HERMITICITY_TOL = 1e-12
 
 
 class Scheme(enum.Enum):
@@ -82,8 +79,7 @@ class DiscreteDirac:
         m = self.matrix
         if m.shape != (m.shape[0], m.shape[0]):
             raise ContractViolation("operator matrix must be square")
-        scale = max(float(np.linalg.norm(m, "fro")), 1.0)
-        if np.linalg.norm(m - m.conj().T, "fro") > _HERMITICITY_TOL * scale:
+        if not is_hermitian(m):
             raise ContractViolation("operator matrix must be Hermitian")
 
 
@@ -296,40 +292,18 @@ def _period_blocks(matrix: np.ndarray):
                  for seam in (-n, 0, n))
 
 
-def _source_matrix(source: Union[DiscreteDirac, np.ndarray]) -> np.ndarray:
-    return source.matrix if isinstance(source, DiscreteDirac) else np.asarray(source, dtype=complex)
-
-
-def period_symbol(source: Union[DiscreteDirac, np.ndarray]) -> LaurentSymbol:
+def period_symbol(matrix: np.ndarray) -> LaurentSymbol:
     """Banded block Laurent symbol of the periodic lattice operator whose
-    one-period block is ``source``.  Evaluating it at the Floquet point
+    one-period block is ``matrix``.  Evaluating it at the Floquet point
     z(c) from ``conventions.twist_to_floquet`` recovers (the spectrum of)
     the twist-c quotient operator."""
-    a_m1, a_0, a_p1 = _period_blocks(_source_matrix(source))
+    a_m1, a_0, a_p1 = _period_blocks(matrix)
     coeffs = {0: a_0}
     if np.any(a_p1):
         coeffs[1] = a_p1
     if np.any(a_m1):
         coeffs[-1] = a_m1
     return LaurentSymbol(coeffs)
-
-
-def cover_operator_sections(source: Union[DiscreteDirac, np.ndarray],
-                            periods: int) -> np.ndarray:
-    """Finite section of the lifted operator on the cyclic cover: a block
-    tridiagonal matrix of ``periods`` copies of the period block, coupled
-    by the wrap hops, with open (truncated) ends."""
-    if periods < 1:
-        raise ContractViolation("need at least one period")
-    a_m1, a_0, a_p1 = _period_blocks(_source_matrix(source))
-    n = a_0.shape[0]
-    out = np.zeros((periods * n, periods * n), dtype=complex)
-    for p in range(periods):
-        out[p * n:(p + 1) * n, p * n:(p + 1) * n] = a_0
-        if p + 1 < periods:
-            out[p * n:(p + 1) * n, (p + 1) * n:(p + 2) * n] = a_p1
-            out[(p + 1) * n:(p + 2) * n, p * n:(p + 1) * n] = a_m1
-    return out
 
 
 def mass_doubled(matrix: np.ndarray, m: float) -> np.ndarray:
@@ -343,10 +317,9 @@ def mass_doubled(matrix: np.ndarray, m: float) -> np.ndarray:
     return np.kron(a, sz) + m * np.kron(np.eye(a.shape[0]), sx)
 
 
-def spectrum_sample(matrix: np.ndarray, band: Optional[int] = None,
-                    grouping_tol: float = GROUPING_TOL) -> SpectrumSample:
+def spectrum_sample(matrix: np.ndarray, band: Optional[int] = None) -> SpectrumSample:
     """Eigenvalues of a Hermitian matrix packaged as a SpectrumSample."""
     eig = hermitian_eigenvalues(matrix).eigenvalues
     if band is None:
         band = int(math.ceil(float(np.max(np.abs(eig))))) or 1
-    return SpectrumSample.from_eigenvalues(eig, band=band, grouping_tol=grouping_tol)
+    return SpectrumSample.from_eigenvalues(eig, band=band)

@@ -7,9 +7,12 @@ operator is Fredholm exactly when A(z) is invertible for every z on the
 unit circle; the half-line compression is then Fredholm with index equal
 to minus the winding number of det A(z).
 
-Unit-circle scans evaluate the symbol once per grid point, as a stack of
-blocks built in chunks of at most ``_CHUNK_BYTES`` and handed to batched
-``svd`` / ``slogdet`` calls, so memory stays bounded for large blocks.
+``symbol_eval`` is the one evaluator: a product of the powers z^j with
+the stacked coefficients, for a stack of points or for the single point a
+refinement probes.  Unit-circle scans evaluate the symbol once per grid
+point, as a stack of blocks built in chunks of at most ``_CHUNK_BYTES``
+and handed to batched ``svd`` / ``slogdet`` calls, so memory stays
+bounded for large blocks.
 The winding follows the unit-modulus phase of det A(z) from ``slogdet``,
 which neither overflows nor underflows.  Grid minima are refined by one
 golden-section search, ``_golden_section``, which the twist scan in
@@ -27,7 +30,7 @@ import numpy as np
 
 from .conventions import CIRCLE_GRID, FREDHOLM_TOL, REFINE_TOL
 from .errors import ContractViolation, DegenerateCrossing
-from .linalg import hermitian_eigenvalues
+from .linalg import hermitian_eigenvalues, is_hermitian
 from .spectra import SpectrumSample, spectra_match
 
 __all__ = [
@@ -45,7 +48,6 @@ __all__ = [
     "spectral_flow",
 ]
 
-_HERM_FLAG_TOL = 1e-12
 _INDEX_FILL_LIMIT = 128  # fill the index automatically when N * max(d,1) is below this
 _CHUNK_BYTES = 2 * 1024 * 1024  # largest symbol stack one batched scan call holds
 
@@ -55,7 +57,8 @@ class LaurentSymbol:
 
     ``coeffs`` maps integer offsets to square blocks of one common size;
     missing offsets are zero.  ``hermitian_symmetric`` is set when
-    A_{-j} = A_j^* for all j, which makes A(z) Hermitian on |z| = 1.
+    A_{-j} = A_j^* for all j, which makes A(z) Hermitian on |z| = 1; the
+    stack A_{-d}, ..., A_d is checked as a whole by ``is_hermitian``.
     """
 
     def __init__(self, coeffs: Mapping[int, object]):
@@ -81,10 +84,8 @@ class LaurentSymbol:
         self._offsets = np.array(sorted(blocks))
         self._stacked = np.stack([blocks[j].reshape(-1) for j in sorted(blocks)])
         self.bandwidth = max(abs(j) for j in blocks)
-        scale = max(np.linalg.norm(a) for a in blocks.values())
-        self.hermitian_symmetric = all(
-            np.linalg.norm(self.coeff(-j) - a.conj().T) <= _HERM_FLAG_TOL * scale
-            for j, a in blocks.items())
+        self.hermitian_symmetric = is_hermitian(
+            np.stack([self.coeff(j) for j in range(-self.bandwidth, self.bandwidth + 1)]))
 
     @classmethod
     def scalar(cls, coeffs: Mapping[int, complex]) -> "LaurentSymbol":
@@ -108,29 +109,20 @@ class LaurentSymbol:
 def symbol_eval(s: LaurentSymbol, z) -> np.ndarray:
     """A(z) = sum_j A_j z^j by exact polynomial evaluation.
 
-    A scalar ``z`` gives the (N, N) block, summed term by term, which
-    costs least for the single points that refinements probe.  A 1-d
-    array of k points gives the (k, N, N) stack in one product of the
-    k x J matrix of powers z^j with the J stacked coefficients; each block
-    agrees with the scalar evaluation up to the rounding of the sum.
-    Scans over many points go through ``_scan``, so that no stack exceeds
+    A 1-d array of k points gives the (k, N, N) stack in one product of
+    the k x J matrix of powers z^j with the J stacked coefficients; a
+    scalar ``z`` gives the (N, N) block, the one-point stack.  Scans over
+    many points go through ``_scan``, so that no stack exceeds
     ``_CHUNK_BYTES``.
     """
     zs = np.asarray(z, dtype=complex)
     if zs.ndim > 1:
         raise ContractViolation("symbol evaluation takes a scalar or a 1-d array of points")
-    n = s.block_size
-    if zs.ndim == 0:
-        z = complex(zs)
-        if z == 0:
-            raise ContractViolation("symbol evaluation needs z != 0")
-        out = np.zeros((n, n), dtype=complex)
-        for j, a in s.coeffs.items():
-            out += a * (z ** j)
-        return out
     if not zs.all():
         raise ContractViolation("symbol evaluation needs z != 0")
-    return ((zs[:, None] ** s._offsets) @ s._stacked).reshape(-1, n, n)
+    n = s.block_size
+    stack = ((zs.reshape(-1)[:, None] ** s._offsets) @ s._stacked).reshape(-1, n, n)
+    return stack if zs.ndim else stack[0]
 
 
 def _scan(s: LaurentSymbol, zs: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray]):
@@ -158,13 +150,12 @@ def _sigma_min(s: LaurentSymbol, theta: float) -> float:
     return float(vals[-1])
 
 
-def _golden_section(f: Callable[[float], float], a: float, b: float,
-                    xtol: float, max_iter: int = 200):
+def _golden_section(f: Callable[[float], float], a: float, b: float, xtol: float):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(200):
         if b - a <= xtol:
             break
         if f1 <= f2:
@@ -178,8 +169,7 @@ def _golden_section(f: Callable[[float], float], a: float, b: float,
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID,
-                           refine_tol: float = REFINE_TOL):
+def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID):
     """Global minimum of sigma_min(A(e^{i theta})) over the unit circle.
 
     Uniform scan (batched singular values) followed by golden-section
@@ -194,7 +184,7 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID,
                    lambda stack: np.linalg.svd(stack, compute_uv=False)[:, -1])
     step = 2.0 * np.pi / grid
     lam = max(s.lipschitz_bound(), 1e-12)
-    xtol = min(refine_tol / lam, step)
+    xtol = min(REFINE_TOL / lam, step)
     best_theta = float(thetas[int(np.argmin(values))])
     best_value = float(values.min())
     for idx in np.argsort(values)[:3]:
@@ -332,14 +322,14 @@ class SpectralFlowResult:
 
 _PIN_EPS = 1e-11
 _ZERO_BAND = 1e-10  # eigenvalues this close to 0 count as 0, not negative
+_CROSSING_TOL = 1e-9  # width of the bracket that locates a crossing
 
 
 def _negative_count(eigenvalues: np.ndarray) -> int:
     return int(np.count_nonzero(eigenvalues < -_ZERO_BAND))
 
 
-def spectral_flow(family: Callable[[float], np.ndarray], steps: int = 50,
-                  xtol: float = 1e-9) -> SpectralFlowResult:
+def spectral_flow(family: Callable[[float], np.ndarray], steps: int = 50) -> SpectralFlowResult:
     """Signed count of eigenvalue crossings through 0 over c in [0, 1].
 
     Each of the ``steps + 1`` scan points is solved once; its eigenvalues
@@ -373,7 +363,7 @@ def spectral_flow(family: Callable[[float], np.ndarray], steps: int = 50,
             continue
         lo, hi = cs[i], cs[i + 1]
         nlo = counts[i]
-        while hi - lo > xtol:
+        while hi - lo > _CROSSING_TOL:
             mid = 0.5 * (lo + hi)
             nmid = _negative_count(hermitian_eigenvalues(family(mid)).eigenvalues)
             if nmid == nlo:

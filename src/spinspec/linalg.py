@@ -14,13 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .conventions import DEFAULT_TOL
+from .conventions import DEFAULT_TOL, HERMITICITY_TOL
 from .errors import ContractViolation
 
 __all__ = [
     "EigResult",
     "Inertia",
     "as_matrix",
+    "is_hermitian",
     "hermitian_eigenvalues",
     "singular_values",
     "numeric_kernel_dim",
@@ -64,20 +65,30 @@ class Inertia:
         return self.n_plus + self.n_minus + self.n_zero
 
 
-def _require_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
+def is_hermitian(x: np.ndarray) -> bool:
+    """The Hermiticity rule: ||x - x^H||_F <= HERMITICITY_TOL * ||x||_F,
+    so a zero matrix passes.
+
+    A (k, N, N) stack stands for the block anti-diagonal matrix with x[i]
+    in block row i, whose adjoint is the reversed stack of block adjoints;
+    the stack A_{-d}, ..., A_d of a Laurent symbol passes exactly when
+    A_{-j} = A_j^H for every j.
+    """
+    blocks = x.reshape(-1, *x.shape[-2:])  # a matrix is a one-block stack
+    adjoint = blocks[::-1].conj().swapaxes(-1, -2)
+    return bool(np.linalg.norm(blocks - adjoint) <= HERMITICITY_TOL * np.linalg.norm(blocks))
+
+
+def hermitian_eigenvalues(m) -> EigResult:
+    """Eigenvalues of a Hermitian matrix (``is_hermitian``), sorted
+    ascending, from the library eigensolver, with the worst residual of
+    the eigenpairs checked against ``DEFAULT_TOL``."""
+    a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ContractViolation(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    scale = np.linalg.norm(a, "fro")
-    if scale > 0 and np.linalg.norm(a - a.conj().T, "fro") > max(tol, 1e-15) * scale:
+    if not is_hermitian(a):
         raise ContractViolation("matrix is not Hermitian within tolerance")
-    return 0.5 * (a + a.conj().T)
-
-
-def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> EigResult:
-    """Eigenvalues of a Hermitian matrix, sorted ascending, from the
-    library eigensolver, with the worst residual of the eigenpairs
-    checked against ``tol``."""
-    a = _require_hermitian(as_matrix(m), tol)
+    a = 0.5 * (a + a.conj().T)
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
@@ -86,8 +97,8 @@ def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> EigResult:
         residual = 0.0
     else:
         residual = float(np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0)) / norm)
-    if residual > max(tol, 1e-12):
-        raise ContractViolation(f"eigen residual {residual:.3e} exceeds tolerance {tol:.3e}")
+    if residual > DEFAULT_TOL:
+        raise ContractViolation(f"eigen residual {residual:.3e} exceeds tolerance {DEFAULT_TOL:.3e}")
     return EigResult(eigenvalues=vals, residual=residual)
 
 

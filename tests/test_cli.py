@@ -98,7 +98,9 @@ class TestTwistScan:
         assert doc["results"]["cover_operator_fredholm"] is True
 
     @pytest.mark.parametrize("flag,value", [("--massive", "nan"), ("--massive", "inf"),
-                                            ("--c-to", "inf")])
+                                            ("--c-to", "inf"), ("--c-from", "-inf"),
+                                            ("--c-from", "-nan"), ("--c-from", "-Infinity"),
+                                            ("--c-to", "-INF")])
     def test_nonfinite_input_exit_3(self, capsys, flag, value):
         code, out, err = run(capsys, "twist-scan", "--steps", "40", "--grid", "16",
                              flag, value)
@@ -143,7 +145,7 @@ class TestFredholmCommands:
         from spinspec.discretize import Scheme, build_circle_dirac, period_symbol
         from spinspec.spectra import SpinStructure
         sym = period_symbol(build_circle_dirac(16, Scheme.CENTRAL_DIFFERENCE,
-                                               SpinStructure.BOUNDING, 0.0))
+                                               SpinStructure.BOUNDING, 0.0).matrix)
         path = tmp_path / "circle.txt"
         path.write_text(symbol_to_text(sym))
         doc = run_json(capsys, "spectral-flow", str(path), "--steps", "24")

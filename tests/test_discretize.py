@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinspec import discretize
-from spinspec.discretize import (Scheme, WeightFunction,
-                                 build_circle_dirac, cover_operator_sections,
+from spinspec.discretize import (Scheme, WeightFunction, build_circle_dirac,
                                  fourier_laplace_family, gauge_conjugate,
                                  grid_angles, kernel_twists, mass_doubled,
                                  period_symbol, spectrum_sample)
 from spinspec.errors import ContractViolation
-from spinspec.floquet import _golden_section, symbol_eval
+from spinspec.floquet import _golden_section, finite_section, symbol_eval
 from spinspec.conventions import twist_to_floquet
 from spinspec.linalg import hermitian_eigenvalues, numeric_kernel_dim, singular_values
 from spinspec.spectra import SpinStructure, circle_spectrum, spectra_match
@@ -341,30 +340,21 @@ class TestKernelTwists:
 
 
 class TestCoverSections:
-    def test_single_period_is_interior_block(self):
-        d = build_circle_dirac(16, Scheme.CENTRAL_DIFFERENCE, BOUND, 0.0)
-        one = cover_operator_sections(d, 1)
-        two = cover_operator_sections(d, 2)
-        assert np.array_equal(one, two[:16, :16])
+    """Finite sections of the lifted operator on the cyclic cover: L
+    copies of the period block, coupled by the wrap hops, open ends."""
 
     def test_bounding_sections_decay(self):
         d = build_circle_dirac(16, Scheme.CENTRAL_DIFFERENCE, BOUND, 0.0)
-        sigmas = [singular_values(cover_operator_sections(d, L))[-1]
-                  for L in (4, 8, 16, 32)]
+        s = period_symbol(d.matrix)
+        sigmas = [singular_values(finite_section(s, L))[-1] for L in (4, 8, 16, 32)]
         assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
         assert sigmas[-1] < sigmas[0] / 4.0
 
     def test_massive_sections_stay_invertible(self):
         d = build_circle_dirac(16, Scheme.CENTRAL_DIFFERENCE, BOUND, 0.0)
-        dm = mass_doubled(d.matrix, 1.0)
-        sigmas = [singular_values(cover_operator_sections(dm, L))[-1]
-                  for L in (4, 8, 16, 32)]
+        s = period_symbol(mass_doubled(d.matrix, 1.0))
+        sigmas = [singular_values(finite_section(s, L))[-1] for L in (4, 8, 16, 32)]
         assert min(sigmas) > 0.5
-
-    def test_rejects_zero_periods(self):
-        d = build_circle_dirac(16, Scheme.CENTRAL_DIFFERENCE, BOUND, 0.0)
-        with pytest.raises(ContractViolation):
-            cover_operator_sections(d, 0)
 
 
 class TestPeriodSymbol:
@@ -372,7 +362,7 @@ class TestPeriodSymbol:
     def test_floquet_point_matches_conjugated_family(self, spin):
         n = 32
         d = build_circle_dirac(n, Scheme.CENTRAL_DIFFERENCE, spin, 0.0)
-        s = period_symbol(d)
+        s = period_symbol(d.matrix)
         assert s.hermitian_symmetric
         for c in (0.0, 0.23, 0.5, -0.7):
             a = symbol_eval(s, twist_to_floquet(c))
@@ -384,7 +374,7 @@ class TestPeriodSymbol:
 
     def test_quotient_is_unit_floquet_point(self):
         d = build_circle_dirac(16, Scheme.CENTRAL_DIFFERENCE, BOUND, 0.0)
-        s = period_symbol(d)
+        s = period_symbol(d.matrix)
         assert np.allclose(symbol_eval(s, 1.0), d.matrix)
 
     def test_mass_doubled_symbol_is_gapped(self):

@@ -25,6 +25,14 @@ BOUND = SpinStructure.BOUNDING
 NONBOUND = SpinStructure.NONBOUNDING
 
 
+def termwise_eval(s, z):
+    """Reference evaluation of A(z) at one point, summed term by term."""
+    out = np.zeros((s.block_size, s.block_size), dtype=complex)
+    for j, a in s.coeffs.items():
+        out += a * (z ** j)
+    return out
+
+
 class TestLaurentSymbol:
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ContractViolation):
@@ -90,7 +98,8 @@ class TestSymbolEval:
         for k, z in enumerate(zs):
             # rounding of sum_j A_j z^j is relative to the size of its terms
             terms = sum(abs(z) ** j * np.linalg.norm(a) for j, a in s.coeffs.items())
-            one = symbol_eval(s, z)
+            one = termwise_eval(s, z)
+            assert np.linalg.norm(symbol_eval(s, z) - one) <= 1e-14 * terms
             assert np.linalg.norm(stack[k] - one) <= 1e-14 * terms
             assert np.linalg.norm(chunked[k] - one) <= 1e-14 * terms
 
@@ -190,7 +199,7 @@ class TestIsFredholm:
 
     def test_circle_twist_block_not_fredholm(self):
         d = build_circle_dirac(16, Scheme.CENTRAL_DIFFERENCE, BOUND, 0.0)
-        rep = is_fredholm(period_symbol(d))
+        rep = is_fredholm(period_symbol(d.matrix))
         assert not rep.is_fredholm
         # kernel sits at the half twist; under the recorded convention the
         # witness is the Floquet point of c = 1/2
@@ -368,18 +377,18 @@ class TestSpectralFlow:
 
     def test_one_eigensolve_per_point(self):
         # steps + 1 scan solves, then one per bisection step: the crossing
-        # at 0.43 sits in [0.4, 0.5], halved until it is at most xtol wide
+        # at 0.43 sits in [0.4, 0.5], halved until it is at most 1e-9 wide
         fam = lambda c: np.diag([c - 0.43, c + 2.0]).astype(complex)
         solves = []
         counting = lambda m: solves.append(1) or hermitian_eigenvalues(m)
         with mock.patch.object(floquet, "hermitian_eigenvalues", counting):
-            r = spectral_flow(fam, steps=10, xtol=1e-9)
+            r = spectral_flow(fam, steps=10)
         assert r.flow == 1 and abs(r.crossings[0][0] - 0.43) < 1e-8
         assert len(solves) == 11 + math.ceil(math.log2(0.1 / 1e-9))
 
     def test_symbol_loop_has_zero_net_flow(self):
         d = build_circle_dirac(16, Scheme.CENTRAL_DIFFERENCE, BOUND, 0.0)
-        s = period_symbol(d)
+        s = period_symbol(d.matrix)
         fam = lambda c: symbol_eval(s, twist_to_floquet(c))
         r = spectral_flow(fam, steps=32)
         assert r.flow == 0

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from spinspec.discretize import DiscreteDirac, Scheme
 from spinspec.errors import ContractViolation
+from spinspec.floquet import LaurentSymbol
 from spinspec.linalg import (Inertia, hermitian_eigenvalues, numeric_kernel_dim,
                              rational_ldl_inertia, singular_values)
+from spinspec.spectra import SpinStructure
 
 
 def random_hermitian(n, seed):
@@ -117,6 +120,34 @@ class TestHermitianEigenvalues:
         a = hermitian_eigenvalues(m).eigenvalues
         b = hermitian_eigenvalues(u.conj().T @ m @ u).eigenvalues
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+class TestHermiticityRule:
+    """One rule for the eigensolver, the discrete operator and the symbol
+    flag: ||x - x^H||_F <= 1e-12 ||x||_F."""
+
+    @pytest.mark.parametrize("rel,hermitian", [(1e-11, False), (1e-13, True)])
+    def test_one_rule_everywhere(self, rel, hermitian):
+        h = random_hermitian(16, 7)
+        k = 1j * random_hermitian(16, 8)  # anti-Hermitian
+        m = h + rel * np.linalg.norm(h) / np.linalg.norm(k) * k
+        if hermitian:
+            hermitian_eigenvalues(m)
+            DiscreteDirac(n=16, scheme=Scheme.SPECTRAL, spin=SpinStructure.BOUNDING,
+                          c=0.0, matrix=m)
+        else:
+            with pytest.raises(ContractViolation):
+                hermitian_eigenvalues(m)
+            with pytest.raises(ContractViolation):
+                DiscreteDirac(n=16, scheme=Scheme.SPECTRAL, spin=SpinStructure.BOUNDING,
+                              c=0.0, matrix=m)
+        # the same defect in A_{-1}, relative to the norm of all coefficients
+        rng = np.random.default_rng(9)
+        a1 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        scale = np.sqrt(np.linalg.norm(h) ** 2 + 2 * np.linalg.norm(a1) ** 2)
+        s = LaurentSymbol({0: h, 1: a1,
+                           -1: a1.conj().T + rel * scale / np.linalg.norm(k) * k})
+        assert s.hermitian_symmetric is hermitian
 
 
 class TestSingularValues:
