@@ -20,8 +20,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .conventions import (CIRCLE_GRID, FREDHOLM_TOL, convention_block,
-                          twist_to_floquet)
+from .conventions import (CIRCLE_GRID, FREDHOLM_TOL, GROUPING_TOL,
+                          convention_block, twist_to_floquet)
 from .discretize import kernel_twists
 from .errors import ContractViolation, ParseError
 from .floquet import (LaurentSymbol, is_fredholm, spectral_flow, symbol_eval,
@@ -90,7 +90,7 @@ def _emit_spectrum(args, sample, command, t0) -> int:
         sys.stdout.write("\n".join(lines) + "\n")
     else:
         _emit(_report(command, _spectrum_results(sample),
-                      {"grouping_tol": sample.grouping_tol}, t0))
+                      {"grouping_tol": GROUPING_TOL}, t0))
     return 0
 
 
@@ -137,6 +137,9 @@ def _cmd_fredholm(args, command, t0) -> int:
         "witness": [rep.witness.real, rep.witness.imag],
         "index": rep.index,
         "grid_used": rep.grid_used,
+        "lower_bound": rep.lower_bound,
+        "verdict": rep.verdict,
+        "evaluations": rep.evaluations,
     }
     _emit(_report(command, results, {"fredholm_tol": tol}, t0))
     return 0

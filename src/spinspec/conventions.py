@@ -47,8 +47,11 @@ HERMITICITY_TOL = 1e-12
 # of the singular value over the unit circle.
 FREDHOLM_TOL = 1e-6
 
-# Uniform grid size for unit-circle scans, and the target accuracy of the
-# golden-section refinement that follows the scan.
+# Resolution of the certified unit-circle scan: its minimum is within
+# L*pi/CIRCLE_GRID of the true one (L the symbol's Lipschitz bound), the
+# guarantee of a uniform scan of CIRCLE_GRID points.  REFINE_TOL is the
+# accuracy of the golden-section polish that follows the scan: absolute
+# for L >= 1, relative to L below.
 CIRCLE_GRID = 512
 REFINE_TOL = 1e-8
 

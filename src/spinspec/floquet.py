@@ -9,14 +9,17 @@ to minus the winding number of det A(z).
 
 ``symbol_eval`` is the one evaluator: a product of the powers z^j with
 the stacked coefficients, for a stack of points or for the single point a
-refinement probes.  Unit-circle scans evaluate the symbol once per grid
-point, as a stack of blocks built in chunks of at most ``_CHUNK_BYTES``
-and handed to batched ``svd`` / ``slogdet`` calls, so memory stays
-bounded for large blocks.
-The winding follows the unit-modulus phase of det A(z) from ``slogdet``,
-which neither overflows nor underflows.  Grid minima are refined by one
-golden-section search, ``_golden_section``, which the twist scan in
-``discretize`` reuses.
+refinement probes.  Unit-circle scans evaluate the symbol as a stack of
+blocks built in chunks of at most ``_CHUNK_BYTES`` and handed to batched
+``svd`` / ``slogdet`` calls, so memory stays bounded for large blocks.
+The minimum of sigma_min(A(z)) over the circle comes from a Lipschitz
+branch-and-bound (Piyavskii; Shubert): each round bisects, in one
+batched SVD call, every arc whose lower bound could still beat the best
+value found, so the result carries a certified lower bound as well as a
+witness.  The winding follows the unit-modulus phase of det A(z) from
+``slogdet``, which neither overflows nor underflows.  The best point of
+the scan is refined by one golden-section search, ``_golden_section``,
+which the twist scan in ``discretize`` reuses.
 """
 
 from __future__ import annotations
@@ -28,13 +31,14 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .conventions import CIRCLE_GRID, FREDHOLM_TOL, REFINE_TOL
+from .conventions import CIRCLE_GRID, FREDHOLM_TOL, INDEX_SIGN, REFINE_TOL
 from .errors import ContractViolation, DegenerateCrossing
 from .linalg import hermitian_eigenvalues, is_hermitian
 from .spectra import SpectrumSample, spectra_match
 
 __all__ = [
     "LaurentSymbol",
+    "CircleMinimum",
     "FredholmReport",
     "SectionSweep",
     "SpectralFlowResult",
@@ -50,6 +54,7 @@ __all__ = [
 
 _INDEX_FILL_LIMIT = 128  # fill the index automatically when N * max(d,1) is below this
 _CHUNK_BYTES = 2 * 1024 * 1024  # largest symbol stack one batched scan call holds
+_START_GRID = 32  # uniform points of the circle scan's first round
 
 
 class LaurentSymbol:
@@ -169,40 +174,127 @@ def _golden_section(f: Callable[[float], float], a: float, b: float, xtol: float
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID):
+class CircleMinimum(tuple):
+    """``(value, witness)`` of the certified circle scan; it unpacks as
+    that pair.  ``lower_bound`` is the certified lower bound on the true
+    minimum, ``evaluations`` the sigma_min evaluations of the scan and the
+    polish."""
+
+    def __new__(cls, value: float, witness: complex, lower_bound: float,
+                evaluations: int):
+        self = super().__new__(cls, (value, witness))
+        self.lower_bound = lower_bound
+        self.evaluations = evaluations
+        return self
+
+
+def _rounding_allowance(s: LaurentSymbol) -> float:
+    """Bound on the rounding error of one computed sigma_min(A(z)).
+
+    Evaluating A(z) errs by at most a few eps * sum ||A_j||, and the
+    backward-stable SVD by a few N * eps * ||A(z)||; 8 N eps sum ||A_j||_F
+    covers both (the Frobenius norm bounds the spectral one).
+    """
+    total = sum(np.linalg.norm(a) for a in s.coeffs.values())
+    return float(8.0 * s.block_size * np.finfo(float).eps * total)
+
+
+def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID) -> CircleMinimum:
     """Global minimum of sigma_min(A(e^{i theta})) over the unit circle.
 
-    Uniform scan (batched singular values) followed by golden-section
-    refinement around the three smallest grid points.  The scan step times
-    the symbol's Lipschitz bound controls how far the true minimum can
-    hide from the grid.
+    With L = ``s.lipschitz_bound()`` (a Lipschitz constant of sigma_min in
+    theta, by Weyl's inequality) and eps = L pi / grid, the returned value
+    is within eps of the true minimum -- the guarantee of a uniform
+    ``grid``-point scan.  The scan is a branch-and-bound: sigma_min at
+    ``_START_GRID`` equally spaced points (``grid`` if fewer) splits the
+    circle into arcs, and an arc [a, b] is bounded below by
+    (f(a) + f(b))/2 - L (b - a)/2.  Each round evaluates the midpoints of
+    all arcs whose bound is below best - eps in one batched SVD call,
+    until none is.  An arc no wider than 2 pi / grid always passes, so the
+    scan evaluates at most 2 * grid points (``grid`` when grid / 32 is a
+    power of two).  The least arc bound, less ``_rounding_allowance``, is the
+    certified ``lower_bound``.  The best point is then refined by one
+    golden-section search over [best - 2 pi/grid, best + 2 pi/grid] to a
+    bracket of REFINE_TOL / max(L, 1): the polished value is within
+    REFINE_TOL of its basin's minimum when L >= 1, and within
+    REFINE_TOL * L -- relative to the symbol's scale -- below that.
     """
     if grid < 16:
         raise ContractViolation("grid must be at least 16")
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    values = _scan(s, np.exp(1j * thetas),
-                   lambda stack: np.linalg.svd(stack, compute_uv=False)[:, -1])
-    step = 2.0 * np.pi / grid
-    lam = max(s.lipschitz_bound(), 1e-12)
-    xtol = min(REFINE_TOL / lam, step)
-    best_theta = float(thetas[int(np.argmin(values))])
-    best_value = float(values.min())
-    for idx in np.argsort(values)[:3]:
-        t0 = thetas[idx]
-        x, v = _golden_section(lambda t: _sigma_min(s, t), t0 - step, t0 + step, xtol)
-        if v < best_value:
-            best_value, best_theta = v, x
-    return best_value, cmath.exp(1j * best_theta)
+    lam = s.lipschitz_bound()
+    eps = lam * (math.pi / grid)
+
+    def sigma(thetas):
+        return _scan(s, np.exp(1j * thetas),
+                     lambda stack: np.linalg.svd(stack, compute_uv=False)[:, -1])
+
+    start = min(grid, _START_GRID)
+    h = 2.0 * math.pi / start
+    left = h * np.arange(start)
+    f_left = sigma(left)
+    f_right = np.roll(f_left, -1)
+    best = int(np.argmin(f_left))
+    best_theta, best_value = float(left[best]), float(f_left[best])
+    evaluations = start
+    lower = math.inf
+    while True:
+        bound = 0.5 * (f_left + f_right) - lam * (0.5 * h)
+        split = bound < best_value - eps
+        lower = min(lower, float(bound[~split].min(initial=math.inf)))
+        if not split.any():
+            break
+        left, f_left, f_right = left[split], f_left[split], f_right[split]
+        h *= 0.5
+        mid = left + h
+        f_mid = sigma(mid)
+        evaluations += mid.size
+        k = int(np.argmin(f_mid))
+        if f_mid[k] < best_value:
+            best_theta, best_value = float(mid[k]), float(f_mid[k])
+        left = np.concatenate([left, mid])
+        f_left, f_right = np.concatenate([f_left, f_mid]), np.concatenate([f_mid, f_right])
+
+    step = 2.0 * math.pi / grid
+    xtol = min(REFINE_TOL / max(lam, 1.0), step)
+    probes = 0
+
+    def probe(theta: float) -> float:
+        nonlocal probes
+        probes += 1
+        return _sigma_min(s, theta)
+
+    x, v = _golden_section(probe, best_theta - step, best_theta + step, xtol)
+    if v < best_value:
+        best_value, best_theta = v, x
+    return CircleMinimum(best_value, cmath.exp(1j * best_theta),
+                         lower - _rounding_allowance(s), evaluations + probes)
 
 
 @dataclass(frozen=True)
 class FredholmReport:
+    """Fredholm verdict of a symbol from the certified circle scan.
+
+    ``min_singular`` is sigma_min at the ``witness``, within L pi / grid
+    of the true minimum; ``is_fredholm`` is ``min_singular > tol``.
+    ``lower_bound`` is the scan's certified lower bound on the minimum
+    over the whole circle: its least arc bound less a rounding allowance
+    of 8 N eps sum_j ||A_j||_F for the evaluation of A(z) and its SVD
+    (N the block size, eps the double-precision machine epsilon).
+    ``verdict`` is ``"not-fredholm"`` when the witness has
+    ``min_singular <= tol``, ``"fredholm"`` when ``lower_bound > tol``,
+    and ``"inconclusive"`` otherwise.  ``evaluations`` counts the
+    sigma_min evaluations of the scan and its polish.
+    """
+
     is_fredholm: bool
     min_singular: float
     witness: complex
     index: Optional[int]
     grid_used: int
     tol: float
+    lower_bound: float
+    verdict: str
+    evaluations: int
 
 
 def is_fredholm(s: LaurentSymbol, tol: float = FREDHOLM_TOL,
@@ -212,13 +304,22 @@ def is_fredholm(s: LaurentSymbol, tol: float = FREDHOLM_TOL,
     moderate size the half-line index is filled in as well."""
     if tol <= 0:
         raise ContractViolation("tol must be positive")
-    value, witness = min_singular_on_circle(s, grid=grid)
+    found = min_singular_on_circle(s, grid=grid)
+    value, witness = found
     fred = value > tol
+    if not fred:
+        verdict = "not-fredholm"
+    elif found.lower_bound > tol:
+        verdict = "fredholm"
+    else:
+        verdict = "inconclusive"
     index = None
     if fred and s.block_size * max(s.bandwidth, 1) <= _INDEX_FILL_LIMIT:
         index = toeplitz_index(s, tol=tol, _min_singular=value)
     return FredholmReport(is_fredholm=fred, min_singular=value, witness=witness,
-                          index=index, grid_used=grid, tol=tol)
+                          index=index, grid_used=grid, tol=tol,
+                          lower_bound=found.lower_bound, verdict=verdict,
+                          evaluations=found.evaluations)
 
 
 def _det_phase(s: LaurentSymbol, theta: float) -> complex:
@@ -265,7 +366,7 @@ def toeplitz_index(s: LaurentSymbol, tol: float = FREDHOLM_TOL,
     winding = total / (2.0 * math.pi)
     if abs(winding - round(winding)) > 1e-3:
         raise ContractViolation(f"winding number {winding} is not near an integer")
-    return -int(round(winding))
+    return INDEX_SIGN * int(round(winding))
 
 
 def finite_section(s: LaurentSymbol, n: int) -> np.ndarray:

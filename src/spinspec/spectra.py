@@ -40,7 +40,8 @@ class SpinStructure(enum.Enum):
 
 @dataclass(frozen=True)
 class SpectrumSample:
-    """Sorted (eigenvalue, multiplicity) pairs with a truncation radius.
+    """Sorted (eigenvalue, multiplicity) pairs with a truncation radius;
+    eigenvalues within ``GROUPING_TOL`` of each other form one pair.
 
     ``band`` records how far out the sample is trusted; comparisons drop
     the outermost eigenvalues, where band-truncated sets legitimately
@@ -50,7 +51,6 @@ class SpectrumSample:
 
     pairs: tuple
     band: int
-    grouping_tol: float = GROUPING_TOL
     symmetric: bool = False
 
     def __post_init__(self):
@@ -59,7 +59,7 @@ class SpectrumSample:
         vals = [p[0] for p in self.pairs]
         if any(m < 1 for _, m in self.pairs):
             raise ContractViolation("multiplicities must be >= 1")
-        if any(b - a <= self.grouping_tol for a, b in zip(vals, vals[1:])):
+        if any(b - a <= GROUPING_TOL for a, b in zip(vals, vals[1:])):
             raise ContractViolation("eigenvalues must be strictly increasing after grouping")
         if self.symmetric:
             for lam, mult in self.pairs:
@@ -68,7 +68,6 @@ class SpectrumSample:
 
     @classmethod
     def from_eigenvalues(cls, values: Iterable[float], band: int,
-                         grouping_tol: float = GROUPING_TOL,
                          symmetric: bool = False) -> "SpectrumSample":
         vals = np.sort(np.asarray(list(values), dtype=float))
         if vals.size == 0:
@@ -76,14 +75,13 @@ class SpectrumSample:
         pairs = []
         anchor, count = vals[0], 1
         for v in vals[1:]:
-            if v - anchor <= grouping_tol:
+            if v - anchor <= GROUPING_TOL:
                 count += 1
             else:
                 pairs.append((float(anchor), count))
                 anchor, count = v, 1
         pairs.append((float(anchor), count))
-        return cls(pairs=tuple(pairs), band=band,
-                   grouping_tol=grouping_tol, symmetric=symmetric)
+        return cls(pairs=tuple(pairs), band=band, symmetric=symmetric)
 
     def values(self) -> np.ndarray:
         """Eigenvalues expanded with multiplicity, ascending."""
@@ -100,12 +98,12 @@ class SpectrumSample:
 
     def find_multiplicity(self, x: float) -> int:
         for lam, m in self.pairs:
-            if abs(lam - x) <= self.grouping_tol:
+            if abs(lam - x) <= GROUPING_TOL:
                 return m
         return 0
 
     def contains(self, x: float, tol: Optional[float] = None) -> bool:
-        tol = self.grouping_tol if tol is None else tol
+        tol = GROUPING_TOL if tol is None else tol
         return any(abs(lam - x) <= tol for lam, _ in self.pairs)
 
 
@@ -150,8 +148,7 @@ def _symmetric_part(s: SpectrumSample, name: str) -> SpectrumSample:
     dropped = sum(m for _, m in s.pairs) - sum(m for _, m in kept)
     if dropped > 2 * EDGE_EXCLUSION or not kept:
         raise ContractViolation(f"{name} spectrum is not symmetric")
-    return SpectrumSample(pairs=kept, band=s.band, grouping_tol=s.grouping_tol,
-                          symmetric=True)
+    return SpectrumSample(pairs=kept, band=s.band, symmetric=True)
 
 
 def product_square_spectrum(base: SpectrumSample, sphere: SpectrumSample,

@@ -116,11 +116,15 @@ class TestFredholmCommands:
         assert res["is_fredholm"] is True
         assert res["index"] == 0
         assert res["min_singular"]["value"] == pytest.approx(1.0, abs=1e-7)
+        assert res["verdict"] == "fredholm"
+        assert 0.0 < res["lower_bound"] <= res["min_singular"]["value"]
+        assert 0 < res["evaluations"] <= 2 * res["grid_used"] + 202
 
     def test_fredholm_false_witness(self, capsys, root_on_circle_file):
         doc = run_json(capsys, "fredholm", root_on_circle_file)
         res = doc["results"]
         assert res["is_fredholm"] is False
+        assert res["verdict"] == "not-fredholm"
         assert abs(res["witness"][0] - 1.0) < 1e-3
 
     def test_index_of_shift(self, capsys, shift_file):

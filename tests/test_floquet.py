@@ -165,21 +165,95 @@ class TestMinSingularOnCircle:
     @settings(max_examples=25, deadline=None)
     @given(block=st.integers(1, 6), grid=st.integers(16, 200),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_grid_minimum_matches_looped_svd(self, block, grid, seed):
+    def test_scan_keeps_the_grid_guarantee(self, block, grid, seed):
         rng = np.random.default_rng(seed)
         s = LaurentSymbol({j: rng.normal(size=(block, block))
                            + 1j * rng.normal(size=(block, block)) for j in (-1, 0, 1)})
-        thetas = 2 * np.pi * np.arange(grid) / grid
-        looped = [np.linalg.svd(symbol_eval(s, cmath.exp(1j * t)), compute_uv=False)[-1]
-                  for t in thetas]
-        # a refinement that never improves leaves the grid minimum
+        # the dense oracle holds every dyadic point the scan can evaluate
+        start = min(grid, floquet._START_GRID)
+        thetas = 2 * np.pi * np.arange(128 * start) / (128 * start)
+        dense = [np.linalg.svd(symbol_eval(s, cmath.exp(1j * t)), compute_uv=False)[-1]
+                 for t in thetas]
+        # a refinement that never improves leaves the scan's best point
         no_refine = lambda f, a, b, xtol: (0.5 * (a + b), math.inf)
         with mock.patch.object(floquet, "_golden_section", no_refine):
-            value, witness = min_singular_on_circle(s, grid=grid)
-        k = int(np.argmin(np.abs(witness - np.exp(1j * thetas))))  # the witness's grid point
-        assert abs(witness - cmath.exp(1j * thetas[k])) < 1e-12
-        assert abs(value - min(looped)) <= 1e-13 * max(looped)
-        assert abs(looped[k] - min(looped)) <= 1e-13 * max(looped)
+            found = min_singular_on_circle(s, grid=grid)
+        value, witness = found
+        at_witness = np.linalg.svd(symbol_eval(s, witness), compute_uv=False)[-1]
+        assert abs(value - at_witness) <= 1e-13 * at_witness
+        eps = s.lipschitz_bound() * math.pi / grid
+        assert min(dense) - 1e-12 * max(dense) <= value <= min(dense) + eps
+        assert found.lower_bound <= min(dense)
+        assert found.evaluations <= 2 * grid
+
+
+def diagonal_symbol(rng, block: int, bandwidth: int, scale: float, degenerate: bool = False):
+    """U diag(p_i z^j_i + q_i z^k_i) U^* with U unitary: sigma_min on the
+    circle is min_i ||p_i| - |q_i||, one zero gap when ``degenerate``."""
+    offsets = range(-bandwidth, bandwidth + 1)
+    coeffs, sigma = {}, math.inf
+    for i in range(block):
+        j, k = sorted(rng.choice(offsets, size=2, replace=False))
+        p = rng.uniform(1.0, 2.0) * scale
+        q = p if degenerate and i == block - 1 else p * rng.uniform(0.1, 0.85)
+        if rng.random() < 0.5:
+            p, q = q, p
+        sigma = min(sigma, abs(p - q))
+        for off, mag in ((j, p), (k, q)):
+            coeffs.setdefault(off, np.zeros(block, complex))[i] = mag * np.exp(2j * np.pi * rng.random())
+    u, _ = np.linalg.qr(rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block)))
+    return LaurentSymbol({j: (u * d) @ u.conj().T for j, d in coeffs.items()}), sigma
+
+
+class TestCertificate:
+    @settings(max_examples=30, deadline=None)
+    @given(block=st.integers(1, 8), bandwidth=st.integers(1, 2),
+           grid=st.sampled_from([16, 50, 128, 512]), exponent=st.integers(-3, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bound_brackets_known_minimum(self, block, bandwidth, grid, exponent, seed):
+        s, sigma = diagonal_symbol(np.random.default_rng(seed), block, bandwidth,
+                                   10.0 ** exponent)
+        rep = is_fredholm(s, tol=FREDHOLM_TOL * 10.0 ** exponent, grid=grid)
+        rounding = floquet._rounding_allowance(s)
+        assert rep.lower_bound <= sigma
+        assert sigma - rounding <= rep.min_singular
+        assert rep.min_singular <= sigma + s.lipschitz_bound() * math.pi / grid + rounding
+        assert rep.evaluations <= 2 * grid + 202  # the polish makes at most 202 probes
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_rescaling_keeps_verdict_and_index(self, seed, degenerate):
+        rng = np.random.default_rng(seed)
+        s, _ = diagonal_symbol(rng, 1 + seed, 1 + seed % 2, 1.0, degenerate)
+        rep = is_fredholm(s)
+        for scale in (1e-6, 1e6):
+            scaled = LaurentSymbol({j: scale * a for j, a in s.coeffs.items()})
+            other = is_fredholm(scaled, tol=FREDHOLM_TOL * scale)
+            assert (other.verdict, other.index) == (rep.verdict, rep.index)
+            if rep.is_fredholm:
+                assert other.min_singular == pytest.approx(scale * rep.min_singular, rel=1e-9)
+
+    def test_verdicts(self):
+        assert is_fredholm(LaurentSymbol.scalar({0: -2, 1: 1})).verdict == "fredholm"
+        assert is_fredholm(LaurentSymbol.scalar({0: -1, 1: 1})).verdict == "not-fredholm"
+        # sigma_min = 1e-5 clears tol = 1e-6, but L pi / grid = 2e-2 keeps
+        # the certified bound below it
+        rep = is_fredholm(LaurentSymbol.scalar({0: -1 - 1e-5, 1: 1}), grid=16)
+        assert rep.is_fredholm and rep.verdict == "inconclusive"
+        assert rep.lower_bound <= 1e-5 <= rep.min_singular
+
+    @settings(max_examples=40, deadline=None)
+    @given(block=st.integers(1, 5),
+           offsets=st.sets(st.integers(-3, 3), min_size=1, max_size=4),
+           theta=st.floats(0.0, 2 * math.pi), delta=st.floats(1e-6, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_lipschitz_bound_is_sound(self, block, offsets, theta, delta, seed):
+        rng = np.random.default_rng(seed)
+        s = LaurentSymbol({j: rng.normal(size=(block, block))
+                           + 1j * rng.normal(size=(block, block)) for j in offsets})
+        f = lambda t: np.linalg.svd(symbol_eval(s, cmath.exp(1j * t)), compute_uv=False)[-1]
+        gap = abs(f(theta) - f(theta + delta))
+        assert gap <= s.lipschitz_bound() * delta + 2 * floquet._rounding_allowance(s)
 
 
 class TestIsFredholm:
@@ -209,6 +283,8 @@ class TestIsFredholm:
         rep = is_fredholm(LaurentSymbol.scalar({0: -2, 1: 1}), tol=1e-6)
         assert rep.is_fredholm == (rep.min_singular > rep.tol)
         assert rep.grid_used >= 16
+        assert rep.lower_bound <= rep.min_singular
+        assert 0 < rep.evaluations <= 2 * rep.grid_used + 202
 
 
 class TestToeplitzIndex:
