@@ -14,7 +14,6 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -26,8 +25,8 @@ from .discretize import kernel_twists
 from .errors import ContractViolation, ParseError
 from .floquet import (LaurentSymbol, is_fredholm, spectral_flow, symbol_eval,
                       toeplitz_index)
-from .invariants import (Mod2Rational, alpha_n, beta, builtin_form,
-                         parse_form_spec, rohlin, w_cs, w_invariant)
+from .invariants import KOElement, Mod2Rational, builtin_form, parse_form_spec
+from .problemfile import evaluate_invariant_record, parse_problem_file
 from .spectra import (SpinStructure, circle_spectrum, product_square_spectrum,
                       sphere_spectrum)
 
@@ -119,7 +118,6 @@ def _cmd_twist_scan(args, command, t0) -> int:
 
 
 def _load_symbol(path: str) -> LaurentSymbol:
-    from .problemfile import parse_problem_file
     with open(path, "r", encoding="utf-8") as fh:
         obj = parse_problem_file(fh.read())
     if not isinstance(obj, LaurentSymbol):
@@ -175,46 +173,31 @@ def _cmd_spectral_flow(args, command, t0) -> int:
     return 0
 
 
-def _frac(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ContractViolation(f"{text!r} is not an exact rational") from None
+# the [invariant] record keys that are also flags (--sig-w is key sig-w)
+_INVARIANT_KEYS = ("kind", "rho", "sig-v", "sig-w", "ind", "n", "sign", "dim-ker",
+                   "dim-ker-plus")
 
 
-def _mod2_results(value: Mod2Rational) -> dict:
-    return {"value": str(value.value), "residue_mod2": str(value.residue)}
+def _invariant_record(args) -> dict:
+    """The [invariant] record the flags describe; optional flags that were
+    not given are left out."""
+    record = {key: getattr(args, key.replace("-", "_")) for key in _INVARIANT_KEYS}
+    record = {key: value for key, value in record.items() if value is not None}
+    if args.strict:
+        record["strict"] = "true"
+    return record
+
+
+def _invariant_results(value) -> dict:
+    if isinstance(value, KOElement):
+        return {"value": str(value.value), "group": value.group, "dimension": value.n}
+    mod2 = Mod2Rational(value)
+    return {"value": str(mod2.value), "residue_mod2": str(mod2.residue)}
 
 
 def _cmd_invariant(args, command, t0) -> int:
-    kind = args.kind
-    if kind == "rohlin":
-        value = rohlin(args.sig_w, strict=args.strict)
-        results = _mod2_results(value)
-    elif kind == "beta":
-        value = beta(_frac(args.rho), args.sig_v, strict=args.strict)
-        results = _mod2_results(value)
-    elif kind == "w":
-        lift = w_invariant(args.ind, args.sig_w)
-        results = {"value": str(lift), "residue_mod2": str(Mod2Rational(lift).residue)}
-    elif kind == "wcs":
-        lift = w_cs(args.ind, args.sig_w, args.sig_v)
-        results = {"value": str(lift), "residue_mod2": str(Mod2Rational(lift).residue)}
-    elif kind == "alpha":
-        data = {}
-        if args.sign is not None:
-            data["sign"] = args.sign
-        if args.ind is not None:
-            data["ind_plus"] = args.ind
-        if args.dim_ker is not None:
-            data["dim_ker"] = args.dim_ker
-        if args.dim_ker_plus is not None:
-            data["dim_ker_plus"] = args.dim_ker_plus
-        el = alpha_n(args.n, **data)
-        results = {"value": str(el.value), "group": el.group, "dimension": el.n}
-    else:
-        raise ContractViolation(f"unknown invariant kind {kind!r}")
-    _emit(_report(command, results, {}, t0))
+    value = evaluate_invariant_record(_invariant_record(args))
+    _emit(_report(command, _invariant_results(value), {}, t0))
     return 0
 
 
@@ -229,16 +212,12 @@ def _form_results(form) -> dict:
 
 
 def _cmd_forms(args, command, t0) -> int:
-    try:
-        if args.action == "list":
-            results = {"names": ["E8", "H", "K3", "Diag(d1,d2,...)"]}
-        elif args.action == "show":
-            results = _form_results(builtin_form(args.name))
-        else:
-            results = _form_results(parse_form_spec(args.spec))
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.action == "list":
+        results = {"names": ["E8", "H", "K3", "Diag(d1,d2,...)"]}
+    elif args.action == "show":
+        results = _form_results(builtin_form(args.name))
+    else:
+        results = _form_results(parse_form_spec(args.spec))
     _emit(_report(command, results, {}, t0))
     return 0
 
@@ -360,10 +339,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return dispatch[args.cmd](args, command, t0)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContractViolation as exc:

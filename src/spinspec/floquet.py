@@ -104,7 +104,7 @@ class LaurentSymbol:
 
     def lipschitz_bound(self) -> float:
         """Bound on |d/dtheta sigma_min(A(e^{i theta}))|: sum |j| ||A_j||."""
-        return float(sum(abs(j) * np.linalg.norm(a, 2) for j, a in self.coeffs.items()))
+        return float(sum(abs(j) * np.linalg.norm(a, 2) for j, a in self.coeffs.items() if j))
 
     def __repr__(self):
         js = sorted(self.coeffs)

@@ -54,12 +54,17 @@ RationalLike = Union[int, str, Fraction, "Mod2Rational"]
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
+    """The one reader of exact rationals: ints, ``Fraction``s, the value of
+    a ``Mod2Rational``, and text such as ``3``, ``-33/4`` or ``1.5``."""
     if isinstance(x, Mod2Rational):
         return x.value
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ContractViolation(f"{x!r} is not an exact rational")
 
 

@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import ContractViolation, ParseError
 from .floquet import LaurentSymbol
-from .invariants import (IntersectionForm, KOElement, Mod2Rational, alpha_n,
-                         beta, form_from_rows, rohlin, w_cs, w_invariant)
+from .invariants import (IntersectionForm, KOElement, Mod2Rational, _as_fraction,
+                         alpha_n, beta, form_from_rows, rohlin, w_cs, w_invariant)
 
 __all__ = [
     "parse_problem_file",
@@ -45,7 +45,6 @@ __all__ = [
     "evaluate_invariant_record",
     "expected_matches",
     "load_fixture_records",
-    "fixture_path",
 ]
 
 
@@ -239,29 +238,43 @@ def form_to_text(f: IntersectionForm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _record_fraction(record: dict, key: str) -> Fraction:
+def _record_value(record: dict, key: str):
     if key not in record:
         raise ContractViolation(f"invariant record is missing {key!r}")
-    return Fraction(record[key])
+    return record[key]
 
 
 def _record_int(record: dict, key: str) -> int:
-    if key not in record:
-        raise ContractViolation(f"invariant record is missing {key!r}")
-    return int(record[key])
+    value = _record_value(record, key)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ContractViolation(f"{key}: {value!r} is not an integer") from None
+
+
+def _record_strict(record: dict) -> bool:
+    value = str(record.get("strict", "false")).lower()
+    if value not in ("true", "false"):
+        raise ContractViolation(f"strict: {record['strict']!r} is not true or false")
+    return value == "true"
+
+
+_ALPHA_KEYS = (("sign", "sign"), ("ind", "ind_plus"), ("dim-ker", "dim_ker"),
+               ("dim-ker-plus", "dim_ker_plus"))
 
 
 def evaluate_invariant_record(record: dict):
-    """Run the invariant named by ``kind`` on the record's arguments.
-    Returns Mod2Rational for the mod-2 invariants, Fraction for the
-    integral lifts, KOElement for the KO-valued index."""
+    """Run the invariant named by ``kind`` on the record's arguments; this
+    is also what ``spinspec invariant`` runs.  Returns Mod2Rational for the
+    mod-2 invariants, Fraction for the integral lifts, KOElement for the
+    KO-valued index.  A missing or malformed input is a ContractViolation."""
     kind = record["kind"]
-    strict = record.get("strict", "false").lower() == "true"
+    strict = _record_strict(record)
     if kind == "rohlin":
         return rohlin(_record_int(record, "sig-w"), strict=strict)
     if kind == "beta":
-        return beta(_record_fraction(record, "rho"), _record_int(record, "sig-v"),
-                    strict=strict)
+        return beta(_as_fraction(_record_value(record, "rho")),
+                    _record_int(record, "sig-v"), strict=strict)
     if kind == "w":
         return w_invariant(_record_int(record, "ind"), _record_int(record, "sig-w"))
     if kind == "wcs":
@@ -269,11 +282,7 @@ def evaluate_invariant_record(record: dict):
                     _record_int(record, "sig-v"))
     if kind == "alpha":
         n = _record_int(record, "n")
-        data = {}
-        for key, arg in (("sign", "sign"), ("ind", "ind_plus"),
-                         ("dim-ker", "dim_ker"), ("dim-ker-plus", "dim_ker_plus")):
-            if key in record:
-                data[arg] = int(record[key])
+        data = {arg: _record_int(record, key) for key, arg in _ALPHA_KEYS if key in record}
         return alpha_n(n, **data)
     raise ContractViolation(f"unknown invariant kind {kind!r}")
 
@@ -284,7 +293,7 @@ def expected_matches(record: dict, value) -> bool:
     group element value for KO classes."""
     if "expect" not in record:
         raise ContractViolation("record has no 'expect' field")
-    want = Fraction(record["expect"])
+    want = _as_fraction(record["expect"])
     if isinstance(value, Mod2Rational):
         return value.residue == want
     if isinstance(value, Fraction):
@@ -292,10 +301,6 @@ def expected_matches(record: dict, value) -> bool:
     if isinstance(value, KOElement):
         return value.value == want
     raise ContractViolation(f"cannot compare {value!r} against an expectation")
-
-
-def fixture_path() -> str:
-    return str(resources.files("spinspec.data").joinpath("worked_invariants.txt"))
 
 
 def load_fixture_records() -> List[dict]:

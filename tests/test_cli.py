@@ -210,6 +210,19 @@ class TestInvariantCommand:
         assert isinstance(doc["results"]["value"], str)
         assert doc["results"]["value"] == "0"
 
+    @pytest.mark.parametrize("argv", [["w", "--sig-w", "8"],
+                                      ["wcs", "--sig-w", "8", "--sig-v", "16"]])
+    def test_lift_without_ind_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, "invariant", *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "'ind'" in err
+
+    @pytest.mark.parametrize("rho", ["abc", "1/0"])
+    def test_non_rational_rho_exit_3(self, capsys, rho):
+        code, _, err = run(capsys, "invariant", "beta", "--rho", rho)
+        assert code == 3
+        assert err == f"error: {rho!r} is not an exact rational\n"
+
     def test_divisibility_violation_exit_3(self, capsys):
         code, _, _ = run(capsys, "invariant", "alpha", "--n", "4", "--sign", "-15")
         assert code == 3

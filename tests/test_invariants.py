@@ -248,6 +248,15 @@ class TestBeta:
             beta(0, -8, strict=True)
         assert beta(0, -32, strict=True).residue == 0
 
+    @pytest.mark.parametrize("rho", ["abc", "1/0", "", 1.5])
+    def test_non_rational_rho_is_contract_violation(self, rho):
+        with pytest.raises(ContractViolation, match="is not an exact rational"):
+            beta(rho, 0)
+
+    def test_rational_text_accepted(self):
+        assert beta("-33/4", 16).value == Fraction(-37, 4)
+        assert beta("1.5", 0).value == Fraction(3, 2)
+
     def test_welldefined_examples(self):
         assert beta_welldefined_check(1, -16, 8)
         assert beta_welldefined_check(0, 0, -24)

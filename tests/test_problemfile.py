@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,32 @@ class TestInvariantRecords:
     def test_rational_rho(self):
         rec = parse_problem_file("[invariant]\nkind: beta\nrho: 3/2\nsig-v: 8\n")
         assert evaluate_invariant_record(rec).residue == 1
+
+    @pytest.mark.parametrize("body", ["kind: beta\nrho: abc\nsig-v: 0",
+                                      "kind: beta\nrho: 1/0\nsig-v: 0",
+                                      "kind: rohlin\nsig-w: x",
+                                      "kind: wcs\nind: 0\nsig-w: 8\nsig-v: 1.5",
+                                      "kind: alpha\nn: 4\nsign: -16x",
+                                      "kind: w\nsig-w: 8"])
+    def test_malformed_or_missing_input_is_contract_violation(self, body):
+        rec = parse_problem_file(f"[invariant]\n{body}\n")
+        with pytest.raises(ContractViolation):
+            evaluate_invariant_record(rec)
+
+    @pytest.mark.parametrize("flag", ["yes", "1", "on", "", "truee"])
+    def test_strict_accepts_only_true_or_false(self, flag):
+        rec = parse_problem_file(f"[invariant]\nkind: rohlin\nsig-w: 3\nstrict: {flag}\n")
+        with pytest.raises(ContractViolation, match="true or false"):
+            evaluate_invariant_record(rec)
+
+    def test_strict_in_any_case(self):
+        for flag in ("true", "TRUE", "True"):
+            rec = parse_problem_file(f"[invariant]\nkind: rohlin\nsig-w: 3\nstrict: {flag}\n")
+            with pytest.raises(ContractViolation, match="divisible by 8"):
+                evaluate_invariant_record(rec)
+        for flag in ("false", "FALSE", "False"):
+            rec = parse_problem_file(f"[invariant]\nkind: rohlin\nsig-w: 3\nstrict: {flag}\n")
+            assert evaluate_invariant_record(rec).value == Fraction(3, 8)
 
 
 class TestFixtureCorpus:
