@@ -9,6 +9,7 @@ tolerance used for Fredholm verdicts and kernel detection.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -284,6 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: built on first use, since building
+    costs more than most commands; parsing leaves it unchanged."""
+    return build_parser()
+
+
 _EXIT3_COMMANDS = {"invariant", "index", "fredholm", "spectral-flow", "twist-scan"}
 
 
@@ -315,7 +323,7 @@ def _shield_dash_values(argv: List[str]) -> Tuple[List[str], List[str]]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv, tokens = _shield_dash_values(list(sys.argv[1:]) if argv is None else list(argv))
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(tokens)
     except SystemExit as exc:

@@ -424,55 +424,124 @@ class SpectralFlowResult:
 _PIN_EPS = 1e-11
 _ZERO_BAND = 1e-10  # eigenvalues this close to 0 count as 0, not negative
 _CROSSING_TOL = 1e-9  # width of the bracket that locates a crossing
+_PROBE_OFFSET = 0.45 * _CROSSING_TOL  # probes either side of a secant point
 
 
-def _negative_count(eigenvalues: np.ndarray) -> int:
-    return int(np.count_nonzero(eigenvalues < -_ZERO_BAND))
+def _negative_counts(eigenvalues: np.ndarray) -> np.ndarray:
+    return np.count_nonzero(eigenvalues < -_ZERO_BAND, axis=-1)
+
+
+def _family_eigenvalues(family: Callable[[float], np.ndarray], cs) -> np.ndarray:
+    """Eigenvalues of family(c) for each c, one row per point, solved as
+    stacks of at most ``_CHUNK_BYTES`` (at least one matrix each)."""
+    rows, stack = [], []
+    for i, c in enumerate(cs):
+        m = family(c)
+        if np.ndim(m) != 2:
+            raise ContractViolation("family values must be matrices")
+        stack.append(m)
+        if i + 1 == len(cs) or 16 * np.size(stack[0]) * (len(stack) + 1) > _CHUNK_BYTES:
+            rows.append(hermitian_eigenvalues(stack).eigenvalues)
+            stack = []
+    return np.concatenate(rows)
+
+
+def _crossing_gap(eigenvalues: np.ndarray, n_lo: int, n_hi: int) -> float:
+    """lambda_k + _ZERO_BAND for the eigenvalue k whose passage through
+    -_ZERO_BAND first moves the negative count off n_lo toward n_hi."""
+    k = n_lo if n_hi > n_lo else n_lo - 1
+    return float(eigenvalues[k]) + _ZERO_BAND
+
+
+@dataclass
+class _Bracket:
+    """A crossing search interval: count ``n_lo`` at ``lo``, another count
+    ``n_hi`` at ``hi``, and the eigenvalues at both ends."""
+
+    lo: float
+    hi: float
+    n_lo: int
+    n_hi: int
+    e_lo: np.ndarray
+    e_hi: np.ndarray
+
+
+def _locate_crossings(family: Callable[[float], np.ndarray], brackets: list) -> list:
+    """Narrow every bracket to at most ``_CROSSING_TOL`` and return the
+    upper ends.
+
+    Each round probes, for every open bracket, two points
+    ``_PROBE_OFFSET`` either side of the secant root of the crossing
+    eigenvalue's gap (``_crossing_gap``) and the midpoint, all in one
+    stacked solve.  The new bracket runs from the last probe that still
+    has count n_lo to the first that does not, so it at least halves each
+    round, and a secant root within ``_PROBE_OFFSET`` of the crossing
+    closes it.
+    """
+    live = [b for b in brackets if b.hi - b.lo > _CROSSING_TOL]
+    while live:
+        probes = []
+        for b in live:
+            g_lo = _crossing_gap(b.e_lo, b.n_lo, b.n_hi)
+            g_hi = _crossing_gap(b.e_hi, b.n_lo, b.n_hi)
+            secant = b.lo + (b.hi - b.lo) * g_lo / (g_lo - g_hi)
+            points = {secant - _PROBE_OFFSET, secant + _PROBE_OFFSET, 0.5 * (b.lo + b.hi)}
+            probes.append(sorted(p for p in points if b.lo < p < b.hi))
+        eigs = _family_eigenvalues(family, [p for ps in probes for p in ps])
+        results = zip(eigs, _negative_counts(eigs).tolist())
+        for b, ps in zip(live, probes):
+            for p in ps:
+                e, n = next(results)
+                if p > b.hi:  # the bracket already ends at an earlier probe
+                    continue
+                if n == b.n_lo:
+                    b.lo, b.e_lo = p, e
+                else:
+                    b.hi, b.n_hi, b.e_hi = p, n, e
+        live = [b for b in live if b.hi - b.lo > _CROSSING_TOL]
+    return [b.hi for b in brackets]
 
 
 def spectral_flow(family: Callable[[float], np.ndarray], steps: int = 50) -> SpectralFlowResult:
     """Signed count of eigenvalue crossings through 0 over c in [0, 1].
 
-    Each of the ``steps + 1`` scan points is solved once; its eigenvalues
-    give the negative-eigenvalue count and the pin check, and the first
-    and last give the endpoint check.  Crossing locations come from
-    bisection on the negative-eigenvalue count between scan points, one
-    solve per step; the direction is the sign of the eigenvalue's motion
-    (+1 for upward).  The endpoints must be isospectral away from
-    truncation edges, which makes the flow over one period well-defined.
-    An eigenvalue pinned at zero across consecutive scan points raises
-    ``DegenerateCrossing``.
+    ``family`` maps one c to one Hermitian matrix; its values are solved
+    as stacks of at most ``_CHUNK_BYTES`` each, so the ``steps + 1`` scan
+    points take one stacked solve for matrices up to 2 MiB / (steps + 1).
+    Their eigenvalues give each point's negative-eigenvalue count and the
+    pin check, and the first and last give the endpoint check.  Every scan
+    interval whose count changes is a bracket, and all brackets are
+    narrowed together in rounds of one stacked solve each
+    (``_locate_crossings``): the eigenvalues place a secant root, and the
+    counts at two points beside it and at the midpoint decide the new
+    bracket.  A crossing is reported at the upper end of a bracket no
+    wider than ``_CROSSING_TOL``; the direction is the sign of the
+    eigenvalue's motion (+1 for upward).  The endpoints must be
+    isospectral away from truncation edges, which makes the flow over one
+    period well-defined.  An eigenvalue pinned at zero across consecutive
+    scan points raises ``DegenerateCrossing``.
     """
     if steps < 2:
         raise ContractViolation("need at least 2 steps")
     cs = np.linspace(0.0, 1.0, steps + 1)
-    eigs = [hermitian_eigenvalues(family(c)).eigenvalues for c in cs]
+    eigs = _family_eigenvalues(family, cs)
     s0 = SpectrumSample.from_eigenvalues(eigs[0], band=10 ** 9)
     s1 = SpectrumSample.from_eigenvalues(eigs[-1], band=10 ** 9)
     if not spectra_match(s0, s1, tol=1e-8):
         raise ContractViolation("family endpoints are not isospectral")
 
-    counts = [_negative_count(e) for e in eigs]
-    pinned = [float(np.min(np.abs(e))) < _PIN_EPS for e in eigs]
-    if any(a and b for a, b in zip(pinned, pinned[1:])):
+    counts = _negative_counts(eigs).tolist()
+    pinned = np.min(np.abs(eigs), axis=-1) < _PIN_EPS
+    if np.any(pinned[1:] & pinned[:-1]):
         raise DegenerateCrossing("an eigenvalue stays at zero across an interval")
 
+    changed = np.flatnonzero(np.diff(counts))
+    located = _locate_crossings(family, [_Bracket(cs[i], cs[i + 1], counts[i], counts[i + 1],
+                                                  eigs[i], eigs[i + 1]) for i in changed])
     crossings = []
-    for i in range(steps):
+    for i, hi in zip(changed, located):
         dn = counts[i + 1] - counts[i]
-        if dn == 0:
-            continue
-        lo, hi = cs[i], cs[i + 1]
-        nlo = counts[i]
-        while hi - lo > _CROSSING_TOL:
-            mid = 0.5 * (lo + hi)
-            nmid = _negative_count(hermitian_eigenvalues(family(mid)).eigenvalues)
-            if nmid == nlo:
-                lo, nlo = mid, nmid
-            else:
-                hi = mid
         direction = -1 if dn > 0 else 1
-        for _ in range(abs(dn)):
-            crossings.append((float(hi), direction))
+        crossings += [(float(hi), direction)] * abs(dn)
     flow = sum(d for _, d in crossings)
     return SpectralFlowResult(flow=flow, crossings=tuple(crossings))

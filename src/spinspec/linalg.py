@@ -42,7 +42,9 @@ def as_matrix(m) -> np.ndarray:
 @dataclass(frozen=True)
 class EigResult:
     """Eigenvalues sorted ascending plus the worst relative residual
-    max_i ||M v_i - lambda_i v_i|| / ||M||_2 over the computed pairs."""
+    max_i ||M v_i - lambda_i v_i|| / ||M||_2 over the computed pairs; for
+    a stack, one row of eigenvalues per block and the worst block's
+    residual."""
 
     eigenvalues: np.ndarray
     residual: float
@@ -65,6 +67,14 @@ class Inertia:
         return self.n_plus + self.n_minus + self.n_zero
 
 
+def _within_hermiticity_tol(x: np.ndarray, adjoint: np.ndarray, axis=None):
+    """The Hermiticity inequality ||x - x^H||_F <= HERMITICITY_TOL * ||x||_F,
+    given ``adjoint`` = x^H: over all of ``x``, or one verdict per block
+    with ``axis=(-2, -1)``."""
+    return (np.linalg.norm(x - adjoint, axis=axis)
+            <= HERMITICITY_TOL * np.linalg.norm(x, axis=axis))
+
+
 def is_hermitian(x: np.ndarray) -> bool:
     """The Hermiticity rule: ||x - x^H||_F <= HERMITICITY_TOL * ||x||_F,
     so a zero matrix passes.
@@ -76,27 +86,52 @@ def is_hermitian(x: np.ndarray) -> bool:
     """
     blocks = x.reshape(-1, *x.shape[-2:])  # a matrix is a one-block stack
     adjoint = blocks[::-1].conj().swapaxes(-1, -2)
-    return bool(np.linalg.norm(blocks - adjoint) <= HERMITICITY_TOL * np.linalg.norm(blocks))
+    return bool(_within_hermiticity_tol(blocks, adjoint))
+
+
+def _square_blocks(m) -> np.ndarray:
+    """``m`` as a complex matrix or (k, N, N) stack whose blocks are
+    nonempty, finite and square.  A sequence of matrices of different
+    shapes is checked block by block, so a bad block gets the message it
+    gets on its own."""
+    try:
+        a = np.asarray(m, dtype=complex)
+    except ValueError:
+        if not isinstance(m, (list, tuple)):
+            raise
+        for block in m:
+            _square_blocks(block)
+        raise ContractViolation("stacked matrices must share one shape") from None
+    if a.ndim == 3:
+        as_matrix(a.reshape(a.shape[0] * a.shape[1], a.shape[2]))
+    else:
+        a = as_matrix(a)
+    if a.shape[-2] != a.shape[-1]:
+        raise ContractViolation(f"matrix is {a.shape[-2]}x{a.shape[-1]}, not square")
+    return a
 
 
 def hermitian_eigenvalues(m) -> EigResult:
     """Eigenvalues of a Hermitian matrix (``is_hermitian``), sorted
     ascending, from the library eigensolver, with the worst residual of
-    the eigenpairs checked against ``DEFAULT_TOL``."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ContractViolation(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    if not is_hermitian(a):
+    the eigenpairs checked against ``DEFAULT_TOL``.
+
+    A (k, N, N) stack, or a list of k N x N matrices, is solved in one
+    batched call: ``eigenvalues`` is then (k, N), each row exactly what
+    the block gives on its own, and ``residual`` the worst block's.  Every
+    block passes the checks a single matrix does -- finite, square,
+    Hermitian and within the residual tolerance -- or the stack is
+    rejected with that block's message.
+    """
+    a = _square_blocks(m)
+    adjoint = a.conj().swapaxes(-1, -2)
+    if not _within_hermiticity_tol(a, adjoint, axis=(-2, -1)).all():
         raise ContractViolation("matrix is not Hermitian within tolerance")
-    a = 0.5 * (a + a.conj().T)
-    vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    norm = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if norm == 0.0:
-        residual = 0.0
-    else:
-        residual = float(np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0)) / norm)
+    a = 0.5 * (a + adjoint)
+    vals, vecs = np.linalg.eigh(a)  # ascending
+    norm = np.max(np.abs(vals), axis=-1)
+    err = np.max(np.linalg.norm(a @ vecs - vecs * vals[..., None, :], axis=-2), axis=-1)
+    residual = float(np.max(np.divide(err, norm, out=np.zeros_like(err), where=norm > 0)))
     if residual > DEFAULT_TOL:
         raise ContractViolation(f"eigen residual {residual:.3e} exceeds tolerance {DEFAULT_TOL:.3e}")
     return EigResult(eigenvalues=vals, residual=residual)

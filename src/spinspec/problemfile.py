@@ -267,9 +267,13 @@ def evaluate_invariant_record(record: dict):
     """Run the invariant named by ``kind`` on the record's arguments; this
     is also what ``spinspec invariant`` runs.  Returns Mod2Rational for the
     mod-2 invariants, Fraction for the integral lifts, KOElement for the
-    KO-valued index.  A missing or malformed input is a ContractViolation."""
+    KO-valued index.  A missing or malformed input, or ``strict`` on a
+    kind that has no divisibility condition (w, wcs, alpha), is a
+    ContractViolation."""
     kind = record["kind"]
     strict = _record_strict(record)
+    if "strict" in record and kind in ("w", "wcs", "alpha"):
+        raise ContractViolation(f"strict applies to rohlin and beta, not to {kind!r}")
     if kind == "rohlin":
         return rohlin(_record_int(record, "sig-w"), strict=strict)
     if kind == "beta":

@@ -1,9 +1,13 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spinspec
 from spinspec.cli import main, report_to_json
 from spinspec.problemfile import symbol_to_text
 from spinspec.floquet import LaurentSymbol
@@ -230,6 +234,16 @@ class TestInvariantCommand:
         assert code == 3
 
 
+    @pytest.mark.parametrize("argv", [["w", "--ind", "2", "--sig-w", "4"],
+                                      ["wcs", "--ind", "0", "--sig-w", "8", "--sig-v", "-16"],
+                                      ["alpha", "--n", "4", "--sign", "-16"]])
+    def test_strict_without_divisibility_condition_exit_3(self, capsys, argv):
+        code, _, _ = run(capsys, "invariant", *argv)
+        assert code == 0
+        code, out, err = run(capsys, "invariant", *argv, "--strict")
+        assert code == 3 and out == ""
+        assert err == f"error: strict applies to rohlin and beta, not to {argv[0]!r}\n"
+
 class TestFormsCommand:
     def test_show_k3(self, capsys):
         doc = run_json(capsys, "forms", "show", "K3")
@@ -293,3 +307,30 @@ class TestReportDocument:
         monkeypatch.setenv("SPECTRAL_TOL", "bogus")
         code, _, _ = run(capsys, "fredholm", root_on_circle_file)
         assert code == 3
+
+
+class TestParserReuse:
+    """main builds its parser once per process; commands run after other
+    commands, and after an argparse error, answer as in a fresh process."""
+
+    @staticmethod
+    def _answer(code, out, err):
+        doc = json.loads(out) if out else None
+        if doc is not None:
+            doc.pop("timing_s")
+        return code, err, doc
+
+    def test_sequence_matches_fresh_processes(self, capsys, monkeypatch, shifted_scalar_file):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+        sequence = [["forms", "sum", "-E8+E8+3H"],
+                    ["spectrum", "torus"],
+                    ["invariant", "beta", "--rho", "-33/4"],
+                    ["fredholm", shifted_scalar_file]]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spinspec.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in sequence:
+            in_process = self._answer(*run(capsys, *argv))
+            fresh = subprocess.run([sys.executable, "-m", "spinspec.cli", *argv], env=env,
+                                   capture_output=True, text=True)
+            assert in_process == self._answer(fresh.returncode, fresh.stdout, fresh.stderr)
+        assert [self._answer(*run(capsys, *argv))[0] for argv in sequence] == [0, 2, 0, 0]

@@ -402,6 +402,70 @@ class TestFredholmViaSections:
             assert fredholm_via_sections(s, (16, 48, 96)).verdict == "decaying"
 
 
+def conjugated_diagonal_family(rng, block: int, steps: int, branches: int):
+    """U diag(m_i + t_i z + conj(t_i)/z) U^* with z = exp(2 pi i c): the
+    eigenvalues are m_i + 2|t_i| cos(2 pi c + arg t_i).  ``branches`` of
+    them cross zero twice, down at c1 and up at c2, each crossing in its
+    own scan interval and at least 15% of a step from the scan points; the
+    rest stay clear of zero.  Returns the symbol and the sorted
+    (crossing, direction) pairs."""
+    free = list(rng.permutation(steps))
+    m = np.zeros(block)
+    t = np.zeros(block, complex)
+    crossings = []
+    while len(crossings) < 2 * branches:
+        a = free.pop()
+        b = next((b for b in free if 0.1 <= ((b - a) / steps) % 1.0 <= 0.9), None)
+        if b is None:
+            continue
+        free.remove(b)
+        c1, c2 = ((x + rng.uniform(0.15, 0.85)) / steps for x in (a, b))
+        alpha = math.pi * ((c1 - c2) % 1.0)
+        mag = rng.uniform(0.5, 2.0)
+        i = len(crossings) // 2
+        m[i] = -2.0 * mag * math.cos(alpha)
+        t[i] = mag * cmath.exp(1j * (alpha - 2.0 * math.pi * c1))
+        crossings += [(c1, -1), (c2, 1)]
+    for i in range(branches, block):
+        mag = rng.uniform(0.5, 2.0)
+        m[i] = rng.choice([-1.0, 1.0]) * 2.0 * mag * rng.uniform(1.15, 1.6)
+        t[i] = mag * cmath.exp(2j * math.pi * rng.uniform())
+    q, r = np.linalg.qr(rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    scale = 10.0 ** rng.uniform(-1.0, 1.0)
+    a0 = (u * (m * scale)) @ u.conj().T
+    a1 = (u * (t * scale)) @ u.conj().T
+    s = LaurentSymbol({0: 0.5 * (a0 + a0.conj().T), 1: a1, -1: a1.conj().T})
+    return s, sorted(crossings)
+
+
+def bisection_flow(family, steps: int) -> floquet.SpectralFlowResult:
+    """Reference spectral flow: one solve per scan point, then per-point
+    bisection on the negative-eigenvalue count of every scan interval
+    whose count changes, down to a bracket of ``_CROSSING_TOL``."""
+    def count(c):
+        eigenvalues = hermitian_eigenvalues(family(c)).eigenvalues
+        return int(np.count_nonzero(eigenvalues < -floquet._ZERO_BAND))
+
+    cs = np.linspace(0.0, 1.0, steps + 1)
+    counts = [count(c) for c in cs]
+    crossings = []
+    for i in range(steps):
+        dn = counts[i + 1] - counts[i]
+        if dn == 0:
+            continue
+        lo, hi = cs[i], cs[i + 1]
+        while hi - lo > floquet._CROSSING_TOL:
+            mid = 0.5 * (lo + hi)
+            if count(mid) == counts[i]:
+                lo = mid
+            else:
+                hi = mid
+        crossings += [(float(hi), -1 if dn > 0 else 1)] * abs(dn)
+    return floquet.SpectralFlowResult(flow=sum(d for _, d in crossings),
+                                      crossings=tuple(crossings))
+
+
 class TestSpectralFlow:
     def test_bounding_circle_family(self):
         fam = lambda c: build_circle_dirac(16, Scheme.SPECTRAL, BOUND, c).matrix
@@ -451,16 +515,63 @@ class TestSpectralFlow:
         with pytest.raises(ContractViolation):
             spectral_flow(fam, steps=8)
 
-    def test_one_eigensolve_per_point(self):
-        # steps + 1 scan solves, then one per bisection step: the crossing
-        # at 0.43 sits in [0.4, 0.5], halved until it is at most 1e-9 wide
-        fam = lambda c: np.diag([c - 0.43, c + 2.0]).astype(complex)
-        solves = []
-        counting = lambda m: solves.append(1) or hermitian_eigenvalues(m)
+    @staticmethod
+    def _stack_sizes(fam, steps):
+        stacks = []
+        counting = lambda m: stacks.append(len(m)) or hermitian_eigenvalues(m)
         with mock.patch.object(floquet, "hermitian_eigenvalues", counting):
-            r = spectral_flow(fam, steps=10)
+            return spectral_flow(fam, steps=steps), stacks
+
+    def test_one_stacked_solve_per_scan_and_round(self):
+        # the 11 scan points are one stack, and each round of the crossing
+        # search one stack of at most three probes per bracket; the gap is
+        # linear here, so the first secant root is the crossing and one
+        # round closes the bracket [0.4, 0.5]
+        fam = lambda c: np.diag([c - 0.43, c + 2.0]).astype(complex)
+        r, stacks = self._stack_sizes(fam, 10)
         assert r.flow == 1 and abs(r.crossings[0][0] - 0.43) < 1e-8
-        assert len(solves) == 11 + math.ceil(math.log2(0.1 / 1e-9))
+        assert stacks == [11, 3]
+
+    def test_rounds_at_least_halve_the_brackets(self):
+        # two crossings of a curved branch, at c = +-arccos(-0.3) / (2 pi):
+        # each round at least halves both brackets on their way to 1e-9
+        fam = lambda c: np.diag([np.cos(2 * np.pi * c) + 0.3, 2.0]).astype(complex)
+        r, stacks = self._stack_sizes(fam, 10)
+        c1 = math.acos(-0.3) / (2 * math.pi)
+        assert r.crossings[0][0] == pytest.approx(c1, abs=1e-8)
+        assert r.crossings[1][0] == pytest.approx(1 - c1, abs=1e-8)
+        assert stacks[0] == 11
+        assert 1 <= len(stacks) - 1 <= math.ceil(math.log2(0.1 / 1e-9))
+        assert all(k <= 6 for k in stacks[1:])
+
+    def test_stacks_stay_within_chunk_bytes(self):
+        fam = lambda c: build_circle_dirac(8, Scheme.SPECTRAL, BOUND, c).matrix
+        whole = spectral_flow(fam, steps=24)
+        with mock.patch.object(floquet, "_CHUNK_BYTES", 3 * 16 * 64):  # three 8 x 8 blocks
+            chunked, stacks = self._stack_sizes(fam, 24)
+        assert max(stacks) == 3 and sum(stacks[:9]) == 25
+        assert chunked == whole
+
+    @settings(max_examples=30, deadline=None)
+    @given(block=st.integers(1, 16), steps=st.integers(8, 64),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_conjugated_diagonal_families(self, block, steps, seed, data):
+        branches = data.draw(st.integers(0, min(block, steps // 4)))
+        rng = np.random.default_rng(seed)
+        s, oracle = conjugated_diagonal_family(rng, block, steps, branches)
+
+        def fam(c):
+            a = symbol_eval(s, twist_to_floquet(c))
+            return 0.5 * (a + a.conj().T)
+
+        r = spectral_flow(fam, steps=steps)
+        ref = bisection_flow(fam, steps)
+        assert [d for _, d in r.crossings] == [d for _, d in ref.crossings] \
+            == [d for _, d in oracle]
+        assert r.flow == ref.flow == sum(d for _, d in oracle)
+        for (c, _), (cr, _), (co, _) in zip(r.crossings, ref.crossings, oracle):
+            assert abs(c - co) < 1e-8
+            assert abs(c - cr) <= floquet._CROSSING_TOL
 
     def test_symbol_loop_has_zero_net_flow(self):
         d = build_circle_dirac(16, Scheme.CENTRAL_DIFFERENCE, BOUND, 0.0)

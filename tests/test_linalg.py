@@ -122,6 +122,54 @@ class TestHermitianEigenvalues:
         assert np.max(np.abs(a - b)) < 1e-9
 
 
+class TestStackedEigenvalues:
+    """A (k, N, N) stack is one batched solve whose rows are exactly the
+    per-matrix eigenvalues, and every block is checked as a matrix is."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 32, 64])
+    def test_rows_equal_per_matrix_solves(self, n):
+        stack = np.stack([random_hermitian(n, seed) for seed in range(7)])
+        r = hermitian_eigenvalues(stack)
+        assert r.eigenvalues.shape == (7, n)
+        for block, row in zip(stack, r.eigenvalues):
+            assert np.array_equal(row, hermitian_eigenvalues(block).eigenvalues)
+        assert r.residual == pytest.approx(max(hermitian_eigenvalues(b).residual for b in stack))
+
+    def test_list_of_matrices_is_a_stack(self):
+        blocks = [random_hermitian(4, seed) for seed in range(3)]
+        assert np.array_equal(hermitian_eigenvalues(blocks).eigenvalues,
+                              hermitian_eigenvalues(np.stack(blocks)).eigenvalues)
+
+    @pytest.mark.parametrize("rel,hermitian", [(1e-11, False), (1e-13, True)])
+    def test_one_nonhermitian_block(self, rel, hermitian):
+        stack = np.stack([random_hermitian(16, seed) for seed in range(5)])
+        k = 1j * random_hermitian(16, 8)  # anti-Hermitian
+        stack[2] += rel * np.linalg.norm(stack[2]) / np.linalg.norm(k) * k
+        if hermitian:
+            hermitian_eigenvalues(stack)
+        else:
+            with pytest.raises(ContractViolation, match="^matrix is not Hermitian within tolerance$"):
+                hermitian_eigenvalues(stack)
+
+    def test_one_nonfinite_block(self):
+        stack = np.stack([random_hermitian(4, seed) for seed in range(5)])
+        stack[3, 1, 1] = np.inf
+        with pytest.raises(ContractViolation, match="^matrix entries must be finite$"):
+            hermitian_eigenvalues(stack)
+
+    def test_one_nonsquare_block(self):
+        blocks = [random_hermitian(2, 0), np.ones((2, 3)), random_hermitian(2, 1)]
+        with pytest.raises(ContractViolation, match="^matrix is 2x3, not square$"):
+            hermitian_eigenvalues(blocks)
+
+    def test_zero_block_has_zero_residual(self):
+        with np.errstate(all="raise"):
+            assert hermitian_eigenvalues(np.zeros((3, 4, 4))).residual == 0.0
+            r = hermitian_eigenvalues(np.stack([np.zeros((4, 4)), random_hermitian(4, 2)]))
+        assert np.array_equal(r.eigenvalues[0], np.zeros(4))
+        assert r.residual == hermitian_eigenvalues(random_hermitian(4, 2)).residual
+
+
 class TestHermiticityRule:
     """One rule for the eigensolver, the discrete operator and the symbol
     flag: ||x - x^H||_F <= 1e-12 ||x||_F."""

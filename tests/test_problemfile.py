@@ -117,6 +117,17 @@ class TestInvariantRecords:
         with pytest.raises(ContractViolation, match="true or false"):
             evaluate_invariant_record(rec)
 
+    @pytest.mark.parametrize("body", ["kind: w\nind: 2\nsig-w: 4",
+                                      "kind: wcs\nind: 0\nsig-w: 8\nsig-v: -16",
+                                      "kind: alpha\nn: 4\nsign: -16"])
+    @pytest.mark.parametrize("flag", ["true", "false"])
+    def test_strict_only_for_rohlin_and_beta(self, body, flag):
+        rec = parse_problem_file(f"[invariant]\n{body}\n")
+        evaluate_invariant_record(rec)
+        rec = parse_problem_file(f"[invariant]\n{body}\nstrict: {flag}\n")
+        with pytest.raises(ContractViolation, match="strict applies to rohlin and beta"):
+            evaluate_invariant_record(rec)
+
     def test_strict_in_any_case(self):
         for flag in ("true", "TRUE", "True"):
             rec = parse_problem_file(f"[invariant]\nkind: rohlin\nsig-w: 3\nstrict: {flag}\n")
