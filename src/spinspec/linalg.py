@@ -102,7 +102,7 @@ def _square_blocks(m) -> np.ndarray:
         for block in m:
             _square_blocks(block)
         raise ContractViolation("stacked matrices must share one shape") from None
-    if a.ndim == 3:
+    if a.ndim == 3:  # nonempty and finite, checked on the stacked block rows
         as_matrix(a.reshape(a.shape[0] * a.shape[1], a.shape[2]))
     else:
         a = as_matrix(a)
