@@ -27,7 +27,7 @@ from .errors import ContractViolation, ParseError
 from .floquet import (LaurentSymbol, is_fredholm, spectral_flow, symbol_eval,
                       toeplitz_index)
 from .invariants import KOElement, Mod2Rational, builtin_form, parse_form_spec
-from .problemfile import evaluate_invariant_record, parse_problem_file
+from .problemfile import INVARIANT_INPUTS, evaluate_invariant_record, parse_problem_file
 from .spectra import (SpinStructure, circle_spectrum, product_square_spectrum,
                       sphere_spectrum)
 
@@ -177,13 +177,17 @@ def _cmd_spectral_flow(args, command, t0) -> int:
 # the [invariant] record keys that are also flags (--sig-w is key sig-w)
 _INVARIANT_KEYS = ("kind", "rho", "sig-v", "sig-w", "ind", "n", "sign", "dim-ker",
                    "dim-ker-plus")
+# values of the flags that have one, used when the kind reads them
+_INVARIANT_DEFAULTS = {"rho": "0", "sig-v": 0, "sig-w": 0, "n": 4}
 
 
 def _invariant_record(args) -> dict:
-    """The [invariant] record the flags describe; optional flags that were
-    not given are left out."""
-    record = {key: getattr(args, key.replace("-", "_")) for key in _INVARIANT_KEYS}
-    record = {key: value for key, value in record.items() if value is not None}
+    """The [invariant] record the flags describe: the flags given, and the
+    defaults of the inputs the kind reads that were not given."""
+    given = {key: getattr(args, key.replace("-", "_")) for key in _INVARIANT_KEYS}
+    record = {key: value for key, value in _INVARIANT_DEFAULTS.items()
+              if key in INVARIANT_INPUTS[args.kind]}
+    record.update((key, value) for key, value in given.items() if value is not None)
     if args.strict:
         record["strict"] = "true"
     return record
@@ -265,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     iv = sub.add_parser("invariant", help="exact invariant arithmetic")
     iv.add_argument("kind", choices=["alpha", "rohlin", "w", "beta", "wcs"])
-    iv.add_argument("--rho", default="0", help="rational, e.g. 1 or 3/2")
-    iv.add_argument("--sig-v", type=int, default=0)
-    iv.add_argument("--sig-w", type=int, default=0)
+    iv.add_argument("--rho", default=None, help="rational, e.g. 1 or 3/2")
+    iv.add_argument("--sig-v", type=int, default=None)
+    iv.add_argument("--sig-w", type=int, default=None)
     iv.add_argument("--ind", type=int, default=None)
-    iv.add_argument("--n", type=int, default=4)
+    iv.add_argument("--n", type=int, default=None)
     iv.add_argument("--sign", type=int, default=None)
     iv.add_argument("--dim-ker", type=int, default=None)
     iv.add_argument("--dim-ker-plus", type=int, default=None)

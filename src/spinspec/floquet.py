@@ -11,15 +11,20 @@ to minus the winding number of det A(z).
 the stacked coefficients, for a stack of points or for the single point a
 refinement probes.  Unit-circle scans evaluate the symbol as a stack of
 blocks built in chunks of at most ``_CHUNK_BYTES`` and handed to batched
-``svd`` / ``slogdet`` calls, so memory stays bounded for large blocks.
-The minimum of sigma_min(A(z)) over the circle comes from a Lipschitz
-branch-and-bound (Piyavskii; Shubert): each round bisects, in one
-batched SVD call, every arc whose lower bound could still beat the best
-value found, so the result carries a certified lower bound as well as a
-witness.  The winding follows the unit-modulus phase of det A(z) from
-``slogdet``, which neither overflows nor underflows.  The best point of
-the scan is refined by one golden-section search, ``_golden_section``,
-which the twist scan in ``discretize`` reuses.
+calls, so memory stays bounded for large blocks.  Every sigma_min, of a
+stack, a point or a finite section, comes from the one helper
+``linalg.sigma_min`` with ``s.hermitian_symmetric`` as its flag: A(z) of
+a Hermitian-symmetric symbol is Hermitian on the circle, as are its
+finite sections, and there sigma_min = min |lambda| from a Hermitian
+eigensolve; other symbols take the SVD.  The minimum of sigma_min(A(z))
+over the circle comes from a Lipschitz branch-and-bound (Piyavskii;
+Shubert): each round bisects, in one batched call, every arc whose lower
+bound could still beat the best value found, so the result carries a
+certified lower bound as well as a witness.  The winding follows the
+unit-modulus phase of det A(z) from ``slogdet``, which neither overflows
+nor underflows.  The best point of the scan is refined by one
+golden-section search, ``_golden_section``, which the twist scan in
+``discretize`` reuses.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .conventions import CIRCLE_GRID, FREDHOLM_TOL, INDEX_SIGN, REFINE_TOL
 from .errors import ContractViolation, DegenerateCrossing
-from .linalg import hermitian_eigenvalues, is_hermitian
+from .linalg import hermitian_eigenvalues, is_hermitian, sigma_min
 from .spectra import SpectrumSample, spectra_match
 
 __all__ = [
@@ -52,7 +57,7 @@ __all__ = [
     "spectral_flow",
 ]
 
-_INDEX_FILL_LIMIT = 128  # fill the index automatically when N * max(d,1) is below this
+_INDEX_FILL_LIMIT = 128  # fill the index automatically when N * max(d,1) is at most this
 _CHUNK_BYTES = 2 * 1024 * 1024  # largest symbol stack one batched scan call holds
 _START_GRID = 32  # uniform points of the circle scan's first round
 
@@ -150,11 +155,6 @@ def symbol_direct_sum(a: LaurentSymbol, b: LaurentSymbol) -> LaurentSymbol:
     return LaurentSymbol(coeffs)
 
 
-def _sigma_min(s: LaurentSymbol, theta: float) -> float:
-    vals = np.linalg.svd(symbol_eval(s, cmath.exp(1j * theta)), compute_uv=False)
-    return float(vals[-1])
-
-
 def _golden_section(f: Callable[[float], float], a: float, b: float, xtol: float):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
@@ -192,11 +192,19 @@ def _rounding_allowance(s: LaurentSymbol) -> float:
     """Bound on the rounding error of one computed sigma_min(A(z)).
 
     Evaluating A(z) errs by at most a few eps * sum ||A_j||, and the
-    backward-stable SVD by a few N * eps * ||A(z)||; 8 N eps sum ||A_j||_F
-    covers both (the Frobenius norm bounds the spectral one).
+    backward-stable SVD or Hermitian eigensolve by a few N * eps * ||A(z)||;
+    8 N eps sum ||A_j||_F covers both (the Frobenius norm bounds the
+    spectral one).  A Hermitian-symmetric symbol adds its Hermitian defect
+    delta = sum_j ||A_j - A_{-j}^H||_F, which bounds ||A(z) - A(z)^H||_F on
+    the circle: the eigensolve reads one triangle of A(z) only.
     """
     total = sum(np.linalg.norm(a) for a in s.coeffs.values())
-    return float(8.0 * s.block_size * np.finfo(float).eps * total)
+    allowance = 8.0 * s.block_size * np.finfo(float).eps * total
+    if s.hermitian_symmetric:
+        d = s.bandwidth
+        allowance += sum(np.linalg.norm(s.coeff(j) - s.coeff(-j).conj().T)
+                         for j in range(-d, d + 1))
+    return float(allowance)
 
 
 def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID) -> CircleMinimum:
@@ -223,10 +231,10 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID) -> CircleM
         raise ContractViolation("grid must be at least 16")
     lam = s.lipschitz_bound()
     eps = lam * (math.pi / grid)
+    herm = s.hermitian_symmetric
 
     def sigma(thetas):
-        return _scan(s, np.exp(1j * thetas),
-                     lambda stack: np.linalg.svd(stack, compute_uv=False)[:, -1])
+        return _scan(s, np.exp(1j * thetas), lambda stack: sigma_min(stack, herm))
 
     start = min(grid, _START_GRID)
     h = 2.0 * math.pi / start
@@ -261,7 +269,7 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID) -> CircleM
     def probe(theta: float) -> float:
         nonlocal probes
         probes += 1
-        return _sigma_min(s, theta)
+        return float(sigma_min(symbol_eval(s, cmath.exp(1j * theta)), herm))
 
     x, v = _golden_section(probe, best_theta - step, best_theta + step, xtol)
     if v < best_value:
@@ -279,7 +287,12 @@ class FredholmReport:
     ``lower_bound`` is the scan's certified lower bound on the minimum
     over the whole circle: its least arc bound less a rounding allowance
     of 8 N eps sum_j ||A_j||_F for the evaluation of A(z) and its SVD
-    (N the block size, eps the double-precision machine epsilon).
+    (N the block size, eps the double-precision machine epsilon).  A
+    Hermitian-symmetric symbol's sigma_min comes from a Hermitian
+    eigensolve of one triangle of A(z), so its Hermitian defect
+    delta = sum_j ||A_j - A_{-j}^H||_F (0 when exact, at most about
+    HERMITICITY_TOL relative) is part of the error of ``min_singular``,
+    and the allowance includes it.
     ``verdict`` is ``"not-fredholm"`` when the witness has
     ``min_singular <= tol``, ``"fredholm"`` when ``lower_bound > tol``,
     and ``"inconclusive"`` otherwise.  ``evaluations`` counts the
@@ -396,14 +409,16 @@ def fredholm_via_sections(s: LaurentSymbol, sizes: Sequence[int],
 
     ``stable`` -- the last two values agree within 20% and clear ``tol``
     (the symbol looks invertible); ``decaying`` -- the values shrink
-    monotonically toward zero; anything else is ``inconclusive``.
+    monotonically toward zero; anything else is ``inconclusive``.  These
+    verdicts are a heuristic and carry no bound; the certified verdict is
+    ``is_fredholm``'s.  The sections of a Hermitian-symmetric symbol are
+    Hermitian, and their sigma_min is min |lambda| of an eigensolve that
+    reads one triangle, so each value's error includes the symbol's
+    Hermitian defect delta = sum_j ||A_j - A_{-j}^H||_F besides rounding.
     """
     if list(sizes) != sorted(set(sizes)) or len(sizes) < 2:
         raise ContractViolation("sizes must be strictly ascending, at least two of them")
-    sigmas = []
-    for n in sizes:
-        vals = np.linalg.svd(finite_section(s, n), compute_uv=False)
-        sigmas.append(float(vals[-1]))
+    sigmas = [float(sigma_min(finite_section(s, n), s.hermitian_symmetric)) for n in sizes]
     last, prev = sigmas[-1], sigmas[-2]
     if last > tol and abs(last - prev) < 0.2 * max(last, prev):
         verdict = "stable"

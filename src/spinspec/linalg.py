@@ -1,9 +1,9 @@
 """Dense complex linear algebra and exact rational symmetric-form arithmetic.
 
-Floating-point routines operate on square or rectangular complex matrices
-at desk scale (dimension up to a few thousand).  The exact routines work
-over arbitrary-precision rationals and never touch floating point; they
-back every signature computation in the invariant layer.
+Floating-point routines operate on square complex matrices, or stacks of
+them, at desk scale (dimension up to a few thousand).  The exact routines
+work over arbitrary-precision rationals and never touch floating point;
+they back every signature computation in the invariant layer.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ __all__ = [
     "as_matrix",
     "is_hermitian",
     "hermitian_eigenvalues",
-    "singular_values",
-    "numeric_kernel_dim",
+    "sigma_min",
     "rational_ldl_inertia",
 ]
 
@@ -137,23 +136,19 @@ def hermitian_eigenvalues(m) -> EigResult:
     return EigResult(eigenvalues=vals, residual=residual)
 
 
-def singular_values(m) -> np.ndarray:
-    """Singular values sorted descending; count = min(rows, cols)."""
-    a = as_matrix(m)
-    return np.linalg.svd(a, compute_uv=False)
+def sigma_min(a: np.ndarray, hermitian: bool):
+    """Least singular value of a square matrix, or of each block of a
+    (k, N, N) stack: the last singular value from ``svd``.
 
-
-def numeric_kernel_dim(m, tol: float = 1e-8) -> int:
-    """Number of singular values below ``tol * sigma_max``.
-
-    A matrix that is numerically zero (all singular values vanish) reports
-    full kernel dimension: sigma_max is taken as 1 in that case.
+    With ``hermitian`` it is min |lambda| from ``eigvalsh``, which reads
+    only the lower triangle (and the real diagonal) of each block, so no
+    symmetrised copy is built.  That triangle defines a Hermitian H with
+    ||H - a||_F <= ||a - a^H||_F, and by Weyl's inequality the result
+    errs from sigma_min(a) by at most that defect besides rounding.
     """
-    if tol <= 0:
-        raise ContractViolation("tol must be positive")
-    s = singular_values(m)
-    smax = float(s[0]) if s.size and s[0] > 0 else 1.0
-    return int(np.count_nonzero(s < tol * smax))
+    if hermitian:
+        return np.abs(np.linalg.eigvalsh(a)).min(axis=-1)
+    return np.linalg.svd(a, compute_uv=False)[..., -1]
 
 
 def _to_fraction(x) -> Fraction:

@@ -43,6 +43,7 @@ __all__ = [
     "symbol_to_text",
     "form_to_text",
     "evaluate_invariant_record",
+    "INVARIANT_INPUTS",
     "expected_matches",
     "load_fixture_records",
 ]
@@ -262,18 +263,34 @@ def _record_strict(record: dict) -> bool:
 _ALPHA_KEYS = (("sign", "sign"), ("ind", "ind_plus"), ("dim-ker", "dim_ker"),
                ("dim-ker-plus", "dim_ker_plus"))
 
+# the inputs each invariant kind reads
+INVARIANT_INPUTS = {
+    "rohlin": ("sig-w",),
+    "beta": ("rho", "sig-v"),
+    "w": ("ind", "sig-w"),
+    "wcs": ("ind", "sig-w", "sig-v"),
+    "alpha": ("n",) + tuple(key for key, _ in _ALPHA_KEYS),
+}
+# record keys that are not inputs; "_line" is the parser's
+_RECORD_FIELDS = ("kind", "name", "expect", "strict", "_line")
+
 
 def evaluate_invariant_record(record: dict):
     """Run the invariant named by ``kind`` on the record's arguments; this
     is also what ``spinspec invariant`` runs.  Returns Mod2Rational for the
     mod-2 invariants, Fraction for the integral lifts, KOElement for the
-    KO-valued index.  A missing or malformed input, or ``strict`` on a
-    kind that has no divisibility condition (w, wcs, alpha), is a
-    ContractViolation."""
+    KO-valued index.  A missing or malformed input, an input the kind
+    does not read (``INVARIANT_INPUTS``), or ``strict`` on a kind that has
+    no divisibility condition (w, wcs, alpha), is a ContractViolation."""
     kind = record["kind"]
     strict = _record_strict(record)
     if "strict" in record and kind in ("w", "wcs", "alpha"):
         raise ContractViolation(f"strict applies to rohlin and beta, not to {kind!r}")
+    if kind not in INVARIANT_INPUTS:
+        raise ContractViolation(f"unknown invariant kind {kind!r}")
+    unread = [key for key in record if key not in INVARIANT_INPUTS[kind] + _RECORD_FIELDS]
+    if unread:
+        raise ContractViolation(f"{kind!r} does not read {', '.join(map(repr, unread))}")
     if kind == "rohlin":
         return rohlin(_record_int(record, "sig-w"), strict=strict)
     if kind == "beta":
@@ -284,11 +301,9 @@ def evaluate_invariant_record(record: dict):
     if kind == "wcs":
         return w_cs(_record_int(record, "ind"), _record_int(record, "sig-w"),
                     _record_int(record, "sig-v"))
-    if kind == "alpha":
-        n = _record_int(record, "n")
-        data = {arg: _record_int(record, key) for key, arg in _ALPHA_KEYS if key in record}
-        return alpha_n(n, **data)
-    raise ContractViolation(f"unknown invariant kind {kind!r}")
+    n = _record_int(record, "n")
+    data = {arg: _record_int(record, key) for key, arg in _ALPHA_KEYS if key in record}
+    return alpha_n(n, **data)
 
 
 def expected_matches(record: dict, value) -> bool:

@@ -3,8 +3,27 @@ engine tests and the acceptance suite."""
 
 import numpy as np
 
+from spinspec.errors import ContractViolation
 from spinspec.floquet import LaurentSymbol
-from spinspec.linalg import numeric_kernel_dim
+from spinspec.linalg import as_matrix
+
+
+def singular_values(m) -> np.ndarray:
+    """Singular values sorted descending; count = min(rows, cols)."""
+    return np.linalg.svd(as_matrix(m), compute_uv=False)
+
+
+def numeric_kernel_dim(m, tol: float = 1e-8) -> int:
+    """Number of singular values below ``tol * sigma_max``.
+
+    A matrix that is numerically zero (all singular values vanish) reports
+    full kernel dimension: sigma_max is taken as 1 in that case.
+    """
+    if tol <= 0:
+        raise ContractViolation("tol must be positive")
+    s = singular_values(m)
+    smax = float(s[0]) if s.size and s[0] > 0 else 1.0
+    return int(np.count_nonzero(s < tol * smax))
 
 
 def _random_hermitian_symmetric(rng, block, bandwidth):

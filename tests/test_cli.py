@@ -124,6 +124,20 @@ class TestFredholmCommands:
         assert 0.0 < res["lower_bound"] <= res["min_singular"]["value"]
         assert 0 < res["evaluations"] <= 2 * res["grid_used"] + 202
 
+    def test_fredholm_non_hermitian_report_is_pinned(self, capsys, tmp_path):
+        # a symbol that is not Hermitian-symmetric takes the SVD path, whose
+        # report is pinned value for value
+        s = LaurentSymbol({0: [[-2, 0.5j], [0.25, -3]], 1: [[1, 0], [0.5, 1]]})
+        assert not s.hermitian_symmetric
+        path = tmp_path / "general.txt"
+        path.write_text(symbol_to_text(s))
+        doc = run_json(capsys, "fredholm", str(path))
+        assert doc["results"] == {
+            "evaluations": 87, "grid_used": 512, "index": 0, "is_fredholm": True,
+            "lower_bound": 0.8578144281664934,
+            "min_singular": {"tol": 1e-06, "value": 0.8656107270859316},
+            "verdict": "fredholm", "witness": [0.9787174923630587, -0.20521225631663959]}
+
     def test_fredholm_false_witness(self, capsys, root_on_circle_file):
         doc = run_json(capsys, "fredholm", root_on_circle_file)
         res = doc["results"]
@@ -243,6 +257,20 @@ class TestInvariantCommand:
         code, out, err = run(capsys, "invariant", *argv, "--strict")
         assert code == 3 and out == ""
         assert err == f"error: strict applies to rohlin and beta, not to {argv[0]!r}\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["rohlin", "--sig-w", "8", "--rho", "abc"], "rho"),
+        (["beta", "--rho", "1", "--sig-v", "-16", "--ind", "2"], "ind"),
+        (["w", "--ind", "2", "--sig-w", "0", "--sig-v", "16"], "sig-v"),
+        (["wcs", "--ind", "0", "--sig-w", "8", "--sig-v", "-16", "--n", "4"], "n"),
+        (["alpha", "--n", "4", "--sign", "-16", "--sig-w", "8"], "sig-w"),
+    ])
+    def test_flag_the_kind_does_not_read_exit_3(self, capsys, argv, flag):
+        code, out, err = run(capsys, "invariant", *argv[:-2])
+        assert code == 0
+        code, out, err = run(capsys, "invariant", *argv)
+        assert code == 3 and out == ""
+        assert err == f"error: {argv[0]!r} does not read {flag!r}\n"
 
 class TestFormsCommand:
     def test_show_k3(self, capsys):

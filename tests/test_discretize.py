@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _corpus import numeric_kernel_dim, singular_values
 from spinspec import discretize
 from spinspec.discretize import (Scheme, WeightFunction, build_circle_dirac,
                                  fourier_laplace_family, gauge_conjugate,
@@ -14,7 +15,7 @@ from spinspec.discretize import (Scheme, WeightFunction, build_circle_dirac,
 from spinspec.errors import ContractViolation
 from spinspec.floquet import _golden_section, finite_section, symbol_eval
 from spinspec.conventions import twist_to_floquet
-from spinspec.linalg import hermitian_eigenvalues, numeric_kernel_dim, singular_values
+from spinspec.linalg import hermitian_eigenvalues
 from spinspec.spectra import SpinStructure, circle_spectrum, spectra_match
 
 BOUND = SpinStructure.BOUNDING

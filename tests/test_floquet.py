@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import (circle_zero_symbols, invertible_symbols,
-                     section_index_oracle, winding_test_symbols)
+from _corpus import (circle_zero_symbols, invertible_symbols, numeric_kernel_dim,
+                     section_index_oracle, singular_values, winding_test_symbols)
 from spinspec import floquet
-from spinspec.conventions import FREDHOLM_TOL, twist_to_floquet
+from spinspec.conventions import FREDHOLM_TOL, HERMITICITY_TOL, twist_to_floquet
 from spinspec.discretize import (Scheme, build_circle_dirac, mass_doubled,
                                  period_symbol)
 from spinspec.errors import ContractViolation, DegenerateCrossing
@@ -18,7 +18,7 @@ from spinspec.floquet import (LaurentSymbol, finite_section,
                               fredholm_via_sections, is_fredholm,
                               min_singular_on_circle, spectral_flow,
                               symbol_direct_sum, symbol_eval, toeplitz_index)
-from spinspec.linalg import hermitian_eigenvalues, numeric_kernel_dim
+from spinspec.linalg import hermitian_eigenvalues
 from spinspec.spectra import SpinStructure
 
 BOUND = SpinStructure.BOUNDING
@@ -179,8 +179,9 @@ class TestMinSingularOnCircle:
         with mock.patch.object(floquet, "_golden_section", no_refine):
             found = min_singular_on_circle(s, grid=grid)
         value, witness = found
+        # the scan and the one-point SVD each err by at most the allowance
         at_witness = np.linalg.svd(symbol_eval(s, witness), compute_uv=False)[-1]
-        assert abs(value - at_witness) <= 1e-13 * at_witness
+        assert abs(value - at_witness) <= 2 * floquet._rounding_allowance(s)
         eps = s.lipschitz_bound() * math.pi / grid
         assert min(dense) - 1e-12 * max(dense) <= value <= min(dense) + eps
         assert found.lower_bound <= min(dense)
@@ -219,6 +220,26 @@ class TestCertificate:
         assert sigma - rounding <= rep.min_singular
         assert rep.min_singular <= sigma + s.lipschitz_bound() * math.pi / grid + rounding
         assert rep.evaluations <= 2 * grid + 202  # the polish makes at most 202 probes
+
+    @settings(max_examples=20, deadline=None)
+    @given(block=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_hermitian_defect_is_paid_by_the_allowance(self, block, seed):
+        # A_{-1} = A_1^H + E, with E inside HERMITICITY_TOL: the symbol takes
+        # the Hermitian path, which reads one triangle of A(z) only
+        rng = np.random.default_rng(seed)
+        a0 = rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
+        a1 = rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
+        e = rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
+        scale = np.sqrt(np.linalg.norm(a0 + a0.conj().T) ** 2 + 2 * np.linalg.norm(a1) ** 2)
+        e *= 0.5 * HERMITICITY_TOL * scale / np.linalg.norm(e)
+        s = LaurentSymbol({0: a0 + a0.conj().T, 1: a1, -1: a1.conj().T + e})
+        assert s.hermitian_symmetric
+        rep = is_fredholm(s)
+        thetas = 2 * np.pi * np.arange(4096) / 4096
+        dense = np.linalg.svd(symbol_eval(s, np.exp(1j * thetas)), compute_uv=False)[:, -1]
+        assert rep.lower_bound <= dense.min()
+        at_witness = np.linalg.svd(symbol_eval(s, rep.witness), compute_uv=False)[-1]
+        assert abs(rep.min_singular - at_witness) <= 2 * floquet._rounding_allowance(s)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("degenerate", [False, True])
@@ -388,6 +409,22 @@ class TestFredholmViaSections:
         s = period_symbol(mass_doubled(d.matrix, 1.0))
         sweep = fredholm_via_sections(s, (8, 16, 32))
         assert sweep.verdict == "stable"
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_one_solve_per_size(self, hermitian):
+        if hermitian:
+            d = build_circle_dirac(8, Scheme.CENTRAL_DIFFERENCE, BOUND, 0.0)
+            s = period_symbol(mass_doubled(d.matrix, 1.0))
+        else:
+            s = LaurentSymbol.scalar({0: -2, 1: 1})
+        assert s.hermitian_symmetric is hermitian
+        sizes = (8, 16, 32)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig, \
+                mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            sweep = fredholm_via_sections(s, sizes)
+        assert (eig.call_count, svd.call_count) == ((3, 0) if hermitian else (0, 3))
+        oracle = [singular_values(finite_section(s, n))[-1] for n in sizes]
+        assert np.allclose(sweep.sigma_min, oracle, rtol=1e-12)
 
     def test_rejects_unsorted_sizes(self):
         with pytest.raises(ContractViolation):

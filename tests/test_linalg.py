@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _corpus import numeric_kernel_dim, singular_values
 from spinspec.discretize import DiscreteDirac, Scheme
 from spinspec.errors import ContractViolation
 from spinspec.floquet import LaurentSymbol
-from spinspec.linalg import (Inertia, hermitian_eigenvalues, numeric_kernel_dim,
-                             rational_ldl_inertia, singular_values)
+from spinspec.linalg import Inertia, hermitian_eigenvalues, rational_ldl_inertia, sigma_min
 from spinspec.spectra import SpinStructure
 
 
@@ -196,6 +198,35 @@ class TestHermiticityRule:
         s = LaurentSymbol({0: h, 1: a1,
                            -1: a1.conj().T + rel * scale / np.linalg.norm(k) * k})
         assert s.hermitian_symmetric is hermitian
+
+
+class TestSigmaMin:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), k=st.integers(1, 4), singular=st.booleans(),
+           exponent=st.integers(-6, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_hermitian_path_matches_the_svd(self, n, k, singular, exponent, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
+        lam = rng.normal(size=(k, n)) * 10.0 ** exponent
+        if singular:
+            lam[:, rng.integers(n)] = 0.0
+        h = (q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2)
+        a = 0.5 * (h + h.conj().swapaxes(-1, -2))  # exactly Hermitian
+        got = sigma_min(a, True)
+        want = np.linalg.svd(a, compute_uv=False)[:, -1]
+        # both solvers are backward stable, each to a small multiple of
+        # N eps ||A||: at N = 2 they differ by up to 2.7 eps ||A||_F
+        norm = np.linalg.norm(a, axis=(-2, -1))
+        assert got.shape == (k,)
+        assert np.all(np.abs(got - want) <= 4 * n * np.finfo(float).eps * norm)
+        assert sigma_min(a[0], True) == got[0]
+
+    def test_general_path_is_the_svd(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+        want = np.linalg.svd(a, compute_uv=False)[:, -1]
+        assert np.array_equal(sigma_min(a, False), want)
+        assert sigma_min(a[1], False) == want[1]
 
 
 class TestSingularValues:

@@ -128,6 +128,13 @@ class TestInvariantRecords:
         with pytest.raises(ContractViolation, match="strict applies to rohlin and beta"):
             evaluate_invariant_record(rec)
 
+    @pytest.mark.parametrize("body", ["kind: rohlin\nsig-w: 8\nrho: 1",
+                                      "kind: alpha\nn: 4\nsign: -16\nsig-v: 0"])
+    def test_input_the_kind_does_not_read(self, body):
+        rec = parse_problem_file(f"[invariant]\n{body}\n")
+        with pytest.raises(ContractViolation, match="does not read"):
+            evaluate_invariant_record(rec)
+
     def test_strict_in_any_case(self):
         for flag in ("true", "TRUE", "True"):
             rec = parse_problem_file(f"[invariant]\nkind: rohlin\nsig-w: 3\nstrict: {flag}\n")
