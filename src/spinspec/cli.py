@@ -109,7 +109,7 @@ def _cmd_spectrum(args, command, t0) -> int:
 def _cmd_twist_scan(args, command, t0) -> int:
     ktol = _env_tol(1e-8)
     locations = kernel_twists(_spin(args.spin), args.c_from, args.c_to,
-                              args.steps, args.grid, args.massive, ktol)
+                              args.grid, args.massive, ktol)
     results = {
         "kernel_twists_mod1": [{"value": c, "tol": 1e-6} for c in locations],
         "cover_operator_fredholm": not locations,
@@ -249,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     ts.add_argument("--spin", default="bounding", choices=["bounding", "nonbounding"])
     ts.add_argument("--c-from", type=float, default=0.0)
     ts.add_argument("--c-to", type=float, default=1.0)
-    ts.add_argument("--steps", type=int, default=200)
+    ts.add_argument("--steps", type=int, default=200,
+                    help="accepted for compatibility; has no effect, kernels "
+                         "are located exactly")
     ts.add_argument("--grid", type=int, default=32)
     ts.add_argument("--massive", type=float, default=0.0,
                     help="add an off-diagonal mass of this size")

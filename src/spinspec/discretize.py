@@ -16,12 +16,12 @@ with the recorded branch of ln z, z = exp(-i c) reproduces the twist-c
 operator.  Weight lifts are stored in angle units, so the lift of a
 degree-d circle map rises by 2*pi*d across one period.
 
-``kernel_twists`` scans the twisted spectral family for kernels with one
-eigensolve per scan: the twist term is a multiple of the identity, so the
-twist-c spectrum is the untwisted spectrum mu shifted to
+``kernel_twists`` locates the kernels of the twisted spectral family in
+closed form from one eigensolve: the twist term is a multiple of the
+identity, so the twist-c spectrum is the untwisted spectrum mu shifted to
 mu + CLIFFORD_SIGN * c, and the mass-doubled one is
-+-hypot(mu + CLIFFORD_SIGN * c, m).  Local minima of the smallest
-|eigenvalue| are refined with the golden-section search of ``floquet``.
++-hypot(mu + CLIFFORD_SIGN * c, m).  A kernel sits at
+c = -CLIFFORD_SIGN * mu, and only when the mass is below the tolerance.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .conventions import CLIFFORD_SIGN, DEFAULT_LN_BRANCH
 from .errors import ContractViolation
-from .floquet import LaurentSymbol, _golden_section
+from .floquet import LaurentSymbol
 from .linalg import hermitian_eigenvalues, is_hermitian
 from .spectra import SpectrumSample, SpinStructure
 
@@ -172,52 +172,34 @@ def _twisted(untwisted: np.ndarray, c: float) -> np.ndarray:
     return untwisted + CLIFFORD_SIGN * float(c) * np.eye(untwisted.shape[0])
 
 
-def kernel_twists(spin: SpinStructure, c_from: float, c_to: float, steps: int,
+def kernel_twists(spin: SpinStructure, c_from: float, c_to: float,
                   grid: int, mass: float, ktol: float) -> list:
     """Twists c mod 1 in [c_from, c_to] where the spectral-scheme operator
     on ``grid`` sites (mass-doubled when ``mass`` is nonzero) has a kernel.
 
-    The smallest |eigenvalue| is scanned at ``steps`` evenly spaced twists;
-    each local minimum is refined by golden section to 1e-12 and kept when
-    its value is below ``ktol``.  Locations closer than 1e-6 mod 1 merge.
-
-    One eigensolve per scan: the twist adds CLIFFORD_SIGN * c times the
-    identity (``_twisted``), so the twist-c eigenvalues are mu +
-    CLIFFORD_SIGN * c for the untwisted eigenvalues mu.  The mass-doubled
-    operator squares to (A^2 + m^2) (x) I, so its eigenvalues are
-    +-hypot(mu + CLIFFORD_SIGN * c, m).  A non-finite range end or mass is
-    rejected: its scan values would be nan or inf, and the scan would
-    report no kernels.
+    The twist adds CLIFFORD_SIGN * c times the identity (``_twisted``), so
+    the twist-c eigenvalues are mu + CLIFFORD_SIGN * c for the untwisted
+    eigenvalues mu, and the mass-doubled operator, which squares to
+    (A^2 + m^2) (x) I, has +-hypot(mu + CLIFFORD_SIGN * c, m).  The smallest
+    |eigenvalue| near each mu is least at c = -CLIFFORD_SIGN * mu, clipped
+    to the range, so one eigensolve gives every kernel exactly: that twist
+    is kept when its |eigenvalue| is below ``ktol``, and a kernel within
+    ``ktol`` just outside the range is reported at the range end.
+    Locations closer than 1e-6 mod 1 merge.  A non-finite range end or mass
+    is rejected.
     """
     if not all(math.isfinite(x) for x in (c_from, c_to, mass)):
         raise ContractViolation("twist range and mass must be finite")
-    if steps < 3:
-        raise ContractViolation("need at least 3 scan steps")
     if c_to <= c_from:
         raise ContractViolation("empty twist range")
     base = build_circle_dirac(grid, Scheme.SPECTRAL, spin, 0.0).matrix
     mu = hermitian_eigenvalues(base).eigenvalues
-
-    def min_abs(c: float) -> float:
-        return math.hypot(np.min(np.abs(mu + CLIFFORD_SIGN * c)), mass)
-
-    cs = np.linspace(c_from, c_to, steps)
-    vals = np.array([min_abs(c) for c in cs])
-    locations = []
-    for i in range(len(cs)):
-        left = vals[i - 1] if i > 0 else math.inf
-        right = vals[i + 1] if i + 1 < len(cs) else math.inf
-        if not (vals[i] <= left and vals[i] <= right):
-            continue
-        a = cs[i - 1] if i > 0 else cs[i]
-        b = cs[i + 1] if i + 1 < len(cs) else cs[i]
-        c_star, value = _golden_section(min_abs, a, b, 1e-12)
-        if value < ktol:
-            locations.append(c_star % 1.0)
+    cs = np.clip(-CLIFFORD_SIGN * mu, c_from, c_to)
+    cs = cs[np.hypot(mu + CLIFFORD_SIGN * cs, mass) < ktol]
     deduped = []
-    for c in sorted(locations):
+    for c in sorted(cs % 1.0):
         if not deduped or min(abs(c - deduped[-1]), 1.0 - abs(c - deduped[-1])) > 1e-6:
-            deduped.append(c)
+            deduped.append(float(c))
     return deduped
 
 

@@ -23,8 +23,8 @@ bound could still beat the best value found, so the result carries a
 certified lower bound as well as a witness.  The winding follows the
 unit-modulus phase of det A(z) from ``slogdet``, which neither overflows
 nor underflows.  The best point of the scan is refined by one
-golden-section search, ``_golden_section``, which the twist scan in
-``discretize`` reuses.
+golden-section search, ``_golden_section``, whose one caller is
+``min_singular_on_circle``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "SectionSweep",
     "SpectralFlowResult",
     "symbol_eval",
-    "symbol_direct_sum",
     "min_singular_on_circle",
     "is_fredholm",
     "toeplitz_index",
@@ -141,18 +140,6 @@ def _scan(s: LaurentSymbol, zs: np.ndarray, reduce: Callable[[np.ndarray], np.nd
     per = max(1, _CHUNK_BYTES // (16 * s.block_size * s.block_size))
     return np.concatenate([reduce(symbol_eval(s, zs[i:i + per]))
                            for i in range(0, zs.size, per)])
-
-
-def symbol_direct_sum(a: LaurentSymbol, b: LaurentSymbol) -> LaurentSymbol:
-    """Blockwise direct sum; indices add under the half-line compression."""
-    na, nb = a.block_size, b.block_size
-    coeffs = {}
-    for j in set(a.coeffs) | set(b.coeffs):
-        block = np.zeros((na + nb, na + nb), dtype=complex)
-        block[:na, :na] = a.coeff(j)
-        block[na:, na:] = b.coeff(j)
-        coeffs[j] = block
-    return LaurentSymbol(coeffs)
 
 
 def _golden_section(f: Callable[[float], float], a: float, b: float, xtol: float):

@@ -6,11 +6,10 @@ enters.  The E8 and hyperbolic base blocks and forms read from raw rows
 over rationals; sums, negations and diagonal forms carry it by Sylvester's
 law of inertia (it adds under direct sum, negation swaps n+ and n-, and a
 diagonal matrix is its own LDL) without another elimination.  Mod-2
-reductions are done on ``fractions.Fraction`` values.  The
-identities tying the invariants together (well-definedness of the lifted
-Rohlin invariant, of the Cappell-Shaneson invariant, and the mod-2
-agreement between them) hold at the level of rational arithmetic and are
-exposed as checkable operations.
+reductions are done on ``fractions.Fraction`` values, so the identities
+tying the invariants together (well-definedness of the lifted Rohlin
+invariant, of the Cappell-Shaneson invariant, and the mod-2 agreement
+between them) hold exactly in rational arithmetic; the tests check them.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "Mod2Rational",
     "IntersectionForm",
     "KOElement",
-    "AlphaS1",
     "builtin_form",
     "diag_form",
     "form_from_rows",
@@ -39,15 +37,9 @@ __all__ = [
     "rohlin",
     "ko_group",
     "alpha_n",
-    "alpha_s1",
     "w_invariant",
-    "w_mod2_equals_rohlin",
-    "w_welldefined_delta",
     "beta",
-    "beta_welldefined_check",
     "w_cs",
-    "w_cs_mod2_matches_beta",
-    "novikov_glue_signature",
 ]
 
 RationalLike = Union[int, str, Fraction, "Mod2Rational"]
@@ -317,48 +309,10 @@ def alpha_n(n: int, *, ind_plus: int = None, dim_ker: int = None,
     return KOElement(n, "0", 0)
 
 
-@dataclass(frozen=True)
-class AlphaS1:
-    """Index class of a manifold mapped to the circle: a component in
-    dimension n plus a fiber component in dimension n - 1."""
-
-    top: KOElement
-    fiber: KOElement
-
-    @property
-    def is_zero(self) -> bool:
-        return self.top.is_zero and self.fiber.is_zero
-
-
-def alpha_s1(n: int, alpha_top: KOElement, alpha_fiber: KOElement) -> AlphaS1:
-    if alpha_top.n % 8 != n % 8:
-        raise ContractViolation("top component lives in the wrong dimension")
-    if alpha_fiber.n % 8 != (n - 1) % 8:
-        raise ContractViolation("fiber component lives in the wrong dimension")
-    return AlphaS1(top=alpha_top, fiber=alpha_fiber)
-
-
 def w_invariant(ind_plus: int, sig_w: int) -> Fraction:
     """Integral lift of the Rohlin invariant: ind + sign(W)/8 as an exact
     rational (an integer exactly when 8 | sign(W))."""
     return Fraction(int(ind_plus)) + Fraction(int(sig_w), 8)
-
-
-def w_mod2_equals_rohlin(ind_plus: int, sig_w: int) -> bool:
-    """The lift reduces mod 2 to the Rohlin invariant.  The chiral index
-    is even (quaternionic linearity), so the difference w - sign/8 = ind
-    lies in 2Z; an odd index is rejected as a contract violation."""
-    if ind_plus % 2 != 0:
-        raise ContractViolation("chiral index must be even (quaternionic)")
-    diff = w_invariant(ind_plus, sig_w) - Fraction(int(sig_w), 8)
-    return diff % 2 == 0
-
-
-def w_welldefined_delta(sig_w: int, sig_w_prime: int) -> Fraction:
-    """Index jump between two bounding choices: exactly (sign W - sign W')/8,
-    which cancels the signature correction and makes the lift independent
-    of the choice."""
-    return Fraction(int(sig_w) - int(sig_w_prime), 8)
 
 
 def beta(rho_y: RationalLike, sig_v: int, strict: bool = False) -> Mod2Rational:
@@ -372,30 +326,7 @@ def beta(rho_y: RationalLike, sig_v: int, strict: bool = False) -> Mod2Rational:
     return Mod2Rational(_as_fraction(rho_y) - Fraction(int(sig_v), 16))
 
 
-def beta_welldefined_check(rho0: RationalLike, sig_v0: int, sig_w_cobordism: int) -> bool:
-    """Moving the cut across a cobordism W changes the data by
-    rho -> rho + sign(W)/8 and sign(V) -> sign(V) + 2 sign(W); the two
-    corrections cancel mod 2 exactly, for every rational input."""
-    rho1 = _as_fraction(rho0) + Fraction(int(sig_w_cobordism), 8)
-    sig_v1 = int(sig_v0) + 2 * int(sig_w_cobordism)
-    return beta(rho1, sig_v1).same_mod2(beta(rho0, sig_v0))
-
-
 def w_cs(ind_plus: int, sig_w: int, sig_v: int) -> Fraction:
     """Integral lift of the Cappell-Shaneson invariant:
     ind + sign(W)/8 - sign(V)/16, exactly."""
     return Fraction(int(ind_plus)) + Fraction(int(sig_w), 8) - Fraction(int(sig_v), 16)
-
-
-def w_cs_mod2_matches_beta(ind_plus: int, sig_w: int, sig_v: int) -> bool:
-    """For even chiral index, w_cs reduces mod 2 to beta(rohlin(sig_w), sig_v)."""
-    if ind_plus % 2 != 0:
-        raise ContractViolation("chiral index must be even (quaternionic)")
-    lift = Mod2Rational(w_cs(ind_plus, sig_w, sig_v))
-    return lift.same_mod2(beta(rohlin(sig_w), sig_v))
-
-
-def novikov_glue_signature(sig_w: int, sig_w_prime: int) -> int:
-    """Signature of the closed manifold glued from -W and W' along their
-    common boundary: additivity gives sign(W') - sign(W)."""
-    return int(sig_w_prime) - int(sig_w)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "spectra_match",
     "check_twist_periodicity",
     "check_exact_twist_invariance",
-    "lichnerowicz_bound_check",
 ]
 
 
@@ -101,10 +100,6 @@ class SpectrumSample:
             if abs(lam - x) <= GROUPING_TOL:
                 return m
         return 0
-
-    def contains(self, x: float, tol: Optional[float] = None) -> bool:
-        tol = GROUPING_TOL if tol is None else tol
-        return any(abs(lam - x) <= tol for lam, _ in self.pairs)
 
 
 def circle_spectrum(spin: SpinStructure, c: float, band: int) -> SpectrumSample:
@@ -224,14 +219,3 @@ def check_exact_twist_invariance(spectra_fn: Callable[[float], SpectrumSample],
     """True when the spectrum at twist c agrees with the untwisted one.
     Holds whenever the twisting 1-form is exact (a gauge conjugation)."""
     return spectra_match(spectra_fn(c), spectra_fn(0.0), tol)
-
-
-def lichnerowicz_bound_check(spectrum_sq: SpectrumSample, kappa_min: float,
-                             tol: float = DEFAULT_TOL) -> bool:
-    """Check the squared spectrum against the scalar-curvature bound
-    min >= kappa_min / 4 - tol.  The twisting connection is flat, so the
-    twist contributes no curvature term."""
-    vals = spectrum_sq.eigenvalues()
-    if np.any(vals < -tol):
-        raise ContractViolation("squared spectrum has negative entries")
-    return bool(vals.min() >= kappa_min / 4.0 - tol)

@@ -1,10 +1,16 @@
 """Deterministic symbol corpora and independent oracles shared by the
 engine tests and the acceptance suite."""
 
+from dataclasses import dataclass
+from fractions import Fraction
+
 import numpy as np
 
+from spinspec.conventions import DEFAULT_TOL, GROUPING_TOL
 from spinspec.errors import ContractViolation
 from spinspec.floquet import LaurentSymbol
+from spinspec.invariants import (KOElement, Mod2Rational, beta, rohlin, w_cs,
+                                 w_invariant)
 from spinspec.linalg import as_matrix
 
 
@@ -147,3 +153,66 @@ def half_line_kernel_dims(symbol, periods=256, tol=1e-6):
 def section_index_oracle(symbol, periods=256, tol=1e-6):
     ker, coker = half_line_kernel_dims(symbol, periods, tol)
     return ker - coker
+
+
+def symbol_direct_sum(a: LaurentSymbol, b: LaurentSymbol) -> LaurentSymbol:
+    """Blockwise direct sum; indices add under the half-line compression."""
+    na, nb = a.block_size, b.block_size
+    coeffs = {}
+    for j in set(a.coeffs) | set(b.coeffs):
+        block = np.zeros((na + nb, na + nb), dtype=complex)
+        block[:na, :na] = a.coeff(j)
+        block[na:, na:] = b.coeff(j)
+        coeffs[j] = block
+    return LaurentSymbol(coeffs)
+
+
+def spectrum_contains(sample, x: float, tol: float = GROUPING_TOL) -> bool:
+    """Whether a ``SpectrumSample`` has an eigenvalue within ``tol`` of x."""
+    return any(abs(lam - x) <= tol for lam, _ in sample.pairs)
+
+
+def lichnerowicz_bound_check(spectrum_sq, kappa_min: float, tol: float = DEFAULT_TOL) -> bool:
+    """Check a squared spectrum against the scalar-curvature bound
+    min >= kappa_min / 4 - tol.  The twisting connection is flat, so the
+    twist contributes no curvature term."""
+    vals = spectrum_sq.eigenvalues()
+    if np.any(vals < -tol):
+        raise ContractViolation("squared spectrum has negative entries")
+    return bool(vals.min() >= kappa_min / 4.0 - tol)
+
+
+@dataclass(frozen=True)
+class AlphaS1:
+    """Index class of a manifold mapped to the circle: a component in
+    dimension n plus a fiber component in dimension n - 1."""
+
+    top: KOElement
+    fiber: KOElement
+
+    @property
+    def is_zero(self) -> bool:
+        return self.top.is_zero and self.fiber.is_zero
+
+
+def alpha_s1(n: int, alpha_top: KOElement, alpha_fiber: KOElement) -> AlphaS1:
+    if alpha_top.n % 8 != n % 8:
+        raise ContractViolation("top component lives in the wrong dimension")
+    if alpha_fiber.n % 8 != (n - 1) % 8:
+        raise ContractViolation("fiber component lives in the wrong dimension")
+    return AlphaS1(top=alpha_top, fiber=alpha_fiber)
+
+
+def w_mod2_equals_rohlin(ind_plus: int, sig_w: int) -> bool:
+    """The lift ind + sign(W)/8 reduces mod 2 to the Rohlin invariant.  The
+    chiral index is even (quaternionic linearity); an odd one is rejected."""
+    if ind_plus % 2 != 0:
+        raise ContractViolation("chiral index must be even (quaternionic)")
+    return (w_invariant(ind_plus, sig_w) - Fraction(sig_w, 8)) % 2 == 0
+
+
+def w_cs_mod2_matches_beta(ind_plus: int, sig_w: int, sig_v: int) -> bool:
+    """For even chiral index, w_cs reduces mod 2 to beta(rohlin(sig_w), sig_v)."""
+    if ind_plus % 2 != 0:
+        raise ContractViolation("chiral index must be even (quaternionic)")
+    return Mod2Rational(w_cs(ind_plus, sig_w, sig_v)).same_mod2(beta(rohlin(sig_w), sig_v))

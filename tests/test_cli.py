@@ -101,6 +101,14 @@ class TestTwistScan:
         assert doc["results"]["kernel_twists_mod1"] == []
         assert doc["results"]["cover_operator_fredholm"] is True
 
+    @pytest.mark.parametrize("spin", ["bounding", "nonbounding"])
+    def test_steps_has_no_effect(self, capsys, spin):
+        docs = [run_json(capsys, "twist-scan", "--spin", spin, "--c-from", "-2.3",
+                         "--c-to", "1.9", "--steps", steps)
+                for steps in ("3", "400")]
+        assert docs[0]["results"] == docs[1]["results"]
+        assert docs[0]["results"]["kernel_twists_mod1"]
+
     @pytest.mark.parametrize("flag,value", [("--massive", "nan"), ("--massive", "inf"),
                                             ("--c-to", "inf"), ("--c-from", "-inf"),
                                             ("--c-from", "-nan"), ("--c-from", "-Infinity"),

@@ -14,7 +14,7 @@ from spinspec.discretize import (Scheme, WeightFunction, build_circle_dirac,
                                  period_symbol, spectrum_sample)
 from spinspec.errors import ContractViolation
 from spinspec.floquet import _golden_section, finite_section, symbol_eval
-from spinspec.conventions import twist_to_floquet
+from spinspec.conventions import CLIFFORD_SIGN, twist_to_floquet
 from spinspec.linalg import hermitian_eigenvalues
 from spinspec.spectra import SpinStructure, circle_spectrum, spectra_match
 
@@ -307,7 +307,7 @@ class TestKernelTwists:
                             lambda *a: builds.append(a) or build(*a))
         monkeypatch.setattr(discretize, "hermitian_eigenvalues",
                             lambda m: solves.append(1) or solve(m))
-        found = kernel_twists(BOUND, -0.3, 0.7, 40, 32, mass, 1e-8)
+        found = kernel_twists(BOUND, -0.3, 0.7, 32, mass, 1e-8)
         assert len(found) == len(kernels)
         assert all(abs(a - b) < 1e-9 for a, b in zip(found, kernels))
         assert len(builds) == 1
@@ -321,23 +321,63 @@ class TestKernelTwists:
            width=st.floats(0.01, 4.0),
            mass=st.one_of(st.just(0.0), st.just(1e-9), st.floats(0.1, 1.0)))
     def test_matches_per_point_reference(self, spin, grid, steps, c_from, width, mass):
-        found = kernel_twists(spin, c_from, c_from + width, steps, grid, mass, 1e-8)
-        expected = reference_kernel_twists(spin, c_from, c_from + width, steps,
+        # ``steps`` sets the reference scan only.  Kernels lie 1 apart, so a
+        # scan at most 1/4 apart brackets each one on its own; a coarser
+        # scan can miss them (steps=4 over [2.625, 4.625] at grid 8 does)
+        found = kernel_twists(spin, c_from, c_from + width, grid, mass, 1e-8)
+        expected = reference_kernel_twists(spin, c_from, c_from + width,
+                                           steps + math.ceil(4 * width),
                                            grid, mass, 1e-8)
         assert len(found) == len(expected)
         for a, b in zip(found, expected):
             assert min(abs(a - b), 1.0 - abs(a - b)) < 1e-10
 
+    @settings(max_examples=25, deadline=None)
+    @given(spin=st.sampled_from([BOUND, NONBOUND]),
+           grid=st.integers(4, 32).map(lambda k: 2 * k),
+           c_from=st.floats(-4.0, 4.0),
+           width=st.floats(0.01, 4.0),
+           mass=st.one_of(st.just(0.0), st.just(1e-9), st.floats(0.1, 1.0)))
+    def test_reports_exactly_the_kernels(self, spin, grid, c_from, width, mass):
+        ktol, c_to = 1e-8, c_from + width
+        found = kernel_twists(spin, c_from, c_to, grid, mass, ktol)
+
+        def min_abs(c):
+            m = build_circle_dirac(grid, Scheme.SPECTRAL, spin, c).matrix
+            if mass != 0.0:
+                m = mass_doubled(m, mass)
+            return np.min(np.abs(np.linalg.eigvalsh(m)))
+
+        # every reported twist mod 1 is a kernel of a freshly built operator
+        # at some twist in the range
+        for c in found:
+            lifts = [c + k for k in range(math.floor(c_from - c), math.ceil(c_to - c) + 1)
+                     if c_from - 1e-9 <= c + k <= c_to + 1e-9]
+            assert any(min_abs(x) < ktol for x in lifts)
+        # every in-range kernel location -CLIFFORD_SIGN * mu is reported
+        base = build_circle_dirac(grid, Scheme.SPECTRAL, spin, 0.0).matrix
+        for mu in np.linalg.eigvalsh(base):
+            c = -CLIFFORD_SIGN * mu
+            if c_from <= c <= c_to and abs(mass) < ktol:
+                assert any(min(abs(c % 1.0 - f), 1.0 - abs(c % 1.0 - f)) < 1e-6
+                           for f in found)
+
+    @pytest.mark.parametrize("spin,kernel", [(BOUND, 0.5), (NONBOUND, 1.0)])
+    def test_kernel_just_outside_is_reported_at_range_end(self, spin, kernel):
+        assert kernel_twists(spin, kernel - 0.7, kernel - 1e-9, 16, 0.0, 1e-8) == [
+            pytest.approx((kernel - 1e-9) % 1.0, abs=1e-15)]
+        assert kernel_twists(spin, kernel + 1e-9, kernel + 0.7, 16, 0.0, 1e-8) == [
+            pytest.approx((kernel + 1e-9) % 1.0, abs=1e-15)]
+        assert kernel_twists(spin, kernel - 0.7, kernel - 1e-7, 16, 0.0, 1e-8) == []
+
     def test_rejects_bad_range(self):
         with pytest.raises(ContractViolation):
-            kernel_twists(BOUND, 0.5, 0.5, 40, 16, 0.0, 1e-8)
-        with pytest.raises(ContractViolation):
-            kernel_twists(BOUND, 0.0, 1.0, 2, 16, 0.0, 1e-8)
+            kernel_twists(BOUND, 0.5, 0.5, 16, 0.0, 1e-8)
         for c_from, c_to, mass in ((0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
                                    (0.0, math.inf, 0.0), (-math.inf, 1.0, 0.0),
                                    (math.nan, 1.0, 0.0)):
             with pytest.raises(ContractViolation, match="finite"):
-                kernel_twists(BOUND, c_from, c_to, 40, 16, mass, 1e-8)
+                kernel_twists(BOUND, c_from, c_to, 16, mass, 1e-8)
 
 
 class TestCoverSections:

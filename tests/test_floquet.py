@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import (circle_zero_symbols, invertible_symbols, numeric_kernel_dim,
-                     section_index_oracle, singular_values, winding_test_symbols)
+                     section_index_oracle, singular_values, symbol_direct_sum,
+                     winding_test_symbols)
 from spinspec import floquet
 from spinspec.conventions import FREDHOLM_TOL, HERMITICITY_TOL, twist_to_floquet
 from spinspec.discretize import (Scheme, build_circle_dirac, mass_doubled,
@@ -17,7 +18,7 @@ from spinspec.errors import ContractViolation, DegenerateCrossing
 from spinspec.floquet import (LaurentSymbol, finite_section,
                               fredholm_via_sections, is_fredholm,
                               min_singular_on_circle, spectral_flow,
-                              symbol_direct_sum, symbol_eval, toeplitz_index)
+                              symbol_eval, toeplitz_index)
 from spinspec.linalg import hermitian_eigenvalues
 from spinspec.spectra import SpinStructure
 

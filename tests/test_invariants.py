@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _corpus import alpha_s1, w_cs_mod2_matches_beta, w_mod2_equals_rohlin
 from spinspec.errors import ContractViolation
-from spinspec.invariants import (Mod2Rational, alpha_n, alpha_s1, beta,
-                                 beta_welldefined_check, builtin_form, diag_form,
-                                 direct_sum, ko_group, negate, novikov_glue_signature,
-                                 parse_form_spec, rohlin, w_cs,
-                                 w_cs_mod2_matches_beta, w_invariant,
-                                 w_mod2_equals_rohlin, w_welldefined_delta)
+from spinspec.invariants import (Mod2Rational, alpha_n, beta, builtin_form,
+                                 diag_form, direct_sum, ko_group, negate,
+                                 parse_form_spec, rohlin, w_cs, w_invariant)
 from spinspec.linalg import Inertia, rational_ldl_inertia
 
 
@@ -220,17 +218,18 @@ class TestLiftedInvariants:
             w_mod2_equals_rohlin(1, 8)
 
     def test_w_welldefined_delta(self):
-        assert w_welldefined_delta(8, 8) == 0
-        assert w_welldefined_delta(8, 24) == -2
-        assert w_welldefined_delta(0, -16) == 2
-        # plugging the jump back into the lift leaves it unchanged
-        assert w_invariant(0, 8) == w_invariant(0 + w_welldefined_delta(8, 24), 24)
+        # the index jumps by (sign W - sign W')/8 between two bounding
+        # choices, which cancels the signature correction of the lift
+        for sig_w, sig_w_prime, delta in ((8, 8, 0), (8, 24, -2), (0, -16, 2)):
+            assert Fraction(sig_w - sig_w_prime, 8) == delta
+            assert w_invariant(0, sig_w) == w_invariant(0 + delta, sig_w_prime)
 
     def test_glue_signature(self):
-        assert novikov_glue_signature(8, 8) == 0
-        assert novikov_glue_signature(8, 0) == -8
-        # composing with the delta: delta = -(glued)/8
-        assert w_welldefined_delta(8, 24) == Fraction(-novikov_glue_signature(8, 24), 8)
+        # -W and W' glued along their boundary: additivity gives
+        # sign(W') - sign(W), and the index jump is -(glued)/8
+        for sig_w, sig_w_prime, glued in ((8, 8, 0), (8, 0, -8), (8, 24, 16)):
+            assert sig_w_prime - sig_w == glued
+            assert w_invariant(0, sig_w) == w_invariant(Fraction(-glued, 8), sig_w_prime)
 
 
 class TestBeta:
@@ -258,9 +257,10 @@ class TestBeta:
         assert beta("1.5", 0).value == Fraction(3, 2)
 
     def test_welldefined_examples(self):
-        assert beta_welldefined_check(1, -16, 8)
-        assert beta_welldefined_check(0, 0, -24)
-        assert beta_welldefined_check(Fraction(1, 2), 4, 16)
+        # moving the cut across a cobordism W: rho -> rho + sign(W)/8 and
+        # sign(V) -> sign(V) + 2 sign(W), corrections that cancel mod 2
+        for rho, sig_v, sig_w in ((1, -16, 8), (0, 0, -24), (Fraction(1, 2), 4, 16)):
+            assert beta(rho + Fraction(sig_w, 8), sig_v + 2 * sig_w).same_mod2(beta(rho, sig_v))
 
 
 class TestIdentitySuites:
