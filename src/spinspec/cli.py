@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Every subcommand emits a versioned JSON report (or CSV for spectra) on
-stdout.  Exit codes: 0 success, 2 input/parse error, 3 domain or contract
-error.  The environment variable ``SPECTRAL_TOL`` overrides the default
-tolerance used for Fredholm verdicts and kernel detection.
+Every subcommand emits a versioned JSON report on one line of stdout (or
+CSV for spectra).  Exit codes: 0 success, 2 input/parse error, 3 domain
+or contract error.  The environment variable ``SPECTRAL_TOL`` overrides
+the default tolerance used for Fredholm verdicts and kernel detection.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .problemfile import INVARIANT_INPUTS, evaluate_invariant_record, parse_prob
 from .spectra import (SpinStructure, circle_spectrum, product_square_spectrum,
                       sphere_spectrum)
 
-SCHEMA = "spinspec.report/1"
+SCHEMA = "spinspec.report/2"
 
 __all__ = ["main", "entry", "report_to_json"]
 
@@ -50,7 +50,9 @@ def _env_tol(default: float) -> float:
 
 
 def report_to_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """One compact line with sorted keys; without ``indent``, ``json.dumps``
+    runs its C encoder.  ``python -m json.tool`` indents it for reading."""
+    return json.dumps(doc, sort_keys=True)
 
 
 def _report(command: List[str], results: dict, tolerances: dict, t0: float) -> dict:
@@ -335,7 +337,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.convention:
-        sys.stdout.write(json.dumps(convention_block(), sort_keys=True, indent=2) + "\n")
+        _emit(convention_block())
         return 0
     if args.cmd is None:
         parser.print_usage(sys.stderr)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import List, Tuple, Union
+from typing import List, NoReturn, Tuple, Union
 
 import numpy as np
 
@@ -80,34 +80,43 @@ def _split_sections(text: str) -> List[_Section]:
     return sections
 
 
-def _parse_complex(token: str, lineno: int, col: int) -> complex:
-    try:
-        return complex(token)
-    except ValueError:
-        raise ParseError(f"bad complex number {token!r}", lineno, col) from None
-
-
-def _parse_int(token: str, lineno: int, col: int = 1) -> int:
+def _parse_int(token: str, lineno: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"bad integer {token!r}", lineno, col) from None
+        raise ParseError(f"bad integer {token!r}", lineno) from None
 
 
-def _matrix_rows(body, parse_entry):
+# entry type of each table kind, and its name in parse errors
+_ENTRY_NAMES = {complex: "complex number", int: "integer"}
+
+
+def _matrix_rows(body, entry):
+    """Rows of a whitespace-separated table of ``entry`` values (complex or
+    int) as (line number, row).  A bad token is located only on failure, by
+    scanning its line again."""
     rows = []
     for lineno, raw in body:
         line = _strip_comment(raw)
-        if not line.strip():
+        tokens = line.split()
+        if not tokens:
             continue
-        row = []
-        col = 0
-        for token in line.split():
-            col = line.index(token, col)
-            row.append(parse_entry(token, lineno, col + 1))
-            col += len(token)
-        rows.append((lineno, row))
+        try:
+            rows.append((lineno, list(map(entry, tokens))))
+        except ValueError:
+            _raise_bad_token(line, tokens, lineno, entry)
     return rows
+
+
+def _raise_bad_token(line: str, tokens: List[str], lineno: int, entry) -> NoReturn:
+    col = 0
+    for token in tokens:
+        col = line.index(token, col)
+        try:
+            entry(token)
+        except ValueError:
+            raise ParseError(f"bad {_ENTRY_NAMES[entry]} {token!r}", lineno, col + 1) from None
+        col += len(token)
 
 
 def _key_values(body) -> dict:
@@ -144,7 +153,7 @@ def _build_symbol(sections: List[_Section]) -> LaurentSymbol:
             raise ParseError(f"coefficient offset {j} exceeds bandwidth {d}", sec.line)
         if j in coeffs:
             raise ParseError(f"duplicate coefficient {j}", sec.line)
-        rows = _matrix_rows(sec.body, _parse_complex)
+        rows = _matrix_rows(sec.body, complex)
         if len(rows) != n:
             raise ParseError(f"coefficient {j} needs {n} rows", sec.line)
         for lineno, row in rows:
@@ -164,7 +173,7 @@ def _build_form(section: _Section) -> IntersectionForm:
     data_lines = [(ln, raw) for ln, raw in section.body if ":" not in _strip_comment(raw)]
     meta = _key_values(meta_lines)
     name = meta.get("name", (section.line, "form"))[1]
-    rows = _matrix_rows(data_lines, _parse_int)
+    rows = _matrix_rows(data_lines, int)
     if not rows:
         raise ParseError("form section has no matrix rows", section.line)
     try:

@@ -89,9 +89,6 @@ class SpectrumSample:
     def eigenvalues(self) -> np.ndarray:
         return np.array([lam for lam, _ in self.pairs])
 
-    def multiplicities(self) -> np.ndarray:
-        return np.array([m for _, m in self.pairs], dtype=int)
-
     def min_abs(self) -> float:
         return float(min(abs(lam) for lam, _ in self.pairs))
 

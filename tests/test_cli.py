@@ -311,7 +311,7 @@ class TestFormsCommand:
 class TestReportDocument:
     def test_schema_and_convention(self, capsys, shifted_scalar_file):
         doc = run_json(capsys, "fredholm", shifted_scalar_file)
-        assert doc["schema"] == "spinspec.report/1"
+        assert doc["schema"] == "spinspec.report/2"
         assert doc["convention"]["clifford_sign"] == -1
         assert "tolerances" in doc and "timing_s" in doc
 
@@ -320,6 +320,37 @@ class TestReportDocument:
         assert code == 0
         text = out[:-1]  # strip the trailing newline
         assert report_to_json(json.loads(text)) == text
+
+    def test_large_report_round_trip_byte_identical(self, capsys):
+        code, out, _ = run(capsys, "forms", "sum", "8K3+2E8")
+        assert code == 0
+        text = out[:-1]
+        assert json.loads(text)["results"]["rank"] == 192
+        assert report_to_json(json.loads(text)) == text
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "circle", "--band", "3"],
+        ["spectrum", "sphere", "--l", "2", "--kmax", "1"],
+        ["spectrum", "product", "--band", "3", "--kmax", "2", "--cutoff", "10"],
+        ["twist-scan", "--spin", "nonbounding"],
+        ["fredholm", "SYMBOL"],
+        ["index", "SYMBOL"],
+        ["spectral-flow", "LOOP", "--steps", "10"],
+        ["invariant", "beta", "--rho", "1", "--sig-v", "-16"],
+        ["forms", "list"],
+        ["forms", "show", "K3"],
+        ["forms", "sum", "-E8+E8+3H"],
+        ["--convention"],
+    ])
+    def test_one_line_per_report(self, capsys, tmp_path, shifted_scalar_file, argv):
+        loop = tmp_path / "loop.txt"
+        loop.write_text(symbol_to_text(LaurentSymbol.scalar({0: 0.7, 1: 0.9, -1: 0.9})))
+        files = {"SYMBOL": shifted_scalar_file, "LOOP": str(loop)}
+        argv = [files.get(a, a) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out.endswith("\n") and out.count("\n") == 1
+        json.loads(out)
 
     def test_results_deterministic(self, capsys):
         doc1 = run_json(capsys, "spectrum", "circle", "--c", "0.3", "--band", "5")

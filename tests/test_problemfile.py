@@ -46,6 +46,14 @@ class TestSymbolFiles:
         assert err.value.line == 7
         assert err.value.column == 4
 
+    def test_bad_entry_mid_row_has_position(self):
+        text = ("[symbol]\nblock-size: 3\nbandwidth: 1\n[coeff 0]\n1 0 0\n"
+                "0  1+2j  0\n0 0 1\n[coeff 1]\n1 0 0\n0 1 0\n"
+                "0j  1+2j 2+jj 0  # comment\n")
+        with pytest.raises(ParseError, match="bad complex number '2\\+jj'") as err:
+            parse_problem_file(text)
+        assert (err.value.line, err.value.column) == (11, 10)
+
     def test_missing_metadata(self):
         with pytest.raises(ParseError):
             parse_problem_file("[symbol]\nbandwidth: 1\n[coeff 0]\n1\n")
@@ -79,6 +87,12 @@ class TestFormFiles:
         with pytest.raises(ParseError) as err:
             parse_problem_file("[form]\nname: bad\n0 x\nx 0\n")
         assert err.value.line == 3
+
+    def test_bad_integer_mid_row_has_position(self):
+        text = "[form]\nname: bad\n2 1 0\n 1   2 1.5 1\n0 1 2\n"
+        with pytest.raises(ParseError, match="bad integer '1.5'") as err:
+            parse_problem_file(text)
+        assert (err.value.line, err.value.column) == (4, 8)
 
 
 class TestInvariantRecords:
