@@ -16,9 +16,10 @@ with the recorded branch of ln z, z = exp(-i c) reproduces the twist-c
 operator.  Weight lifts are stored in angle units, so the lift of a
 degree-d circle map rises by 2*pi*d across one period.
 
-``kernel_twists`` locates the kernels of the twisted spectral family in
-closed form from one eigensolve: the twist term is a multiple of the
-identity, so the twist-c spectrum is the untwisted spectrum mu shifted to
+``kernel_twists`` reads the kernels of the twisted spectral family off
+the closed-form circle lattice, with no operator build and no eigensolve:
+the spectral scheme's untwisted eigenvalues are mu = -(lattice modes), the
+twist term is a multiple of the identity, so the twist-c spectrum is
 mu + CLIFFORD_SIGN * c, and the mass-doubled one is
 +-hypot(mu + CLIFFORD_SIGN * c, m).  A kernel sits at
 c = -CLIFFORD_SIGN * mu, and only when the mass is below the tolerance.
@@ -38,7 +39,7 @@ from .conventions import CLIFFORD_SIGN, DEFAULT_LN_BRANCH
 from .errors import ContractViolation
 from .floquet import LaurentSymbol
 from .linalg import hermitian_eigenvalues, is_hermitian
-from .spectra import SpectrumSample, SpinStructure
+from .spectra import SpectrumSample, SpinStructure, circle_modes
 
 __all__ = [
     "Scheme",
@@ -128,9 +129,9 @@ class FourierLaplaceOperator:
     ln_z: complex
 
 
-def _modes(n: int, spin: SpinStructure) -> np.ndarray:
-    base = np.arange(-n // 2, n // 2, dtype=float)
-    return base + 0.5 if spin is SpinStructure.BOUNDING else base
+def _check_grid(n: int) -> None:
+    if n < 8 or n % 2 != 0:
+        raise ContractViolation("grid size must be even and at least 8")
 
 
 def _wrap_sign(spin: SpinStructure) -> float:
@@ -142,18 +143,18 @@ def build_circle_dirac(n: int, scheme: Scheme, spin: SpinStructure,
     """Discretize the twisted circle operator on n grid sites.
 
     Both schemes shift by the scalar twist term, which acts as -c under
-    the recorded Clifford sign.  Spectral eigenvalues are exactly
-    {k + 1/2 - c} (bounding) resp. {k - c} (non-bounding) over the n
-    Fourier modes; the central-difference ones agree to O(h^2) away from
-    the band edge.
+    the recorded Clifford sign.  The spectral scheme's eigenvalues are the
+    negated ``spectra.circle_modes`` for k = -n/2 .. n/2 - 1, shifted by
+    -c, to machine precision (``kernel_twists`` reads them without this
+    build); the central-difference ones agree to O(h^2) away from the
+    band edge.
     """
-    if n < 8 or n % 2 != 0:
-        raise ContractViolation("grid size must be even and at least 8")
+    _check_grid(n)
     theta = grid_angles(n)
     if scheme is Scheme.SPECTRAL:
-        mu = _modes(n, spin)
-        f = np.exp(-1j * np.outer(mu, theta)) / math.sqrt(n)
-        m = f.conj().T @ (np.diag(-mu).astype(complex) @ f)
+        modes = circle_modes(spin, -n // 2, n // 2)
+        f = np.exp(-1j * np.outer(modes, theta)) / math.sqrt(n)
+        m = (f.conj().T * -modes) @ f
         m = 0.5 * (m + m.conj().T)
     elif scheme is Scheme.CENTRAL_DIFFERENCE:
         h = 2.0 * np.pi / n
@@ -177,23 +178,22 @@ def kernel_twists(spin: SpinStructure, c_from: float, c_to: float,
     """Twists c mod 1 in [c_from, c_to] where the spectral-scheme operator
     on ``grid`` sites (mass-doubled when ``mass`` is nonzero) has a kernel.
 
-    The twist adds CLIFFORD_SIGN * c times the identity (``_twisted``), so
-    the twist-c eigenvalues are mu + CLIFFORD_SIGN * c for the untwisted
-    eigenvalues mu, and the mass-doubled operator, which squares to
-    (A^2 + m^2) (x) I, has +-hypot(mu + CLIFFORD_SIGN * c, m).  The smallest
-    |eigenvalue| near each mu is least at c = -CLIFFORD_SIGN * mu, clipped
-    to the range, so one eigensolve gives every kernel exactly: that twist
-    is kept when its |eigenvalue| is below ``ktol``, and a kernel within
-    ``ktol`` just outside the range is reported at the range end.
-    Locations closer than 1e-6 mod 1 merge.  A non-finite range end or mass
-    is rejected.
+    Nothing is built or solved: the untwisted eigenvalues are the negated
+    lattice modes mu of ``spectra.circle_modes``, the twist adds
+    CLIFFORD_SIGN * c times the identity (``_twisted``), and the
+    mass-doubled operator, which squares to (A^2 + m^2) (x) I, has
+    +-hypot(mu + CLIFFORD_SIGN * c, m).  Each |eigenvalue| is least at
+    c = -CLIFFORD_SIGN * mu, clipped to the range; that twist is kept when
+    it is below ``ktol``, so a kernel within ``ktol`` just outside the
+    range is reported at the range end.  Locations closer than 1e-6 mod 1
+    merge.  A non-finite range end or mass is rejected.
     """
     if not all(math.isfinite(x) for x in (c_from, c_to, mass)):
         raise ContractViolation("twist range and mass must be finite")
     if c_to <= c_from:
         raise ContractViolation("empty twist range")
-    base = build_circle_dirac(grid, Scheme.SPECTRAL, spin, 0.0).matrix
-    mu = hermitian_eigenvalues(base).eigenvalues
+    _check_grid(grid)
+    mu = -circle_modes(spin, -grid // 2, grid // 2)
     cs = np.clip(-CLIFFORD_SIGN * mu, c_from, c_to)
     cs = cs[np.hypot(mu + CLIFFORD_SIGN * cs, mass) < ktol]
     deduped = []

@@ -315,7 +315,7 @@ def is_fredholm(s: LaurentSymbol, tol: float = FREDHOLM_TOL,
         verdict = "inconclusive"
     index = None
     if fred and s.block_size * max(s.bandwidth, 1) <= _INDEX_FILL_LIMIT:
-        index = toeplitz_index(s, tol=tol, _min_singular=value)
+        index = _winding_index(s)
     return FredholmReport(is_fredholm=fred, min_singular=value, witness=witness,
                           index=index, grid_used=grid, tol=tol,
                           lower_bound=found.lower_bound, verdict=verdict,
@@ -341,21 +341,24 @@ def _arg_increment(s: LaurentSymbol, a: float, b: float,
             + _arg_increment(s, mid, b, vm, vb, depth + 1))
 
 
-def toeplitz_index(s: LaurentSymbol, tol: float = FREDHOLM_TOL,
-                   _min_singular: Optional[float] = None) -> int:
-    """Index of the half-line compression: minus the winding number of
-    det A(z) around 0.
+def toeplitz_index(s: LaurentSymbol, tol: float = FREDHOLM_TOL) -> int:
+    """Index of the half-line compression (``_winding_index``) of a symbol
+    whose sigma_min on the unit circle exceeds ``tol``."""
+    value, _ = min_singular_on_circle(s)
+    if value <= tol:
+        raise ContractViolation("symbol is not Fredholm; the index is undefined")
+    return _winding_index(s)
+
+
+def _winding_index(s: LaurentSymbol) -> int:
+    """Minus the winding number of det A(z) around 0 (``INDEX_SIGN``), for
+    a symbol already known to be invertible on the unit circle.
 
     The winding follows the unit-modulus phase det A(z) / |det A(z)|, the
     sign from ``slogdet``, so it holds for any scale of the symbol.  The
     phase is taken on a batched 64-point grid, and a step that turns it
     by pi/2 or more is halved until no step does.
     """
-    value = _min_singular
-    if value is None:
-        value, _ = min_singular_on_circle(s)
-    if value <= tol:
-        raise ContractViolation("symbol is not Fredholm; the index is undefined")
     base = 64
     thetas = 2.0 * np.pi * np.arange(base + 1) / base
     phases = _scan(s, np.exp(1j * thetas),

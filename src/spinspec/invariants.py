@@ -107,13 +107,6 @@ def _form(name: str, matrix: tuple, inertia: Inertia) -> IntersectionForm:
 
 def form_from_rows(name: str, rows: Sequence[Sequence[int]]) -> IntersectionForm:
     matrix = tuple(tuple(int(x) for x in row) for row in rows)
-    n = len(matrix)
-    if n == 0 or any(len(r) != n for r in matrix):
-        raise ContractViolation("form matrix must be square and nonempty")
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j] != matrix[j][i]:
-                raise ContractViolation("form matrix must be symmetric")
     return _form(name, matrix, rational_ldl_inertia(matrix))
 
 

@@ -23,6 +23,7 @@ from .errors import ContractViolation
 __all__ = [
     "SpinStructure",
     "SpectrumSample",
+    "circle_modes",
     "circle_spectrum",
     "sphere_spectrum",
     "product_square_spectrum",
@@ -86,9 +87,6 @@ class SpectrumSample:
         """Eigenvalues expanded with multiplicity, ascending."""
         return np.array([lam for lam, m in self.pairs for _ in range(m)])
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([lam for lam, _ in self.pairs])
-
     def min_abs(self) -> float:
         return float(min(abs(lam) for lam, _ in self.pairs))
 
@@ -99,15 +97,20 @@ class SpectrumSample:
         return 0
 
 
+def circle_modes(spin: SpinStructure, k_from: int, k_to: int) -> np.ndarray:
+    """The untwisted circle lattice: k + 1/2 (bounding) or k (non-bounding)
+    for k_from <= k < k_to, ascending."""
+    offset = 0.5 if spin is SpinStructure.BOUNDING else 0.0
+    return np.arange(k_from, k_to, dtype=float) + offset
+
+
 def circle_spectrum(spin: SpinStructure, c: float, band: int) -> SpectrumSample:
     """Twisted circle spectrum {k + 1/2 + s*c} (bounding) or {k + s*c}
     (non-bounding) for |k| <= band, each with multiplicity one.  The
     Clifford sign s is fixed in ``conventions``."""
     if band < 1:
         raise ContractViolation("band must be >= 1")
-    offset = 0.5 if spin is SpinStructure.BOUNDING else 0.0
-    shift = CLIFFORD_SIGN * float(c)
-    vals = [k + offset + shift for k in range(-band, band + 1)]
+    vals = circle_modes(spin, -band, band + 1) + CLIFFORD_SIGN * float(c)
     return SpectrumSample.from_eigenvalues(vals, band=band)
 
 

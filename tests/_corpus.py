@@ -176,7 +176,7 @@ def lichnerowicz_bound_check(spectrum_sq, kappa_min: float, tol: float = DEFAULT
     """Check a squared spectrum against the scalar-curvature bound
     min >= kappa_min / 4 - tol.  The twisting connection is flat, so the
     twist contributes no curvature term."""
-    vals = spectrum_sq.eigenvalues()
+    vals = np.array([lam for lam, _ in spectrum_sq.pairs])
     if np.any(vals < -tol):
         raise ContractViolation("squared spectrum has negative entries")
     return bool(vals.min() >= kappa_min / 4.0 - tol)

@@ -112,13 +112,16 @@ class TestTwistScan:
     @pytest.mark.parametrize("flag,value", [("--massive", "nan"), ("--massive", "inf"),
                                             ("--c-to", "inf"), ("--c-from", "-inf"),
                                             ("--c-from", "-nan"), ("--c-from", "-Infinity"),
-                                            ("--c-to", "-INF")])
-    def test_nonfinite_input_exit_3(self, capsys, flag, value):
+                                            ("--c-to", "-INF"), ("--grid", "7"),
+                                            ("--grid", "4")])
+    def test_bad_input_exit_3(self, capsys, flag, value):
         code, out, err = run(capsys, "twist-scan", "--steps", "40", "--grid", "16",
                              flag, value)
         assert code == 3
         assert out == ""
         assert err.startswith("error:")
+        if flag == "--grid":
+            assert "grid size must be even and at least 8" in err
 
 
 class TestFredholmCommands:

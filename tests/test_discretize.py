@@ -299,19 +299,21 @@ class TestKernelTwists:
             built = build_circle_dirac(n, Scheme.SPECTRAL, spin, c).matrix
             assert shifted.tobytes() == built.tobytes()
 
-    @pytest.mark.parametrize("mass,kernels", [(0.0, [0.5]), (0.5, [])])
-    def test_one_build_and_one_solve_per_scan(self, monkeypatch, mass, kernels):
+    @pytest.mark.parametrize("grid", [32, 64, 128, 512])
+    @pytest.mark.parametrize("spin,kernel", [(BOUND, 0.5), (NONBOUND, 0.0)])
+    @pytest.mark.parametrize("mass", [0.0, 0.5])
+    def test_no_build_and_no_solve_per_scan(self, monkeypatch, grid, spin, kernel, mass):
+        # kernels come off the closed-form lattice, exactly on it
         builds, solves = [], []
         build, solve = discretize.build_circle_dirac, discretize.hermitian_eigenvalues
         monkeypatch.setattr(discretize, "build_circle_dirac",
                             lambda *a: builds.append(a) or build(*a))
         monkeypatch.setattr(discretize, "hermitian_eigenvalues",
                             lambda m: solves.append(1) or solve(m))
-        found = kernel_twists(BOUND, -0.3, 0.7, 32, mass, 1e-8)
-        assert len(found) == len(kernels)
-        assert all(abs(a - b) < 1e-9 for a, b in zip(found, kernels))
-        assert len(builds) == 1
-        assert len(solves) == 1
+        found = kernel_twists(spin, -0.3, 0.7, grid, mass, 1e-8)
+        assert found == ([kernel] if mass == 0.0 else [])
+        assert builds == []
+        assert solves == []
 
     @settings(max_examples=25, deadline=None)
     @given(spin=st.sampled_from([BOUND, NONBOUND]),

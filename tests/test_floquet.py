@@ -332,10 +332,10 @@ class TestToeplitzIndex:
     ])
     def test_determinant_out_of_range(self, coeffs, n, tol):
         s = LaurentSymbol({j: v * np.eye(n) for j, v in coeffs.items()})
-        # sigma_min is |A_0| - |A_1| in closed form; passing it skips a
-        # 512-point scan of 200 x 200 blocks that the winding does not use
-        sigma = abs(coeffs[0]) - abs(coeffs[1])
-        assert toeplitz_index(s, tol=tol, _min_singular=sigma) == 0
+        # sigma_min is |A_0| - |A_1| > tol in closed form; the winding alone
+        # skips a 512-point scan of 200 x 200 blocks that it does not use
+        assert abs(coeffs[0]) - abs(coeffs[1]) > tol
+        assert floquet._winding_index(s) == 0
         if n <= 64:
             assert toeplitz_index(s, tol=tol) == 0
 

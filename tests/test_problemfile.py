@@ -79,9 +79,10 @@ class TestFormFiles:
         assert isinstance(f, IntersectionForm)
         assert (f.name, f.rank, f.signature) == ("H", 2, 0)
 
-    def test_asymmetric_rejected(self):
+    @pytest.mark.parametrize("matrix", ["0 1\n2 0\n", "0 1\n1 0\n2 2\n"])
+    def test_asymmetric_rejected(self, matrix):
         with pytest.raises(ParseError):
-            parse_problem_file("[form]\nname: bad\n0 1\n2 0\n")
+            parse_problem_file("[form]\nname: bad\n" + matrix)
 
     def test_bad_integer_position(self):
         with pytest.raises(ParseError) as err:
