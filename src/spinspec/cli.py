@@ -4,6 +4,10 @@ Every subcommand emits a versioned JSON report on one line of stdout (or
 CSV for spectra).  Exit codes: 0 success, 2 input/parse error, 3 domain
 or contract error.  The environment variable ``SPECTRAL_TOL`` overrides
 the default tolerance used for Fredholm verdicts and kernel detection.
+
+The numeric handlers import ``floquet``, ``spectra`` and ``discretize``,
+and with them numpy, in their own bodies, so ``forms``, ``invariant``,
+``--convention`` and ``--help`` start without loading numpy.
 """
 
 from __future__ import annotations
@@ -15,21 +19,18 @@ import os
 import re
 import sys
 import time
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from . import __version__
 from .conventions import (CIRCLE_GRID, FREDHOLM_TOL, GROUPING_TOL,
                           convention_block, twist_to_floquet)
-from .discretize import kernel_twists
 from .errors import ContractViolation, ParseError
-from .floquet import (LaurentSymbol, is_fredholm, spectral_flow, symbol_eval,
-                      toeplitz_index)
 from .invariants import KOElement, Mod2Rational, builtin_form, parse_form_spec
 from .problemfile import INVARIANT_INPUTS, evaluate_invariant_record, parse_problem_file
-from .spectra import (SpinStructure, circle_spectrum, product_square_spectrum,
-                      sphere_spectrum)
+
+if TYPE_CHECKING:
+    from .floquet import LaurentSymbol
+    from .spectra import SpinStructure
 
 SCHEMA = "spinspec.report/2"
 
@@ -72,6 +73,8 @@ def _emit(doc: dict) -> None:
 
 
 def _spin(name: str) -> SpinStructure:
+    from .spectra import SpinStructure
+
     try:
         return SpinStructure(name)
     except ValueError:
@@ -97,6 +100,8 @@ def _emit_spectrum(args, sample, command, t0) -> int:
 
 
 def _cmd_spectrum(args, command, t0) -> int:
+    from .spectra import circle_spectrum, product_square_spectrum, sphere_spectrum
+
     if args.kind == "circle":
         sample = circle_spectrum(_spin(args.spin), args.c, args.band)
     elif args.kind == "sphere":
@@ -109,6 +114,8 @@ def _cmd_spectrum(args, command, t0) -> int:
 
 
 def _cmd_twist_scan(args, command, t0) -> int:
+    from .discretize import kernel_twists
+
     ktol = _env_tol(1e-8)
     locations = kernel_twists(_spin(args.spin), args.c_from, args.c_to,
                               args.grid, args.massive, ktol)
@@ -121,6 +128,8 @@ def _cmd_twist_scan(args, command, t0) -> int:
 
 
 def _load_symbol(path: str) -> LaurentSymbol:
+    from .floquet import LaurentSymbol
+
     with open(path, "r", encoding="utf-8") as fh:
         obj = parse_problem_file(fh.read())
     if not isinstance(obj, LaurentSymbol):
@@ -129,6 +138,8 @@ def _load_symbol(path: str) -> LaurentSymbol:
 
 
 def _cmd_fredholm(args, command, t0) -> int:
+    from .floquet import is_fredholm
+
     s = _load_symbol(args.file)
     tol = args.tol if args.tol is not None else _env_tol(FREDHOLM_TOL)
     rep = is_fredholm(s, tol=tol, grid=args.grid)
@@ -147,6 +158,8 @@ def _cmd_fredholm(args, command, t0) -> int:
 
 
 def _cmd_index(args, command, t0) -> int:
+    from .floquet import toeplitz_index
+
     s = _load_symbol(args.file)
     tol = args.tol if args.tol is not None else _env_tol(FREDHOLM_TOL)
     idx = toeplitz_index(s, tol=tol)
@@ -155,11 +168,13 @@ def _cmd_index(args, command, t0) -> int:
 
 
 def _cmd_spectral_flow(args, command, t0) -> int:
+    from .floquet import spectral_flow, symbol_eval
+
     s = _load_symbol(args.file)
     if not s.hermitian_symmetric:
         raise ContractViolation("spectral flow needs a Hermitian-symmetric symbol")
 
-    def family(c: float) -> np.ndarray:
+    def family(c: float):
         # the symbol is Hermitian-symmetric, so A(z) is Hermitian on the
         # circle up to evaluation rounding, which is not small relative to
         # ||A(z)|| where an eigenvalue crosses zero: take the Hermitian part
@@ -301,6 +316,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 _EXIT3_COMMANDS = {"invariant", "index", "fredholm", "spectral-flow", "twist-scan"}
+_NUMERIC_COMMANDS = {"spectrum", "twist-scan", "fredholm", "index", "spectral-flow"}
 
 
 # -33/4, -0.5, -16, -inf, -nan: never a flag
@@ -342,8 +358,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.cmd is None:
         parser.print_usage(sys.stderr)
         return 2
+    if args.cmd in _NUMERIC_COMMANDS:
+        from . import discretize  # loads the numeric layers and numpy untimed
     t0 = time.perf_counter()
-    command = [args.cmd] + [a for a in argv if a != args.cmd]
+    rest = list(argv)
+    rest.remove(args.cmd)  # the subcommand token only: a file or value may equal it
+    command = [args.cmd] + rest
     dispatch = {
         "spectrum": _cmd_spectrum,
         "twist-scan": _cmd_twist_scan,

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import ContractViolation
-from .linalg import Inertia, rational_ldl_inertia
+from .exact import Inertia, rational_ldl_inertia
 
 __all__ = [
     "Mod2Rational",

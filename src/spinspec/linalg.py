@@ -1,21 +1,20 @@
-"""Dense complex linear algebra and exact rational symmetric-form arithmetic.
+"""Dense complex linear algebra.
 
-Floating-point routines operate on square complex matrices, or stacks of
-them, at desk scale (dimension up to a few thousand).  The exact routines
-work over arbitrary-precision rationals and never touch floating point;
-they back every signature computation in the invariant layer.
+The routines operate on square complex matrices, or stacks of them, at
+desk scale (dimension up to a few thousand).  The exact rational LDL
+inertia lives in the numpy-free ``exact`` module; ``Inertia`` and
+``rational_ldl_inertia`` are re-exported here under their public names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .conventions import DEFAULT_TOL, HERMITICITY_TOL
 from .errors import ContractViolation
+from .exact import Inertia, rational_ldl_inertia
 
 __all__ = [
     "EigResult",
@@ -47,23 +46,6 @@ class EigResult:
 
     eigenvalues: np.ndarray
     residual: float
-
-
-@dataclass(frozen=True)
-class Inertia:
-    """Counts of positive, negative and zero pivots of a symmetric form."""
-
-    n_plus: int
-    n_minus: int
-    n_zero: int
-
-    @property
-    def signature(self) -> int:
-        return self.n_plus - self.n_minus
-
-    @property
-    def dimension(self) -> int:
-        return self.n_plus + self.n_minus + self.n_zero
 
 
 def _within_hermiticity_tol(x: np.ndarray, adjoint: np.ndarray, axis=None):
@@ -149,75 +131,3 @@ def sigma_min(a: np.ndarray, hermitian: bool):
     if hermitian:
         return np.abs(np.linalg.eigvalsh(a)).min(axis=-1)
     return np.linalg.svd(a, compute_uv=False)[..., -1]
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value
-    raise ContractViolation(f"entry {x!r} is not exactly representable as a rational")
-
-
-def rational_ldl_inertia(s: Sequence[Sequence]) -> Inertia:
-    """Inertia of an exact symmetric matrix by pivoted LDL over rationals.
-
-    Pivoting: largest-magnitude diagonal entry; when every active diagonal
-    vanishes, a 2x2 off-diagonal block pivot (needed for even forms such as
-    the hyperbolic plane).  Sylvester's law makes the pivot signs an
-    invariant, so ``signature`` is exact.  Singular forms are fine; the
-    defect is reported in ``n_zero``.
-    """
-    rows = [[_to_fraction(x) for x in row] for row in s]
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ContractViolation("expected a nonempty square matrix")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ContractViolation("matrix is not exactly symmetric")
-
-    a = {(i, j): rows[i][j] for i in range(n) for j in range(n)}
-    active = list(range(n))
-    n_plus = n_minus = 0
-    while active:
-        piv = max(active, key=lambda i: abs(a[i, i]))
-        if a[piv, piv] != 0:
-            d = a[piv, piv]
-            if d > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            active.remove(piv)
-            # rows and columns with a zero multiplier are left unchanged
-            col = [(i, a[i, piv]) for i in active if a[i, piv] != 0]
-            for i, ci in col:
-                m = ci / d
-                for j, cj in col:
-                    a[i, j] -= m * cj
-            continue
-        # all active diagonals vanish: look for a 2x2 block pivot
-        best = None
-        best_abs = Fraction(0)
-        for ii, i in enumerate(active):
-            for j in active[ii + 1:]:
-                if abs(a[i, j]) > best_abs:
-                    best, best_abs = (i, j), abs(a[i, j])
-        if best is None:
-            break  # active block is identically zero
-        i, j = best
-        b = a[i, j]
-        # [[0, b], [b, 0]] has eigenvalues +-|b|
-        n_plus += 1
-        n_minus += 1
-        active.remove(i)
-        active.remove(j)
-        cols = [(k, a[k, i], a[k, j]) for k in active if a[k, i] != 0 or a[k, j] != 0]
-        for k, ki, kj in cols:
-            for l, li, lj in cols:
-                a[k, l] -= (ki * lj + kj * li) / b
-    return Inertia(n_plus=n_plus, n_minus=n_minus, n_zero=n - n_plus - n_minus)

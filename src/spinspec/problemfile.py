@@ -26,26 +26,19 @@ Parse failures report line and column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from importlib import resources
-from typing import List, NoReturn, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, List, NoReturn, Tuple, Union
 
 from .errors import ContractViolation, ParseError
-from .floquet import LaurentSymbol
-from .invariants import (IntersectionForm, KOElement, Mod2Rational, _as_fraction,
-                         alpha_n, beta, form_from_rows, rohlin, w_cs, w_invariant)
+from .invariants import (IntersectionForm, _as_fraction, alpha_n, beta, form_from_rows,
+                         rohlin, w_cs, w_invariant)
+
+if TYPE_CHECKING:
+    from .floquet import LaurentSymbol
 
 __all__ = [
     "parse_problem_file",
-    "parse_records",
-    "symbol_to_text",
-    "form_to_text",
     "evaluate_invariant_record",
     "INVARIANT_INPUTS",
-    "expected_matches",
-    "load_fixture_records",
 ]
 
 
@@ -133,6 +126,11 @@ def _key_values(body) -> dict:
 
 
 def _build_symbol(sections: List[_Section]) -> LaurentSymbol:
+    # numpy loads with the first symbol, so forms and records parse without it
+    import numpy as np
+
+    from .floquet import LaurentSymbol
+
     head = sections[0]
     meta = _key_values(head.body)
     if "block-size" not in meta:
@@ -191,7 +189,7 @@ def _build_record(section: _Section) -> dict:
     return record
 
 
-ParsedProblem = Union[LaurentSymbol, IntersectionForm, dict]
+ParsedProblem = Union["LaurentSymbol", IntersectionForm, dict]
 
 
 def parse_problem_file(text: str) -> ParsedProblem:
@@ -212,40 +210,6 @@ def parse_problem_file(text: str) -> ParsedProblem:
                              sections[1].line)
         return _build_record(sections[0])
     raise ParseError(f"unknown section [{kind}]", sections[0].line)
-
-
-def parse_records(text: str) -> List[dict]:
-    """Parse a fixture file: a list of [invariant] records."""
-    out = []
-    for sec in _split_sections(text):
-        if sec.header != "invariant":
-            raise ParseError(f"expected [invariant], found [{sec.header}]", sec.line)
-        out.append(_build_record(sec))
-    return out
-
-
-def _fmt_complex(v: complex) -> str:
-    re_part, im_part = float(v.real), float(v.imag)
-    if im_part == 0:
-        return repr(re_part)
-    return f"{re_part!r}{im_part:+}j"
-
-
-def symbol_to_text(s: LaurentSymbol) -> str:
-    lines = ["[symbol]", f"block-size: {s.block_size}", f"bandwidth: {s.bandwidth}"]
-    for j in sorted(s.coeffs):
-        lines.append("")
-        lines.append(f"[coeff {j}]")
-        for row in s.coeffs[j]:
-            lines.append(" ".join(_fmt_complex(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def form_to_text(f: IntersectionForm) -> str:
-    lines = ["[form]", f"name: {f.name}"]
-    for row in f.matrix:
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 def _record_value(record: dict, key: str):
@@ -313,25 +277,3 @@ def evaluate_invariant_record(record: dict):
     n = _record_int(record, "n")
     data = {arg: _record_int(record, key) for key, arg in _ALPHA_KEYS if key in record}
     return alpha_n(n, **data)
-
-
-def expected_matches(record: dict, value) -> bool:
-    """Compare an evaluated record against its 'expect' field: the mod-2
-    residue for Mod2Rational, the exact rational mod 2 for lifts, the
-    group element value for KO classes."""
-    if "expect" not in record:
-        raise ContractViolation("record has no 'expect' field")
-    want = _as_fraction(record["expect"])
-    if isinstance(value, Mod2Rational):
-        return value.residue == want
-    if isinstance(value, Fraction):
-        return Mod2Rational(value).residue == want
-    if isinstance(value, KOElement):
-        return value.value == want
-    raise ContractViolation(f"cannot compare {value!r} against an expectation")
-
-
-def load_fixture_records() -> List[dict]:
-    """The worked-example corpus shipped with the package."""
-    text = resources.files("spinspec.data").joinpath("worked_invariants.txt").read_text()
-    return parse_records(text)

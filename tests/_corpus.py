@@ -1,17 +1,21 @@
 """Deterministic symbol corpora and independent oracles shared by the
-engine tests and the acceptance suite."""
+engine tests and the acceptance suite, and the problem-file writers and
+fixture-corpus reader the tests use."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
+from typing import List
 
 import numpy as np
 
 from spinspec.conventions import DEFAULT_TOL, GROUPING_TOL
-from spinspec.errors import ContractViolation
+from spinspec.errors import ContractViolation, ParseError
 from spinspec.floquet import LaurentSymbol
-from spinspec.invariants import (KOElement, Mod2Rational, beta, rohlin, w_cs,
-                                 w_invariant)
+from spinspec.invariants import (IntersectionForm, KOElement, Mod2Rational, _as_fraction,
+                                 beta, rohlin, w_cs, w_invariant)
 from spinspec.linalg import as_matrix
+from spinspec.problemfile import _build_record, _split_sections
 
 
 def singular_values(m) -> np.ndarray:
@@ -216,3 +220,61 @@ def w_cs_mod2_matches_beta(ind_plus: int, sig_w: int, sig_v: int) -> bool:
     if ind_plus % 2 != 0:
         raise ContractViolation("chiral index must be even (quaternionic)")
     return Mod2Rational(w_cs(ind_plus, sig_w, sig_v)).same_mod2(beta(rohlin(sig_w), sig_v))
+
+
+def parse_records(text: str) -> List[dict]:
+    """Parse a fixture file: a list of [invariant] records."""
+    out = []
+    for sec in _split_sections(text):
+        if sec.header != "invariant":
+            raise ParseError(f"expected [invariant], found [{sec.header}]", sec.line)
+        out.append(_build_record(sec))
+    return out
+
+
+def load_fixture_records() -> List[dict]:
+    """The worked-example corpus shipped with the package."""
+    text = resources.files("spinspec.data").joinpath("worked_invariants.txt").read_text()
+    return parse_records(text)
+
+
+def expected_matches(record: dict, value) -> bool:
+    """Compare an evaluated record against its 'expect' field: the mod-2
+    residue for Mod2Rational, the exact rational mod 2 for lifts, the
+    group element value for KO classes."""
+    if "expect" not in record:
+        raise ContractViolation("record has no 'expect' field")
+    want = _as_fraction(record["expect"])
+    if isinstance(value, Mod2Rational):
+        return value.residue == want
+    if isinstance(value, Fraction):
+        return Mod2Rational(value).residue == want
+    if isinstance(value, KOElement):
+        return value.value == want
+    raise ContractViolation(f"cannot compare {value!r} against an expectation")
+
+
+def _fmt_complex(v: complex) -> str:
+    re_part, im_part = float(v.real), float(v.imag)
+    if im_part == 0:
+        return repr(re_part)
+    return f"{re_part!r}{im_part:+}j"
+
+
+def symbol_to_text(s: LaurentSymbol) -> str:
+    """A [symbol] problem file that parses back to ``s``."""
+    lines = ["[symbol]", f"block-size: {s.block_size}", f"bandwidth: {s.bandwidth}"]
+    for j in sorted(s.coeffs):
+        lines.append("")
+        lines.append(f"[coeff {j}]")
+        for row in s.coeffs[j]:
+            lines.append(" ".join(_fmt_complex(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def form_to_text(f: IntersectionForm) -> str:
+    """A [form] problem file that parses back to ``f``."""
+    lines = ["[form]", f"name: {f.name}"]
+    for row in f.matrix:
+        lines.append(" ".join(str(x) for x in row))
+    return "\n".join(lines) + "\n"

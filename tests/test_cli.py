@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import spinspec
+from _corpus import symbol_to_text
 from spinspec.cli import main, report_to_json
-from spinspec.problemfile import symbol_to_text
 from spinspec.floquet import LaurentSymbol
 
 
@@ -377,6 +377,75 @@ class TestReportDocument:
         monkeypatch.setenv("SPECTRAL_TOL", "bogus")
         code, _, _ = run(capsys, "fredholm", root_on_circle_file)
         assert code == 3
+
+
+class TestCommandEcho:
+    """The echo is the subcommand, then every other token as typed; only
+    the subcommand token is taken out, so a file named like a command
+    stays."""
+
+    @pytest.mark.parametrize("argv, echo", [
+        (["index", "index"], ["index", "index"]),
+        (["fredholm", "fredholm", "--grid", "64"], ["fredholm", "fredholm", "--grid", "64"]),
+        (["forms", "sum", "-E8+3H"], ["forms", "sum", "--", "-E8+3H"]),
+        (["invariant", "beta", "--rho", "-33/4", "--sig-v", "16"],
+         ["invariant", "beta", "--rho", "-33/4", "--sig-v", "16"]),
+    ])
+    def test_echo(self, capsys, tmp_path, monkeypatch, argv, echo):
+        monkeypatch.chdir(tmp_path)
+        for name in ("index", "fredholm"):
+            (tmp_path / name).write_text(symbol_to_text(LaurentSymbol.scalar({1: 1})))
+        assert run_json(capsys, *argv)["command"] == echo
+
+
+def _fresh_process(script: str, *args: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinspec.__file__)))
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+# runs main on each argv in the JSON list argv[1], parses a [form] and an
+# [invariant] text, then prints the exit codes and the numpy modules loaded
+_EXACT_COMMANDS = """
+import contextlib, io, json, sys
+from spinspec.cli import main
+from spinspec.problemfile import parse_problem_file
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+parse_problem_file("[form]\\nname: H\\n0 1\\n1 0\\n")
+parse_problem_file("[invariant]\\nkind: rohlin\\nsig-w: 8\\n")
+numpy = [m for m in sys.modules if m == "numpy" or m.startswith("numpy.")]
+print(json.dumps({"codes": codes, "numpy": numpy}))
+"""
+
+
+class TestImportGraph:
+    """Exact arithmetic needs no numpy: the exact commands run in a fresh
+    interpreter without loading it (in this process numpy is loaded
+    already), and the numeric commands still load it on their own."""
+
+    def test_exact_commands_load_no_numpy(self):
+        argvs = [["forms", "list"], ["forms", "show", "E8"], ["forms", "sum", "-E8+3H"],
+                 ["invariant", "alpha", "--n", "4", "--sign", "-16"],
+                 ["invariant", "rohlin", "--sig-w", "8"],
+                 ["invariant", "w", "--ind", "2", "--sig-w", "0"],
+                 ["invariant", "beta", "--rho", "1", "--sig-v", "-16"],
+                 ["invariant", "wcs", "--ind", "0", "--sig-w", "8", "--sig-v", "-16"],
+                 ["--convention"], ["--help"]]
+        proc = _fresh_process(_EXACT_COMMANDS, json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"codes": [0] * len(argvs), "numpy": []}
+
+    def test_fredholm_in_fresh_process(self, capsys, tmp_path):
+        path = tmp_path / "general.txt"
+        path.write_text(symbol_to_text(LaurentSymbol({0: [[-2, 0.5j], [0.25, -3]],
+                                                      1: [[1, 0], [0.5, 1]]})))
+        want = run_json(capsys, "fredholm", str(path))
+        proc = _fresh_process("from spinspec.cli import entry; entry()", "fredholm", str(path))
+        assert proc.returncode == 0 and proc.stderr == ""
+        got = json.loads(proc.stdout)
+        assert got.pop("timing_s") >= 0 and want.pop("timing_s") >= 0
+        assert got == want
 
 
 class TestParserReuse:

@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from _corpus import alpha_s1, w_cs_mod2_matches_beta, w_mod2_equals_rohlin
 from spinspec.errors import ContractViolation
 from spinspec.invariants import (Mod2Rational, alpha_n, beta, builtin_form,
-                                 diag_form, direct_sum, ko_group, negate,
-                                 parse_form_spec, rohlin, w_cs, w_invariant)
+                                 diag_form, direct_sum, form_from_rows, ko_group,
+                                 negate, parse_form_spec, rohlin, w_cs, w_invariant)
 from spinspec.linalg import Inertia, rational_ldl_inertia
 
 
@@ -307,3 +309,21 @@ class TestMod2Rational:
 
     def test_string_form(self):
         assert str(Mod2Rational(Fraction(-1))) == "-1 = 1 (mod 2)"
+
+
+def test_ldl_from_form_rows_is_traced_under_its_linalg_name():
+    # the benchmark traces rational_ldl_inertia as linalg.rational_ldl_inertia;
+    # it lives in spinspec.exact, and the tracer patches every module
+    # attribute bound to it, so the call from invariants is seen
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        form_from_rows("H", [[0, 1], [1, 0]])
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["linalg.rational_ldl_inertia"][0] == 1
+    assert tracer.ldl_rank_sum == 2

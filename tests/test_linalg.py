@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _corpus import numeric_kernel_dim, singular_values
 from spinspec.discretize import DiscreteDirac, Scheme
 from spinspec.errors import ContractViolation
+from spinspec.exact import _to_fraction
 from spinspec.floquet import LaurentSymbol
 from spinspec.linalg import Inertia, hermitian_eigenvalues, rational_ldl_inertia, sigma_min
 from spinspec.spectra import SpinStructure
@@ -310,10 +313,67 @@ class TestRationalLdlInertia:
             rational_ldl_inertia([[0, 1], [2, 0]])
 
     def test_rational_entries(self):
-        from fractions import Fraction
         half = Fraction(1, 2)
         inertia = rational_ldl_inertia([[half, 0], [0, -half]])
         assert inertia.signature == 0 and inertia.n_zero == 0
+
+    @pytest.mark.parametrize("entry, exact", [
+        (3, Fraction(3)), (True, Fraction(1)), (np.int64(-7), Fraction(-7)),
+        (np.int32(5), Fraction(5)), (Fraction(3, 4), Fraction(3, 4)),
+        ("3/4", Fraction(3, 4)), (0.5, Fraction(1, 2)), (np.float64(-0.25), Fraction(-1, 4)),
+    ], ids=repr)
+    def test_exact_entry_types(self, entry, exact):
+        # every integer type numpy registers as numbers.Integral is read exactly
+        got = _to_fraction(entry)
+        assert type(got) is Fraction and got == exact
+        form = [[entry, 1], [1, entry]]  # eigenvalues entry +- 1
+        assert rational_ldl_inertia(form) == rational_ldl_inertia([[exact, 1], [1, exact]])
+
+    @pytest.mark.parametrize("entry", [np.float32(0.5), 1j, np.complex128(1)], ids=repr)
+    def test_rejects_inexact_entry_types(self, entry):
+        with pytest.raises(ContractViolation, match="not exactly representable"):
+            _to_fraction(entry)
+        with pytest.raises(ContractViolation, match="not exactly representable"):
+            rational_ldl_inertia([[entry, 1], [1, entry]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(diagonal=st.lists(st.integers(-3, 3), max_size=4),
+           triangles=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                                        st.integers(-2, 2)), max_size=3),
+           steps=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
+                                    st.integers(-2, 2)), max_size=30))
+    def test_congruent_to_known_inertia(self, diagonal, triangles, steps):
+        # D is block diagonal: 1x1 integers, whose inertia is their sign,
+        # and zero-diagonal 3x3 blocks [[0, a, b], [a, 0, c], [b, c, 0]]
+        # (trace 0, det 2abc), whose inertia is (1, 2) for det > 0, (2, 1)
+        # for det < 0, (1, 1) for a nonzero singular block and (0, 0) for
+        # zero; the zero diagonals need 2x2 pivots.  By Sylvester's law
+        # P^T D P has the same inertia for any unimodular integer P, here
+        # a product of elementary matrices, which makes it dense.
+        n = len(diagonal) + 3 * len(triangles)
+        assume(n > 0)
+        d = [[0] * n for _ in range(n)]
+        for i, x in enumerate(diagonal):
+            d[i][i] = x
+        n_plus = sum(x > 0 for x in diagonal)
+        n_minus = sum(x < 0 for x in diagonal)
+        for k, (a, b, c) in enumerate(triangles):
+            i = len(diagonal) + 3 * k
+            d[i][i + 1] = d[i + 1][i] = a
+            d[i][i + 2] = d[i + 2][i] = b
+            d[i + 1][i + 2] = d[i + 2][i + 1] = c
+            det = 2 * a * b * c
+            n_plus += 2 if det < 0 else int(det > 0 or any((a, b, c)))
+            n_minus += 2 if det > 0 else int(det < 0 or any((a, b, c)))
+        p = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i, j, k in steps:
+            i, j = i % n, j % n
+            if i != j:  # P <- P (I + k e_i e_j^T): column j += k column i
+                for row in p:
+                    row[j] += k * row[i]
+        s = [[sum(p[a][r] * d[a][b] * p[b][c] for a in range(n) for b in range(n))
+              for c in range(n)] for r in range(n)]
+        assert rational_ldl_inertia(s) == Inertia(n_plus, n_minus, n - n_plus - n_minus)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_unimodular_congruence_invariance(self, seed):

@@ -3,13 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _corpus import (expected_matches, form_to_text, load_fixture_records,
+                     parse_records, symbol_to_text)
 from spinspec.errors import ContractViolation, ParseError
 from spinspec.floquet import LaurentSymbol, symbol_eval
 from spinspec.invariants import IntersectionForm, builtin_form
-from spinspec.problemfile import (evaluate_invariant_record, expected_matches,
-                                  form_to_text, load_fixture_records,
-                                  parse_problem_file, parse_records,
-                                  symbol_to_text)
+from spinspec.problemfile import evaluate_invariant_record, parse_problem_file
 
 SYMBOL_TEXT = """\
 # the shifted shift
