@@ -38,15 +38,18 @@ class Inertia:
 def _to_fraction(x) -> Fraction:
     """An exact rational entry: ``Fraction``, any ``numbers.Integral``
     (Python ``int`` and ``bool``, numpy's integer types), rational text
-    such as ``"3/4"``, or a Python float's exact binary value."""
+    such as ``"3/4"``, or a finite Python float's exact binary value.
+    Text that is no rational (``"abc"``, ``"1/0"``) and a non-finite float
+    are rejected like any other entry."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, numbers.Integral):
         return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value
+    if isinstance(x, (str, float)):  # a float's exact binary value
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
     raise ContractViolation(f"entry {x!r} is not exactly representable as a rational")
 
 

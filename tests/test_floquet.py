@@ -421,11 +421,23 @@ class TestFredholmViaSections:
         assert s.hermitian_symmetric is hermitian
         sizes = (8, 16, 32)
         with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig, \
-                mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+                mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+                mock.patch.object(floquet, "finite_section", wraps=finite_section) as build:
             sweep = fredholm_via_sections(s, sizes)
         assert (eig.call_count, svd.call_count) == ((3, 0) if hermitian else (0, 3))
+        # one section build; the mass-doubled section has no flux, so its
+        # leading blocks are solved in real arithmetic
+        assert build.call_count == 1
+        assert all(c.args[0].dtype == float for c in eig.call_args_list)
         oracle = [singular_values(finite_section(s, n))[-1] for n in sizes]
         assert np.allclose(sweep.sigma_min, oracle, rtol=1e-12)
+
+    @pytest.mark.parametrize("coeffs, sizes", [({2: 1, -2: 1}, (4, 8)),
+                                               ({0: -2, 1: 1}, (3.5, 8))])
+    def test_rejects_each_bad_size(self, coeffs, sizes):
+        # every size is checked, not only the longest section that is built
+        with pytest.raises(ContractViolation, match=r"at least 2\*bandwidth \+ 1"):
+            fredholm_via_sections(LaurentSymbol.scalar(coeffs), sizes)
 
     def test_rejects_unsorted_sizes(self):
         with pytest.raises(ContractViolation):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _corpus import numeric_kernel_dim, singular_values
-from spinspec.discretize import DiscreteDirac, Scheme
+from spinspec.discretize import (DiscreteDirac, Scheme, build_circle_dirac, mass_doubled,
+                                 period_symbol)
 from spinspec.errors import ContractViolation
 from spinspec.exact import _to_fraction
-from spinspec.floquet import LaurentSymbol
-from spinspec.linalg import Inertia, hermitian_eigenvalues, rational_ldl_inertia, sigma_min
+from spinspec.floquet import LaurentSymbol, finite_section, fredholm_via_sections
+from spinspec.linalg import (Inertia, hermitian_eigenvalues, rational_ldl_inertia, real_gauge,
+                             sigma_min)
 from spinspec.spectra import SpinStructure
 
 
@@ -232,6 +235,87 @@ class TestSigmaMin:
         assert sigma_min(a[1], False) == want[1]
 
 
+def random_tridiagonal(rng, n):
+    """A complex Hermitian tridiagonal matrix: its graph is a path, a tree."""
+    off = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+    return np.diag(rng.normal(size=n)) + np.diag(off, -1) + np.diag(off.conj(), 1)
+
+
+def assert_same_spectrum(g, h):
+    assert np.all(np.abs(np.linalg.eigvalsh(g) - np.linalg.eigvalsh(h))
+                  <= 1e-12 * np.linalg.norm(h, 2))
+
+
+class TestRealGauge:
+    """A flux-free Hermitian matrix comes back real symmetric with the
+    same eigenvalues; one with flux comes back as the same object."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_tree_comes_back_real(self, n, seed):
+        h = random_tridiagonal(np.random.default_rng(seed), n)
+        g = real_gauge(h)
+        assert g.dtype == float
+        assert np.allclose(np.abs(g), np.abs(h), rtol=1e-14, atol=0.0)  # a diagonal unitary
+        assert_same_spectrum(g, h)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), mass=st.floats(0.1, 2.0),
+           bounding=st.booleans(), c=st.floats(-0.5, 0.5), periods=st.integers(4, 6))
+    def test_mass_doubled_ladder_comes_back_real(self, n, mass, bounding, c, periods):
+        # purely imaginary hops on two rails and real mass rungs: every
+        # plaquette product is real, so the section has no flux
+        spin = SpinStructure.BOUNDING if bounding else SpinStructure.NONBOUNDING
+        d = build_circle_dirac(n, Scheme.CENTRAL_DIFFERENCE, spin, c)
+        s = period_symbol(mass_doubled(d.matrix, mass))
+        h = finite_section(s, periods)
+        g = real_gauge(h)
+        assert g.dtype == float
+        assert_same_spectrum(g, h)
+        # the gauge of a leading block is the leading block of the gauge
+        rows = (periods - 1) * s.block_size
+        assert np.array_equal(g[:rows, :rows], real_gauge(finite_section(s, periods - 1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(r1=st.floats(0.2, 2.0), r2=st.floats(0.2, 2.0), alpha=st.floats(0.0, 2 * math.pi),
+           beta=st.floats(0.0, 2 * math.pi), periods=st.integers(6, 40))
+    def test_flux_comes_back_unchanged(self, r1, r2, alpha, beta, periods):
+        # each triangle i, i+1, i+2 carries the flux a * a * conj(b)
+        assume(abs(math.sin(2 * alpha - beta)) > 0.1)
+        a, b = r1 * np.exp(1j * alpha), r2 * np.exp(1j * beta)
+        s = LaurentSymbol.scalar({0: 0.3, 1: a, -1: np.conj(a), 2: b, -2: np.conj(b)})
+        assert s.hermitian_symmetric
+        h = finite_section(s, periods)
+        assert real_gauge(h) is h
+        sizes = (5, periods)
+        sweep = fredholm_via_sections(s, sizes)
+        assert sweep.sigma_min == tuple(float(sigma_min(finite_section(s, n), True))
+                                        for n in sizes)
+
+    def test_zero_rows_and_disconnected_blocks(self):
+        rng = np.random.default_rng(3)
+        h = np.zeros((9, 9), dtype=complex)
+        h[:4, :4] = random_tridiagonal(rng, 4)
+        h[5:, 5:] = random_tridiagonal(rng, 4)  # row and column 4 stay zero
+        g = real_gauge(h)
+        assert g.dtype == float and not g[4].any() and not g[:, 4].any()
+        assert_same_spectrum(g, h)
+        zero = real_gauge(np.zeros((3, 3), dtype=complex))
+        assert zero.dtype == float and not zero.any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(block=st.integers(1, 3), bandwidth=st.integers(0, 2), extra=st.integers(0, 3),
+           more=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_section_is_the_leading_block_of_longer_ones(self, block, bandwidth, extra, more,
+                                                         seed):
+        rng = np.random.default_rng(seed)
+        s = LaurentSymbol({j: rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
+                           for j in range(-bandwidth, bandwidth + 1)})
+        n = 2 * bandwidth + 1 + extra
+        rows = n * block
+        assert np.array_equal(finite_section(s, n), finite_section(s, n + more)[:rows, :rows])
+
+
 class TestSingularValues:
     def test_identity(self):
         assert np.allclose(singular_values(np.eye(2)), [1.0, 1.0])
@@ -331,6 +415,13 @@ class TestRationalLdlInertia:
 
     @pytest.mark.parametrize("entry", [np.float32(0.5), 1j, np.complex128(1)], ids=repr)
     def test_rejects_inexact_entry_types(self, entry):
+        with pytest.raises(ContractViolation, match="not exactly representable"):
+            _to_fraction(entry)
+        with pytest.raises(ContractViolation, match="not exactly representable"):
+            rational_ldl_inertia([[entry, 1], [1, entry]])
+
+    @pytest.mark.parametrize("entry", ["abc", "1/0", float("nan"), float("inf")], ids=repr)
+    def test_rejects_non_rational_entries(self, entry):
         with pytest.raises(ContractViolation, match="not exactly representable"):
             _to_fraction(entry)
         with pytest.raises(ContractViolation, match="not exactly representable"):
