@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from . import __version__
 from .conventions import (CIRCLE_GRID, FREDHOLM_TOL, GROUPING_TOL,
                           convention_block, twist_to_floquet)
-from .errors import ContractViolation, ParseError
+from .errors import ContractViolation, ParseError, check_tolerance
 from .invariants import KOElement, Mod2Rational, builtin_form, parse_form_spec
 from .problemfile import INVARIANT_INPUTS, evaluate_invariant_record, parse_problem_file
 
@@ -45,9 +45,7 @@ def _env_tol(default: float) -> float:
         value = float(raw)
     except ValueError:
         raise ContractViolation(f"SPECTRAL_TOL={raw!r} is not a number") from None
-    if value <= 0:
-        raise ContractViolation("SPECTRAL_TOL must be positive")
-    return value
+    return check_tolerance(value)
 
 
 def report_to_json(doc: dict) -> str:

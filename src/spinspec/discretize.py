@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .conventions import CLIFFORD_SIGN, DEFAULT_LN_BRANCH
-from .errors import ContractViolation
+from .errors import ContractViolation, check_tolerance
 from .floquet import LaurentSymbol
 from .linalg import hermitian_eigenvalues, is_hermitian
 from .spectra import SpectrumSample, SpinStructure, circle_modes
@@ -186,10 +186,12 @@ def kernel_twists(spin: SpinStructure, c_from: float, c_to: float,
     c = -CLIFFORD_SIGN * mu, clipped to the range; that twist is kept when
     it is below ``ktol``, so a kernel within ``ktol`` just outside the
     range is reported at the range end.  Locations closer than 1e-6 mod 1
-    merge.  A non-finite range end or mass is rejected.
+    merge.  A non-finite range end or mass, or a ``ktol`` that is not
+    finite and positive, is rejected.
     """
     if not all(math.isfinite(x) for x in (c_from, c_to, mass)):
         raise ContractViolation("twist range and mass must be finite")
+    check_tolerance(ktol)
     if c_to <= c_from:
         raise ContractViolation("empty twist range")
     _check_grid(grid)

@@ -3,7 +3,7 @@
 ``ContractViolation`` distinguishes violated preconditions and broken
 numerical contracts from the built-in ``ValueError`` so callers (and the
 CLI exit-code mapping) can tell library contract failures from plain bad
-input.
+input.  ``check_tolerance`` is the one check of a tolerance argument.
 """
 
 from __future__ import annotations
@@ -11,6 +11,13 @@ from __future__ import annotations
 
 class ContractViolation(ValueError):
     """An operation's precondition or postcondition does not hold."""
+
+
+def check_tolerance(tol: float) -> float:
+    """``tol`` if it is finite and positive; else ``ContractViolation``."""
+    if not 0.0 < tol < float("inf"):
+        raise ContractViolation(f"tolerance must be finite and positive, got {tol!r}")
+    return tol
 
 
 class DegenerateCrossing(ContractViolation):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import spinspec
@@ -19,10 +20,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=_reject_constant)
 
 
 @pytest.fixture
@@ -155,6 +160,15 @@ class TestFredholmCommands:
         assert res["is_fredholm"] is False
         assert res["verdict"] == "not-fredholm"
         assert abs(res["witness"][0] - 1.0) < 1e-3
+
+    def test_fredholm_index_beyond_block_128(self, capsys, tmp_path):
+        # det A(z) = 2^130 (z + 1/4)^130 winds 130 times; the index is
+        # filled at any block size
+        path = tmp_path / "many_turns.txt"
+        path.write_text(symbol_to_text(LaurentSymbol({0: 0.5 * np.eye(130),
+                                                      1: 2.0 * np.eye(130)})))
+        res = run_json(capsys, "fredholm", str(path))["results"]
+        assert (res["verdict"], res["index"]) == ("fredholm", -130)
 
     def test_index_of_shift(self, capsys, shift_file):
         doc = run_json(capsys, "index", shift_file)
@@ -377,6 +391,29 @@ class TestReportDocument:
         monkeypatch.setenv("SPECTRAL_TOL", "bogus")
         code, _, _ = run(capsys, "fredholm", root_on_circle_file)
         assert code == 3
+
+    # a NaN or infinite tolerance would put NaN or Infinity into the
+    # report, and a negative one would skip the Fredholm check
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command, fixture", [("fredholm", "shifted_scalar_file"),
+                                                  ("index", "root_on_circle_file")])
+    def test_bad_tol_flag_exit_3(self, capsys, request, command, fixture, value):
+        code, out, err = run(capsys, command, request.getfixturevalue(fixture), "--tol", value)
+        assert (code, out) == (3, "")
+        assert "tolerance must be finite and positive" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("argv", [["fredholm"], ["index"],
+                                      ["twist-scan", "--spin", "nonbounding"]],
+                             ids=["fredholm", "index", "twist-scan"])
+    def test_bad_env_tolerance_exit_3(self, capsys, monkeypatch, shifted_scalar_file,
+                                      argv, value):
+        monkeypatch.setenv("SPECTRAL_TOL", value)
+        if argv[0] != "twist-scan":
+            argv = argv + [shifted_scalar_file]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "tolerance must be finite and positive" in err
 
 
 class TestCommandEcho:

@@ -45,6 +45,14 @@ class TestLaurentSymbol:
         with pytest.raises(ContractViolation):
             LaurentSymbol({0: np.ones((2, 3))})
 
+    def test_rejects_non_integral_offsets(self):
+        # int(1.5) would collide with offset 1 and silently drop a coefficient
+        with pytest.raises(ContractViolation, match="distinct integers"):
+            LaurentSymbol.scalar({0: 2, 1.5: 1, 1: 3})
+        with pytest.raises(ContractViolation, match="distinct integers"):
+            LaurentSymbol.scalar({1.0: 1})
+        assert list(LaurentSymbol.scalar({np.int64(-1): 1, 2: 1}).coeffs) == [-1, 2]
+
     def test_hermitian_symmetry_flag(self):
         a1 = np.array([[0.0, 1.0], [0.5, 0.25]]) + 1j
         sym = LaurentSymbol({0: np.eye(2), 1: a1, -1: a1.conj().T})
@@ -335,7 +343,7 @@ class TestToeplitzIndex:
         # sigma_min is |A_0| - |A_1| > tol in closed form; the winding alone
         # skips a 512-point scan of 200 x 200 blocks that it does not use
         assert abs(coeffs[0]) - abs(coeffs[1]) > tol
-        assert floquet._winding_index(s) == 0
+        assert floquet._winding_index(s, abs(coeffs[0]) - abs(coeffs[1])) == 0
         if n <= 64:
             assert toeplitz_index(s, tol=tol) == 0
 
@@ -371,6 +379,36 @@ class TestToeplitzIndex:
         assert toeplitz_index(symbol_direct_sum(a, b)) == -3
         assert toeplitz_index(symbol_direct_sum(a, c)) == -1
         assert toeplitz_index(symbol_direct_sum(b, b)) == -4
+        d = LaurentSymbol({0: 0.5 * np.eye(40), 1: 2 * np.eye(40)})  # index -40
+        assert toeplitz_index(symbol_direct_sum(a, d)) == -41
+
+    @pytest.mark.parametrize("coeffs, block", [
+        ({0: 0.5, 1: 2}, 40), ({0: 1, 1: 3}, 64), ({0: 0.5, 1: 2}, 130)])
+    def test_many_turns(self, coeffs, block):
+        # det A(z) = A_1^N (z - r)^N, |r| < 1, winds N times, fast enough
+        # that a 64-point phase grid loses whole turns
+        s = LaurentSymbol({j: v * np.eye(block) for j, v in coeffs.items()})
+        assert toeplitz_index(s) == -block
+        assert is_fredholm(s).index == -block
+
+    @pytest.mark.parametrize("k", [-2, 1, 3])
+    def test_power_of_z_shifts_index(self, k):
+        # z^k A(z) has det z^(N k) det A(z): the index moves by -N k
+        s, _ = diagonal_symbol(np.random.default_rng(20 + k), 3, 2, 1.0)
+        shifted = LaurentSymbol({j + k: a for j, a in s.coeffs.items()})
+        index = toeplitz_index(s)
+        assert index == section_index_oracle(s, periods=64)
+        assert toeplitz_index(shifted) == index - 3 * k
+
+    def test_uncertified_index(self):
+        # det A(z) = z - 1/a' vanishes where the disc map sends w to
+        # infinity, so the companion matrix of the zeros count is not
+        # certified, although sigma_min(A(z)) >= 1 on the circle
+        s = LaurentSymbol.scalar({0: -1 / floquet._MOBIUS.conjugate(), 1: 1})
+        rep = is_fredholm(s)
+        assert rep.verdict == "fredholm" and rep.index is None
+        with pytest.raises(ContractViolation, match="index is not certified"):
+            toeplitz_index(s)
 
 
 class TestFiniteSection:
