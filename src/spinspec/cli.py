@@ -22,8 +22,7 @@ import time
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from . import __version__
-from .conventions import (CIRCLE_GRID, FREDHOLM_TOL, GROUPING_TOL,
-                          convention_block, twist_to_floquet)
+from .conventions import CIRCLE_GRID, FREDHOLM_TOL, GROUPING_TOL, convention_block
 from .errors import ContractViolation, ParseError, check_tolerance
 from .invariants import KOElement, Mod2Rational, builtin_form, parse_form_spec
 from .problemfile import INVARIANT_INPUTS, evaluate_invariant_record, parse_problem_file
@@ -166,20 +165,9 @@ def _cmd_index(args, command, t0) -> int:
 
 
 def _cmd_spectral_flow(args, command, t0) -> int:
-    from .floquet import spectral_flow, symbol_eval
+    from .floquet import twist_crossings
 
-    s = _load_symbol(args.file)
-    if not s.hermitian_symmetric:
-        raise ContractViolation("spectral flow needs a Hermitian-symmetric symbol")
-
-    def family(c: float):
-        # the symbol is Hermitian-symmetric, so A(z) is Hermitian on the
-        # circle up to evaluation rounding, which is not small relative to
-        # ||A(z)|| where an eigenvalue crosses zero: take the Hermitian part
-        a = symbol_eval(s, twist_to_floquet(c))
-        return 0.5 * (a + a.conj().T)
-
-    result = spectral_flow(family, steps=args.steps)
+    result = twist_crossings(_load_symbol(args.file))
     results = {
         "flow": result.flow,
         "crossings": [{"parameter": {"value": c, "tol": 1e-6}, "direction": d}
@@ -282,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sf = sub.add_parser("spectral-flow", help="flow of the symbol's twist loop")
     sf.add_argument("file")
-    sf.add_argument("--steps", type=int, default=50)
+    sf.add_argument("--steps", type=int, default=50,
+                    help="accepted for compatibility; has no effect, crossings "
+                         "come from the zeros of det A(z)")
 
     iv = sub.add_parser("invariant", help="exact invariant arithmetic")
     iv.add_argument("kind", choices=["alpha", "rohlin", "w", "beta", "wcs"])

@@ -27,6 +27,12 @@ def twist_to_floquet(c: float) -> complex:
                    math.sin(2.0 * math.pi * c * -CLIFFORD_SIGN))
 
 
+# Its inverse on the unit circle: the twist c in [0, 1) with z(c) = z/|z|.
+def floquet_to_twist(z: complex) -> float:
+    c = (math.atan2(z.imag, z.real) / (2.0 * math.pi * -CLIFFORD_SIGN)) % 1.0
+    return 0.0 if c == 1.0 else c
+
+
 # Index of the half-line (Toeplitz) compression of a Fredholm Laurent
 # symbol:  index = -winding(det A(z)) as z runs counterclockwise over the
 # unit circle.  The full-line operator with invertible symbol has index 0.
@@ -50,8 +56,8 @@ FREDHOLM_TOL = 1e-6
 # Resolution of the certified unit-circle scan: its minimum is within
 # L*pi/CIRCLE_GRID of the true one (L the symbol's Lipschitz bound), the
 # guarantee of a uniform scan of CIRCLE_GRID points.  REFINE_TOL is the
-# accuracy of the golden-section polish that follows the scan: absolute
-# for L >= 1, relative to L below.
+# accuracy of the Brent polish that follows the scan: absolute for
+# L >= 1, relative to L below.
 CIRCLE_GRID = 512
 REFINE_TOL = 1e-8
 

@@ -13,12 +13,15 @@ of a stack, a point or a finite section, comes from ``linalg.sigma_min``:
 a Hermitian eigensolve for a Hermitian-symmetric symbol, whose A(z) and
 sections are Hermitian on the circle, the SVD otherwise.  The circle
 minimum of sigma_min(A(z)) is a Lipschitz branch-and-bound (Piyavskii;
-Shubert) with a certified lower bound, polished by one golden-section
-search.  The half-line index counts the zeros of det A(z) in the unit
-disc with one solve and one ``eigvals`` (``_winding_index``), certified
-through that lower bound.  A section sweep solves its shorter sections
-as leading blocks of the longest, in real arithmetic when a Hermitian
-section carries no flux (``linalg.real_gauge``).
+Shubert) with a certified lower bound, polished by one Brent search.
+The zeros of det A(z) come from one solve and one eigensolve of a block
+companion matrix (``_symbol_zeros``): the half-line index counts those
+in the unit disc (``_winding_index``), certified through the scan's
+lower bound, and the twist-loop crossings of a Hermitian-symmetric
+symbol are those on the circle (``twist_crossings``).  A section sweep
+solves its shorter sections as leading blocks of the longest, in real
+arithmetic when a Hermitian section carries no flux
+(``linalg.real_gauge``).
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .conventions import CIRCLE_GRID, FREDHOLM_TOL, INDEX_SIGN, REFINE_TOL
+from .conventions import (CIRCLE_GRID, CLIFFORD_SIGN, FREDHOLM_TOL, INDEX_SIGN, REFINE_TOL,
+                          floquet_to_twist)
 from .errors import ContractViolation, DegenerateCrossing, check_tolerance
 from .linalg import hermitian_eigenvalues, is_hermitian, real_gauge, sigma_min
 from .spectra import SpectrumSample, spectra_match
@@ -50,11 +54,13 @@ __all__ = [
     "finite_section",
     "fredholm_via_sections",
     "spectral_flow",
+    "twist_crossings",
 ]
 
 _CHUNK_BYTES = 2 * 1024 * 1024  # largest symbol stack one batched scan call holds
 _START_GRID = 32  # uniform points of the circle scan's first round
-_MOBIUS = 0.5 * cmath.exp(1j)  # a of the index's disc map z = (w + a)/(1 + a' w)
+# the points a of the disc map z = (w + a)/(1 + a' w), the second where the first fails
+_MOBIUS = (0.5 * cmath.exp(1j), 0.5 * cmath.exp(-2j))
 
 
 class LaurentSymbol:
@@ -138,23 +144,50 @@ def _scan(s: LaurentSymbol, zs: np.ndarray, reduce: Callable[[np.ndarray], np.nd
                            for i in range(0, zs.size, per)])
 
 
-def _golden_section(f: Callable[[float], float], a: float, b: float, xtol: float):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
+def _brent(f: Callable[[float], float], a: float, b: float, xtol: float):
+    """Minimise ``f`` over [a, b] by Brent's method (Algorithms for
+    Minimization without Derivatives, 1973, ch. 5): a step to the vertex
+    of the parabola through the three best points when it falls inside
+    the bracket and is under half the step before last, a golden-section
+    step into the larger part otherwise, and never a step under xtol/4.
+    Each probe shrinks the bracket around the best point x; the search
+    stops when b - a <= xtol, or after 200 probes, and returns x, f(x).
+    """
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    tol = 0.25 * xtol
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
     for _ in range(200):
         if b - a <= xtol:
             break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
+        middle = 0.5 * (a + b)
+        p = q = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = tol if x < middle else -tol
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+            e = (b if x < middle else a) - x
+            d = golden * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 class CircleMinimum(tuple):
@@ -205,10 +238,12 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID) -> CircleM
     scan evaluates at most 2 * grid points (``grid`` when grid / 32 is a
     power of two).  The least arc bound, less ``_rounding_allowance``, is the
     certified ``lower_bound``.  The best point is then refined by one
-    golden-section search over [best - 2 pi/grid, best + 2 pi/grid] to a
-    bracket of REFINE_TOL / max(L, 1): the polished value is within
+    Brent search (``_brent``) over [best - 2 pi/grid, best + 2 pi/grid] to
+    a bracket of REFINE_TOL / max(L, 1): the polished value is within
     REFINE_TOL of its basin's minimum when L >= 1, and within
-    REFINE_TOL * L -- relative to the symbol's scale -- below that.
+    REFINE_TOL * L -- relative to the symbol's scale -- below that.  Its
+    parabolic steps take 7 to 35 probes on the benchmark's fredholm and
+    index symbols, where a golden-section search took 33 to 54.
     """
     if grid < 16:
         raise ContractViolation("grid must be at least 16")
@@ -254,7 +289,7 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID) -> CircleM
         probes += 1
         return float(sigma_min(symbol_eval(s, cmath.exp(1j * theta)), herm))
 
-    x, v = _golden_section(probe, best_theta - step, best_theta + step, xtol)
+    x, v = _brent(probe, best_theta - step, best_theta + step, xtol)
     if v < best_value:
         best_value, best_theta = v, x
     return CircleMinimum(best_value, cmath.exp(1j * best_theta),
@@ -321,53 +356,95 @@ def toeplitz_index(s: LaurentSymbol, tol: float = FREDHOLM_TOL) -> int:
     return rep.index
 
 
+@dataclass(frozen=True)
+class _Zeros:
+    """The D N zeros ``z`` of det P(z), P(z) = z^-lo A(z), from
+    ``_symbol_zeros``.  Every zero of C + tE that lies on the unit circle
+    lies where sigma_min(A(z)) <= ``level``.  ``kernels``, when asked for,
+    holds in column k a unit kernel vector of A(z_k): the last block of
+    the companion eigenvector."""
+
+    z: np.ndarray
+    level: float
+    kernels: Optional[np.ndarray]
+
+
+def _symbol_zeros(s: LaurentSymbol, lower_bound: float, vectors: bool) -> Optional[_Zeros]:
+    """Zeros of det A(z) through the disc map z = (w + a)/(1 + a' w), at the
+    first a of ``_MOBIUS`` whose ``level`` is below ``lower_bound``, a
+    lower bound of sigma_min(A(z)) on the unit circle (``inf`` takes the
+    first a with a finite level); None when no a serves.  The symbol needs
+    two offsets or more.
+
+    P(z) = z^-lo A(z) = sum_k B_k z^k with B_k = A_{lo+k} and D = hi - lo
+    (Gohberg, Lancaster & Rodman, Matrix Polynomials, 1982).  The map keeps
+    the disc, and Q(w) = sum_k B_k (w + a)^k (1 + a' w)^(D-k) has the
+    zeros of det P, moved by the map: the eigenvalues of the companion
+    matrix C of M = Q_D^-1 Q = w^D + sum_i M_i w^i.  Q_D = a'^D P(1/a') is
+    invertible unless det P vanishes at 1/a'; the second point serves
+    where the first fails.
+
+    Slack, c = 10: forming M errs by at most r = c eps ((2D + 1)
+    (1 + |a|)^D sum_k ||B_k||_F + N ||Q_D||_F mu), mu = sum_i ||M_i||_F,
+    and solving (wI - C) x = y blockwise gives ||(wI - C)^-1|| <= D (1 +
+    (1 + mu) ||Q_D||_F / (sigma_min(Q(w)) - r)).  The computed zeros are
+    exact for C + E, ||E|| <= eta = c N D eps ||C||_F (Higham, Li &
+    Tisseur, SIAM J. Matrix Anal. Appl. 29, 2007), so no zero of C + tE,
+    0 <= t <= 1, lies where sigma_min(Q(w)) > slack = r + D eta (1 + mu)
+    ||Q_D||_F / (1 - D eta).  On |w| = 1, Q(w) = (1 + a' w)^D z^-lo A(z)
+    gives sigma_min(Q(w)) >= (1 - |a|)^D sigma_min(A(z)), so such a zero on
+    the circle has sigma_min(A(z)) <= level = slack / (1 - |a|)^D.  A level
+    below ``lower_bound`` keeps every zero of C + tE off the circle, and
+    the count inside it is the exact one.
+    """
+    lo = int(s._offsets[0])
+    d, n = int(s._offsets[-1]) - lo, s.block_size
+    eps = 10.0 * np.finfo(float).eps
+    norms = np.linalg.norm(s._stacked, axis=1).sum()
+    for a in _MOBIUS:
+        # column k: the coefficients of (w + a)^k (1 + a' w)^(d-k), w^0 first
+        weights = np.stack([functools.reduce(np.convolve, [[a, 1]] * k + [[1, np.conj(a)]] * (d - k))
+                            for k in range(d + 1)], axis=1)
+        q = (weights[:, s._offsets - lo] @ s._stacked).reshape(d + 1, n, n)
+        try:
+            monic = np.linalg.solve(q[d], q[d - 1::-1].transpose(1, 0, 2).reshape(n, d * n))
+        except np.linalg.LinAlgError:  # Q_D singular
+            continue
+        mu, lead = sum(np.linalg.norm(m) for m in np.hsplit(monic, d)), np.linalg.norm(q[d])
+        rounding = eps * ((2 * d + 1) * (1 + abs(a)) ** d * norms + n * lead * mu)
+        backward = eps * n * d * d * math.sqrt((d - 1) * n + np.linalg.norm(monic) ** 2)
+        level = (rounding + backward * (1.0 + mu) * lead / (1.0 - backward)) / (1 - abs(a)) ** d
+        if not (backward < 1.0 and level < lower_bound):  # also when M overflows
+            continue
+        companion = np.eye(d * n, k=-n, dtype=complex)
+        companion[:n] = -monic
+        kernels = None
+        if vectors:
+            w, x = np.linalg.eig(companion)
+            kernels = x[-n:] / np.linalg.norm(x[-n:], axis=0)
+        else:
+            w = np.linalg.eigvals(companion)
+        return _Zeros(z=(w + a) / (1 + np.conj(a) * w), level=float(level), kernels=kernels)
+    return None
+
+
 def _winding_index(s: LaurentSymbol, lower_bound: float) -> Optional[int]:
     """INDEX_SIGN * winding(det A(z)) from the zeros of det A(z) in the
     unit disc, or None when the count is not certified; ``lower_bound``
     bounds sigma_min(A(z)) on the unit circle from below.
 
     The winding is N lo plus the number of zeros of det P in the disc,
-    P(z) = z^-lo A(z) = sum_k B_k z^k with B_k = A_{lo+k} and D = hi - lo
-    (Gohberg, Lancaster & Rodman, Matrix Polynomials, 1982).  The map
-    z = (w + a)/(1 + a' w), a = ``_MOBIUS`` and a' = conj(a), keeps the
-    disc, and Q(w) = sum_k B_k (w + a)^k (1 + a' w)^(D-k) has those zeros
-    in it: the eigenvalues of the companion matrix C of M = Q_D^-1 Q =
-    w^D + sum_i M_i w^i.  Q_D = a'^D P(1/a') is invertible for a generic
-    a; a real a = 1/2 fails on z - 2.
-
-    Certificate, c = 10: on |w| = 1, sigma_min(Q(w)) >= g =
-    (1 - |a|)^D lower_bound, and forming M errs by at most r = c eps
-    ((2D + 1)(1 + |a|)^D sum_k ||B_k||_F + N ||Q_D||_F mu), with
-    mu = sum_i ||M_i||_F.  For r < g, M has the zeros of Q in the disc,
-    and solving (wI - C) x = y blockwise gives ||(wI - C)^-1|| <= R =
-    D (1 + (1 + mu) ||Q_D||_F / (g - r)).  The computed zeros are exact
-    for C + E, ||E|| <= c N D eps ||C||_F (Higham, Li & Tisseur, SIAM J.
-    Matrix Anal. Appl. 29, 2007), and no zero of C + tE, 0 <= t <= 1,
-    meets the circle while ||E|| R < 1.
+    P(z) = z^-lo A(z), lo the least offset; ``_symbol_zeros`` gives them,
+    certified through ``lower_bound``.
     """
     lo = int(s._offsets[0])
-    d, n, a = int(s._offsets[-1]) - lo, s.block_size, _MOBIUS
-    if d == 0:  # det A(z) = z^(N lo) det A_lo
-        return INDEX_SIGN * n * lo
-    # column k: the coefficients of (w + a)^k (1 + a' w)^(d-k), w^0 first
-    weights = np.stack([functools.reduce(np.convolve, [[a, 1]] * k + [[1, np.conj(a)]] * (d - k))
-                        for k in range(d + 1)], axis=1)
-    q = (weights[:, s._offsets - lo] @ s._stacked).reshape(d + 1, n, n)
-    companion = np.eye(d * n, k=-n, dtype=complex)
-    try:
-        monic = np.linalg.solve(q[d], q[d - 1::-1].transpose(1, 0, 2).reshape(n, d * n))
-        companion[:n] = -monic
-        inside = int(np.count_nonzero(np.abs(np.linalg.eigvals(companion)) < 1.0))
-    except np.linalg.LinAlgError:  # Q_D singular, or M overflows
+    if s._offsets.size == 1:  # det A(z) = z^(N lo) det A_lo
+        return INDEX_SIGN * s.block_size * lo
+    zeros = _symbol_zeros(s, lower_bound, False)
+    if zeros is None:
         return None
-    eps = 10.0 * np.finfo(float).eps
-    mu, lead = sum(np.linalg.norm(m) for m in np.hsplit(monic, d)), np.linalg.norm(q[d])
-    gap = (1 - abs(a)) ** d * lower_bound - eps * (
-        (2 * d + 1) * (1 + abs(a)) ** d * np.linalg.norm(s._stacked, axis=1).sum() + n * lead * mu)
-    backward = eps * n * d * math.sqrt((d - 1) * n + np.linalg.norm(monic) ** 2)
-    if gap <= 0 or backward * d * (1.0 + (1.0 + mu) * lead / gap) >= 1.0:
-        return None
-    return INDEX_SIGN * (inside + n * lo)
+    inside = int(np.count_nonzero(np.abs(zeros.z) < 1.0))
+    return INDEX_SIGN * (inside + s.block_size * lo)
 
 
 def _section_rows(s: LaurentSymbol, n) -> int:
@@ -446,6 +523,87 @@ def fredholm_via_sections(s: LaurentSymbol, sizes: Sequence[int],
 class SpectralFlowResult:
     flow: int
     crossings: tuple  # (parameter value, direction +-1)
+
+
+def twist_crossings(s: LaurentSymbol) -> SpectralFlowResult:
+    """Crossings of the twist loop c -> A(z(c)), c in [0, 1) and z(c) from
+    ``conventions.twist_to_floquet``, of a Hermitian-symmetric symbol,
+    from the unimodular zeros of det A(z): one ``eig`` of the companion
+    matrix of ``_symbol_zeros``, no scan.  Crossings are sorted by c.
+
+    The direction of a crossing at z with unit kernel vector v is the sign
+    of v^H A'(c) v (Hellmann-Feynman).  A cluster of k zeros at one circle
+    point is a k-dimensional kernel: its directions are the signs of the
+    eigenvalues of V^H A'(c) V, V an orthonormal basis of the cluster's
+    kernel vectors.
+
+    Certificate, to first order in the distance a zero moves.  Every
+    computed zero lies where sigma_min(H(z)) <= beta, H(z) the Hermitian
+    part of A(z) on the circle and beta = ``_Zeros.level`` plus
+    ``_rounding_allowance``, which holds the symbol's Hermitian defect.
+    With slopes s_i, the eigenvalues of V^H A'(theta) V at the cluster's
+    circle point z_c, and K = sum_j j^2 ||A_j|| >= ||A''(theta)||,
+    sigma_min(H(z)) >= |s| |z - z_c| - K |z - z_c|^2 / 2, |s| = min_i |s_i|,
+    so where |s| > sqrt(2 K beta) the set sigma_min(H) <= beta around z_c
+    lies in the disc of radius r = 2 beta / |s|: it holds as many true
+    zeros as computed ones.  The Hermitian part has H(1/z') = H(z)^H, so
+    that set and its zeros are symmetric under z -> 1/z', and a lone zero
+    in the disc lies on the circle.  A slope
+    under sqrt(2 K beta) bounds r by rho = sqrt(2 beta / K), so zeros
+    farther than 4 rho from the circle are taken as off it, and zeros
+    nearer than that and within 4 rho of each other form a cluster.  A
+    cluster whose zeros leave the disc, whose slopes do not clear
+    sqrt(2 K beta), or whose kernel vectors V leave
+    ||A(z_c) V||_F > k (beta + L r) with L = ``lipschitz_bound`` (fewer
+    than k independent kernel vectors: a tangency such as
+    2 + z + 1/z) raises ``DegenerateCrossing``; so does a symbol whose
+    det A(z) vanishes on the whole circle.
+    """
+    if not s.hermitian_symmetric:
+        raise ContractViolation("spectral flow needs a Hermitian-symmetric symbol")
+    n = s.block_size
+    if s._offsets.size == 1:  # A(z) = A_0 is singular everywhere or nowhere
+        if sigma_min(s._stacked.reshape(n, n), True) <= _rounding_allowance(s):
+            raise DegenerateCrossing("an eigenvalue stays at zero around the whole loop")
+        return SpectralFlowResult(flow=0, crossings=())
+    zeros = _symbol_zeros(s, math.inf, True)
+    if zeros is None:
+        raise DegenerateCrossing("the zeros of det A(z) are not certified")
+    z, beta = zeros.z, zeros.level + _rounding_allowance(s)
+    curvature = sum(j * j * np.linalg.norm(a, 2) for j, a in s.coeffs.items())
+    lip = s.lipschitz_bound()
+    reach = 4.0 * math.sqrt(2.0 * beta / curvature)
+    near = np.flatnonzero(np.abs(np.abs(z) - 1.0) <= reach)
+    near = near[np.argsort(np.angle(z[near]) % (2.0 * math.pi))]
+    # a cluster ends where the next zero round the circle is out of reach
+    ends = np.abs(z[near] - np.roll(z[near], -1)) > reach
+    clusters = [near] if near.size else []
+    if ends.any():
+        start = int(np.argmax(ends)) + 1
+        near, ends = np.roll(near, -start), np.roll(ends, -start)
+        clusters = np.split(near, np.flatnonzero(ends[:-1]) + 1)
+    crossings = []
+    for idx in clusters:
+        k = idx.size
+        zc = np.mean(z[idx] / np.abs(z[idx]))
+        zc /= abs(zc)
+        c = floquet_to_twist(complex(zc))
+        basis = np.linalg.qr(zeros.kernels[:, idx])[0]
+        # dA/dc / (2 pi) = -i CLIFFORD_SIGN sum_j j A_j z^j, as z(c) =
+        # exp(-2 pi i c CLIFFORD_SIGN) (``conventions.twist_to_floquet``)
+        derivative = (-1j * CLIFFORD_SIGN * zc ** s._offsets * s._offsets) @ s._stacked
+        slope = basis.conj().T @ derivative.reshape(n, n) @ basis
+        slopes = slope.real.diagonal() if k == 1 else np.linalg.eigvalsh(slope)
+        least = float(np.abs(slopes).min())
+        radius = 2.0 * beta / least if least > 0.0 else math.inf
+        if (k > n or least <= math.sqrt(2.0 * curvature * beta)
+                or np.abs(z[idx] - zc).max() > radius
+                or np.linalg.norm(symbol_eval(s, zc) @ basis) > k * (beta + lip * radius)):
+            raise DegenerateCrossing(f"{k} zero(s) of det A(z) near c = {c:.9g} do not "
+                                     "form a certified crossing")
+        crossings += [(c, 1 if v > 0 else -1) for v in slopes]
+    crossings.sort()
+    return SpectralFlowResult(flow=sum(d for _, d in crossings), crossings=tuple(crossings))
 
 
 _PIN_EPS = 1e-11
@@ -546,7 +704,8 @@ def spectral_flow(family: Callable[[float], np.ndarray], steps: int = 50) -> Spe
     eigenvalue's motion (+1 for upward).  The endpoints must be
     isospectral away from truncation edges, which makes the flow over one
     period well-defined.  An eigenvalue pinned at zero across consecutive
-    scan points raises ``DegenerateCrossing``.
+    scan points raises ``DegenerateCrossing``.  The twist loop of a
+    symbol takes its crossings from zeros instead (``twist_crossings``).
     """
     if steps < 2:
         raise ContractViolation("need at least 2 steps")

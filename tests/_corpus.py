@@ -2,10 +2,11 @@
 engine tests and the acceptance suite, and the problem-file writers and
 fixture-corpus reader the tests use."""
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import List
+from typing import Callable, List
 
 import numpy as np
 
@@ -21,6 +22,29 @@ from spinspec.problemfile import _build_record, _split_sections
 def singular_values(m) -> np.ndarray:
     """Singular values sorted descending; count = min(rows, cols)."""
     return np.linalg.svd(as_matrix(m), compute_uv=False)
+
+
+def golden_section(f: Callable[[float], float], a: float, b: float, xtol: float):
+    """Reference golden-section minimiser over [a, b] with the polish's
+    stop rule, b - a <= xtol or 200 steps; returns (x, f(x)) of the better
+    interior point.  Kept here so that references stay independent of the
+    library's own minimiser."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(200):
+        if b - a <= xtol:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def numeric_kernel_dim(m, tol: float = 1e-8) -> int:

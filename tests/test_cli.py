@@ -1,12 +1,18 @@
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import spinspec
 from _corpus import symbol_to_text
@@ -149,10 +155,10 @@ class TestFredholmCommands:
         path.write_text(symbol_to_text(s))
         doc = run_json(capsys, "fredholm", str(path))
         assert doc["results"] == {
-            "evaluations": 87, "grid_used": 512, "index": 0, "is_fredholm": True,
+            "evaluations": 65, "grid_used": 512, "index": 0, "is_fredholm": True,
             "lower_bound": 0.8578144281664934,
-            "min_singular": {"tol": 1e-06, "value": 0.8656107270859316},
-            "verdict": "fredholm", "witness": [0.9787174923630587, -0.20521225631663959]}
+            "min_singular": {"tol": 1e-06, "value": 0.8656107270859318},
+            "verdict": "fredholm", "witness": [0.9787174917318399, -0.20521225932710757]}
 
     def test_fredholm_false_witness(self, capsys, root_on_circle_file):
         doc = run_json(capsys, "fredholm", root_on_circle_file)
@@ -188,23 +194,103 @@ class TestFredholmCommands:
         code, _, _ = run(capsys, "fredholm", "/nonexistent/sym.txt")
         assert code == 2
 
-    def test_spectral_flow_loop(self, capsys, tmp_path):
+    @pytest.mark.parametrize("grid", [8, 16, 32])
+    @pytest.mark.parametrize("spin", ["bounding", "nonbounding"])
+    def test_spectral_flow_loop(self, capsys, tmp_path, grid, spin):
+        # the central-difference loop has its kernel twist and its doubler's
+        # at one point: a two-dimensional kernel crossed once each way
         from spinspec.discretize import Scheme, build_circle_dirac, period_symbol
         from spinspec.spectra import SpinStructure
-        sym = period_symbol(build_circle_dirac(16, Scheme.CENTRAL_DIFFERENCE,
-                                               SpinStructure.BOUNDING, 0.0).matrix)
+        sym = period_symbol(build_circle_dirac(grid, Scheme.CENTRAL_DIFFERENCE,
+                                               SpinStructure(spin), 0.0).matrix)
         path = tmp_path / "circle.txt"
         path.write_text(symbol_to_text(sym))
-        doc = run_json(capsys, "spectral-flow", str(path), "--steps", "24")
-        res = doc["results"]
+        res = run_json(capsys, "spectral-flow", str(path), "--steps", "50")["results"]
         assert res["flow"] == 0  # a closed symbol loop nets to zero
-        locations = sorted(c["parameter"]["value"] for c in res["crossings"])
-        assert any(abs(c - 0.5) < 1e-6 for c in locations)
+        assert sorted(c["direction"] for c in res["crossings"]) == [-1, 1]
+        kernel = 0.5 if spin == "bounding" else 0.0
+        for c in res["crossings"]:
+            c = c["parameter"]["value"]
+            assert 0.0 <= c < 1.0 and min(abs(c - kernel), 1.0 - abs(c - kernel)) < 1e-6
+
+    @pytest.mark.parametrize("m", [1.999, 1.9999])
+    def test_spectral_flow_close_crossings(self, capsys, tmp_path, m):
+        # m + 2 cos(2 pi c + 0.3) crosses zero twice, closer together than
+        # one scan step of --steps 50
+        path = tmp_path / "close.txt"
+        t = cmath.exp(0.3j)
+        path.write_text(symbol_to_text(LaurentSymbol.scalar({0: m, 1: t, -1: t.conjugate()})))
+        res = run_json(capsys, "spectral-flow", str(path), "--steps", "50")["results"]
+        phase = math.acos(-m / 2)
+        want = sorted([(((phase - 0.3) / (2 * math.pi)) % 1.0, -1),
+                       (((-phase - 0.3) / (2 * math.pi)) % 1.0, 1)])
+        got = [(c["parameter"]["value"], c["direction"]) for c in res["crossings"]]
+        assert [d for _, d in got] == [d for _, d in want] and res["flow"] == 0
+        assert all(abs(a - b) < 1e-6 for (a, _), (b, _) in zip(got, want))
+
+    def test_spectral_flow_tangency_exit_3(self, capsys, tmp_path):
+        # 2 + 2 cos(2 pi c + 0.3) touches zero without crossing
+        path = tmp_path / "tangent.txt"
+        t = cmath.exp(0.3j)
+        path.write_text(symbol_to_text(LaurentSymbol.scalar({0: 2, 1: t, -1: t.conjugate()})))
+        code, out, err = run(capsys, "spectral-flow", str(path), "--steps", "50")
+        assert code == 3 and out == ""
+        assert "certified crossing" in err
+
+    def test_spectral_flow_takes_one_eig(self, capsys, tmp_path):
+        # the crossings come from one companion eig: no Hermitian eigensolve
+        from spinspec import floquet, linalg
+        rng = np.random.default_rng(3)
+        a1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        path = tmp_path / "loop.txt"
+        path.write_text(symbol_to_text(LaurentSymbol({0: np.diag([0.5, -0.5, 3.0, -3.0]),
+                                                      1: a1, -1: a1.conj().T})))
+        with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig, \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                mock.patch.object(linalg, "hermitian_eigenvalues") as he1, \
+                mock.patch.object(floquet, "hermitian_eigenvalues") as he2:
+            res = run_json(capsys, "spectral-flow", str(path), "--steps", "50")["results"]
+        assert res["crossings"]
+        assert (eig.call_count, eigh.call_count, he1.call_count, he2.call_count) == (1, 0, 0, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(block=st.integers(1, 8), bandwidth=st.integers(1, 2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_spectral_flow_matches_a_fine_scan(self, block, bandwidth, seed):
+        # random Hermitian-symmetric symbols whose crossings lie at least
+        # 1/100 apart: the zeros give what a 400-step scan finds
+        from spinspec.conventions import twist_to_floquet
+        from spinspec.floquet import spectral_flow, symbol_eval
+        rng = np.random.default_rng(seed)
+        a0 = rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
+        coeffs = {0: a0 + a0.conj().T}
+        for j in range(1, bandwidth + 1):
+            coeffs[j] = rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
+            coeffs[-j] = coeffs[j].conj().T
+        s = LaurentSymbol(coeffs)
+
+        def family(c):
+            a = symbol_eval(s, twist_to_floquet(c))
+            return 0.5 * (a + a.conj().T)
+
+        ref = spectral_flow(family, steps=400).crossings
+        cs = [c for c, _ in ref] + [ref[0][0] + 1.0 if ref else 1.0]
+        assume(all(b - a >= 0.01 for a, b in zip(cs, cs[1:])))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "loop.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(symbol_to_text(s))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["spectral-flow", path, "--steps", "50"]) == 0
+        res = json.loads(out.getvalue())["results"]
+        got = [(c["parameter"]["value"], c["direction"]) for c in res["crossings"]]
+        assert [d for _, d in got] == [d for _, d in ref]
+        assert all(abs(a - b) < 1e-6 for (a, _), (b, _) in zip(got, ref))
+        assert res["flow"] == sum(d for _, d in ref)
 
     def test_scalar_loop_crossings_at_closed_form_twists(self, capsys, tmp_path):
-        # A(z(c)) = m + 2|t| cos(2 pi c + arg t) crosses zero twice; the
-        # 1x1 family vanishes there, so only the exactly Hermitian part of
-        # the evaluated symbol passes the eigensolver's relative check
+        # A(z(c)) = m + 2|t| cos(2 pi c + arg t) crosses zero twice
         m, t = 0.7, 0.9 * cmath.exp(0.4j)
         path = tmp_path / "loop.txt"
         path.write_text(symbol_to_text(LaurentSymbol.scalar({0: m, 1: t, -1: t.conjugate()})))

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import numeric_kernel_dim, singular_values
+from _corpus import golden_section, numeric_kernel_dim, singular_values
 from spinspec import discretize
 from spinspec.discretize import (Scheme, WeightFunction, build_circle_dirac,
                                  fourier_laplace_family, gauge_conjugate,
                                  grid_angles, kernel_twists, mass_doubled,
                                  period_symbol, spectrum_sample)
 from spinspec.errors import ContractViolation
-from spinspec.floquet import _golden_section, finite_section, symbol_eval
+from spinspec.floquet import finite_section, symbol_eval
 from spinspec.conventions import CLIFFORD_SIGN, twist_to_floquet
 from spinspec.linalg import hermitian_eigenvalues
 from spinspec.spectra import SpinStructure, circle_spectrum, spectra_match
@@ -264,7 +264,7 @@ def reference_kernel_twists(spin, c_from, c_to, steps, grid, mass, ktol):
             continue
         a = cs[i - 1] if i > 0 else cs[i]
         b = cs[i + 1] if i + 1 < len(cs) else cs[i]
-        c_star, value = _golden_section(min_abs, a, b, 1e-12)
+        c_star, value = golden_section(min_abs, a, b, 1e-12)
         if value < ktol:
             locations.append(c_star % 1.0)
     deduped = []

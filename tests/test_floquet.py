@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import (circle_zero_symbols, invertible_symbols, numeric_kernel_dim,
-                     section_index_oracle, singular_values, symbol_direct_sum,
-                     winding_test_symbols)
+from _corpus import (circle_zero_symbols, golden_section, invertible_symbols,
+                     numeric_kernel_dim, section_index_oracle, singular_values,
+                     symbol_direct_sum, winding_test_symbols)
 from spinspec import floquet
-from spinspec.conventions import FREDHOLM_TOL, HERMITICITY_TOL, twist_to_floquet
+from spinspec.conventions import FREDHOLM_TOL, HERMITICITY_TOL, REFINE_TOL, twist_to_floquet
 from spinspec.discretize import (Scheme, build_circle_dirac, mass_doubled,
                                  period_symbol)
 from spinspec.errors import ContractViolation, DegenerateCrossing
 from spinspec.floquet import (LaurentSymbol, finite_section,
                               fredholm_via_sections, is_fredholm,
                               min_singular_on_circle, spectral_flow,
-                              symbol_eval, toeplitz_index)
+                              symbol_eval, toeplitz_index, twist_crossings)
 from spinspec.linalg import hermitian_eigenvalues
 from spinspec.spectra import SpinStructure
 
@@ -185,7 +185,7 @@ class TestMinSingularOnCircle:
                  for t in thetas]
         # a refinement that never improves leaves the scan's best point
         no_refine = lambda f, a, b, xtol: (0.5 * (a + b), math.inf)
-        with mock.patch.object(floquet, "_golden_section", no_refine):
+        with mock.patch.object(floquet, "_brent", no_refine):
             found = min_singular_on_circle(s, grid=grid)
         value, witness = found
         # the scan and the one-point SVD each err by at most the allowance
@@ -195,6 +195,31 @@ class TestMinSingularOnCircle:
         assert min(dense) - 1e-12 * max(dense) <= value <= min(dense) + eps
         assert found.lower_bound <= min(dense)
         assert found.evaluations <= 2 * grid
+
+    def test_brent_polish_saves_probes(self):
+        # the symbol of the pinned non-Hermitian fredholm report; the scan's
+        # evaluations are those with a polish that probes nothing
+        s = LaurentSymbol({0: [[-2, 0.5j], [0.25, -3]], 1: [[1, 0], [0.5, 1]]})
+        no_refine = lambda f, a, b, xtol: (0.5 * (a + b), math.inf)
+        with mock.patch.object(floquet, "_brent", no_refine):
+            scan = min_singular_on_circle(s).evaluations
+        with mock.patch.object(floquet, "_brent", golden_section):
+            golden = min_singular_on_circle(s)
+        brent = min_singular_on_circle(s)
+        assert brent.evaluations - scan <= 2 / 3 * (golden.evaluations - scan)
+        assert abs(brent[0] - golden[0]) <= REFINE_TOL
+
+    @pytest.mark.parametrize("f, argmin", [
+        (lambda x: (x - 0.3) ** 2, 0.3),  # parabolic steps
+        (lambda x: abs(x - 0.3), 0.3),    # a kink: golden-section steps
+        (lambda x: x, 0.0)])              # the minimum at the bracket's end
+    def test_brent_keeps_the_bracket_rule(self, f, argmin):
+        probes = []
+        counted = lambda x: probes.append(x) or f(x)
+        x, value = floquet._brent(counted, 0.0, 1.0, 1e-8)
+        assert value == f(x) == min(map(f, probes))
+        assert abs(x - argmin) <= 1e-8
+        assert all(0.0 <= p <= 1.0 for p in probes) and len(probes) <= 201
 
 
 def diagonal_symbol(rng, block: int, bandwidth: int, scale: float, degenerate: bool = False):
@@ -400,15 +425,29 @@ class TestToeplitzIndex:
         assert index == section_index_oracle(s, periods=64)
         assert toeplitz_index(shifted) == index - 3 * k
 
-    def test_uncertified_index(self):
-        # det A(z) = z - 1/a' vanishes where the disc map sends w to
-        # infinity, so the companion matrix of the zeros count is not
-        # certified, although sigma_min(A(z)) >= 1 on the circle
-        s = LaurentSymbol.scalar({0: -1 / floquet._MOBIUS.conjugate(), 1: 1})
+    def test_second_mobius_point(self):
+        # det A(z) = z - 1/a' vanishes where the first disc map sends w to
+        # infinity, so its Q_D is singular; the second point counts it
+        s = LaurentSymbol.scalar({0: -2 * cmath.exp(1j), 1: 1})
+        assert s.coeffs[0][0, 0] == pytest.approx(-1 / floquet._MOBIUS[0].conjugate())
         rep = is_fredholm(s)
-        assert rep.verdict == "fredholm" and rep.index is None
+        assert (rep.verdict, rep.index) == ("fredholm", 0)
+        assert toeplitz_index(s) == 0
+
+    def test_uncertified_index(self):
+        # sigma_min = 3e-6 clears the tolerance, but the scan's lower bound
+        # is negative and certifies no count
+        s = LaurentSymbol.scalar({0: -(1 + 3e-6), 1: 1})
+        rep = is_fredholm(s)
+        assert rep.lower_bound < 0.0
+        assert rep.verdict == "inconclusive" and rep.index is None
         with pytest.raises(ContractViolation, match="index is not certified"):
             toeplitz_index(s)
+        # zeros at 1/a' for both disc map points: no point serves
+        r1, r2 = (1 / a.conjugate() for a in floquet._MOBIUS)
+        both = LaurentSymbol.scalar({0: r1 * r2, 1: -(r1 + r2), 2: 1})
+        rep = is_fredholm(both)
+        assert rep.verdict == "fredholm" and rep.index is None
 
 
 class TestFiniteSection:
@@ -668,3 +707,55 @@ class TestSpectralFlow:
         r = spectral_flow(fam, steps=32)
         assert r.flow == 0
         assert len(r.crossings) == 2  # one branch down, the doubler back up
+
+
+class TestTwistCrossings:
+    @settings(max_examples=30, deadline=None)
+    @given(block=st.integers(1, 16), steps=st.integers(8, 64),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_conjugated_diagonal_families(self, block, steps, seed, data):
+        branches = data.draw(st.integers(0, min(block, steps // 4)))
+        s, oracle = conjugated_diagonal_family(np.random.default_rng(seed), block, steps,
+                                               branches)
+        r = twist_crossings(s)
+        assert [d for _, d in r.crossings] == [d for _, d in oracle]
+        assert r.flow == sum(d for _, d in oracle)
+        assert all(abs(c - co) < 1e-8 for (c, _), (co, _) in zip(r.crossings, oracle))
+
+    def test_hermitian_defect(self):
+        # A_{-1} = A_1^H + E inside HERMITICITY_TOL: the crossings are those
+        # of the exactly Hermitian symbol
+        s, oracle = conjugated_diagonal_family(np.random.default_rng(8), 6, 32, 3)
+        e = 0.1 * HERMITICITY_TOL * np.linalg.norm(s.coeffs[1]) * np.ones((6, 6))
+        off = LaurentSymbol({0: s.coeffs[0], 1: s.coeffs[1], -1: s.coeffs[-1] + e})
+        assert off.hermitian_symmetric and not np.array_equal(off.coeffs[-1], s.coeffs[-1])
+        r = twist_crossings(off)
+        assert [d for _, d in r.crossings] == [d for _, d in oracle]
+        assert all(abs(c - co) < 1e-8 for (c, _), (co, _) in zip(r.crossings, oracle))
+
+    def test_cluster_of_a_direct_sum(self):
+        # two copies of one branch cross at the same twists: each crossing
+        # is a two-dimensional kernel with two equal directions
+        t = 0.9 * cmath.exp(0.4j)
+        s = LaurentSymbol({0: 0.7 * np.eye(2), 1: t * np.eye(2), -1: t.conjugate() * np.eye(2)})
+        one = twist_crossings(LaurentSymbol.scalar({0: 0.7, 1: t, -1: t.conjugate()}))
+        r = twist_crossings(s)
+        assert r.flow == 0
+        assert [d for _, d in r.crossings] == [-1, -1, 1, 1]
+        assert all(abs(c - co) < 1e-12 for (c, _), (co, _) in
+                   zip(r.crossings, sorted(2 * list(one.crossings))))
+
+    def test_constant_symbols(self):
+        assert twist_crossings(LaurentSymbol({0: np.diag([1.0, -2.0])})).crossings == ()
+        with pytest.raises(DegenerateCrossing):
+            twist_crossings(LaurentSymbol({0: np.diag([0.0, 1.0])}))
+
+    def test_kernel_on_the_whole_circle(self):
+        # det A(z) = 0 for every z: the first row and column are zero
+        a1 = np.array([[0, 0], [0, 1.0]])
+        with pytest.raises(DegenerateCrossing):
+            twist_crossings(LaurentSymbol({0: np.diag([0.0, 0.5]), 1: a1, -1: a1}))
+
+    def test_rejects_non_hermitian_symbol(self):
+        with pytest.raises(ContractViolation, match="Hermitian-symmetric"):
+            twist_crossings(LaurentSymbol.scalar({0: -2, 1: 1}))
