@@ -186,8 +186,10 @@ def kernel_twists(spin: SpinStructure, c_from: float, c_to: float,
     c = -CLIFFORD_SIGN * mu, clipped to the range; that twist is kept when
     it is below ``ktol``, so a kernel within ``ktol`` just outside the
     range is reported at the range end.  Locations closer than 1e-6 mod 1
-    merge.  A non-finite range end or mass, or a ``ktol`` that is not
-    finite and positive, is rejected.
+    merge into the one with the least |eigenvalue|, so an in-range kernel
+    outranks another kernel's clipped copy at a range end.  A non-finite
+    range end or mass, or a ``ktol`` that is not finite and positive, is
+    rejected.
     """
     if not all(math.isfinite(x) for x in (c_from, c_to, mass)):
         raise ContractViolation("twist range and mass must be finite")
@@ -197,12 +199,16 @@ def kernel_twists(spin: SpinStructure, c_from: float, c_to: float,
     _check_grid(grid)
     mu = -circle_modes(spin, -grid // 2, grid // 2)
     cs = np.clip(-CLIFFORD_SIGN * mu, c_from, c_to)
-    cs = cs[np.hypot(mu + CLIFFORD_SIGN * cs, mass) < ktol]
-    deduped = []
-    for c in sorted(cs % 1.0):
-        if not deduped or min(abs(c - deduped[-1]), 1.0 - abs(c - deduped[-1])) > 1e-6:
-            deduped.append(float(c))
-    return deduped
+    gaps = np.hypot(mu + CLIFFORD_SIGN * cs, mass)
+    kept = gaps < ktol
+    merged = []  # (twist mod 1, |eigenvalue|)
+    for c, gap in sorted(zip((cs[kept] % 1.0).tolist(), gaps[kept].tolist())):
+        if merged and min(abs(c - merged[-1][0]), 1.0 - abs(c - merged[-1][0])) <= 1e-6:
+            if gap < merged[-1][1]:
+                merged[-1] = (c, gap)
+        else:
+            merged.append((c, gap))
+    return [c for c, _ in merged]
 
 
 def gauge_conjugate(d: DiscreteDirac, u: WeightFunction, c: float) -> np.ndarray:

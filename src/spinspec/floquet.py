@@ -21,7 +21,9 @@ lower bound, and the twist-loop crossings of a Hermitian-symmetric
 symbol are those on the circle (``twist_crossings``).  A section sweep
 solves its shorter sections as leading blocks of the longest, in real
 arithmetic when a Hermitian section carries no flux
-(``linalg.real_gauge``).
+(``linalg.real_gauge``), and by one SVD of the off-diagonal block, with
+half the rows, when its graph splits into even and odd indices
+(``linalg.bipartition``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .conventions import (CIRCLE_GRID, CLIFFORD_SIGN, FREDHOLM_TOL, INDEX_SIGN, REFINE_TOL,
                           floquet_to_twist)
 from .errors import ContractViolation, DegenerateCrossing, check_tolerance
-from .linalg import hermitian_eigenvalues, is_hermitian, real_gauge, sigma_min
+from .linalg import bipartition, hermitian_eigenvalues, is_hermitian, real_gauge, sigma_min
 from .spectra import SpectrumSample, spectra_match
 
 __all__ = [
@@ -499,15 +501,34 @@ def fredholm_via_sections(s: LaurentSymbol, sizes: Sequence[int],
     arithmetic, about a third of the complex cost, and each value's error
     also includes the dropped imaginary part, at most HERMITICITY_TOL/2
     times the Frobenius norm of the longest section.  A section with flux
-    keeps the complex eigensolve.
+    stays complex.
+
+    When ``linalg.bipartition`` splits the (gauged) longest section into
+    even and odd indices, the section of m rows is [[0, B_m], [B_m^H, 0]]
+    after a permutation, with B_m the leading r x c block of
+    B = section[np.ix_(even, odd)], r and c the even and odd indices below
+    m.  Its eigenvalues are +-sigma(B_m) and |r - c| zeros, so sigma_min
+    is the last singular value of one SVD of B_m, with half the rows, when
+    r = c, and 0.0 otherwise.  B reads each Hermitian pair of entries once,
+    as one triangle does, so the error statement above holds unchanged.
+    A nonzero diagonal, such as a twist, or an odd cycle keeps the
+    eigensolve, and a non-Hermitian symbol the SVD of each whole section.
     """
     if list(sizes) != sorted(set(sizes)) or len(sizes) < 2:
         raise ContractViolation("sizes must be strictly ascending, at least two of them")
     rows = [_section_rows(s, n) for n in sizes]
     big = finite_section(s, sizes[-1])
+    split = None
     if s.hermitian_symmetric:
         big = real_gauge(big)
-    sigmas = [float(sigma_min(big[:m, :m], s.hermitian_symmetric)) for m in rows]
+        split = bipartition(big)
+    if split is None:
+        sigmas = [float(sigma_min(big[:m, :m], s.hermitian_symmetric)) for m in rows]
+    else:
+        even, odd = split
+        b = big[np.ix_(even, odd)]
+        shapes = zip(np.searchsorted(even, rows).tolist(), np.searchsorted(odd, rows).tolist())
+        sigmas = [float(sigma_min(b[:r, :c], False)) if r == c else 0.0 for r, c in shapes]
     last, prev = sigmas[-1], sigmas[-2]
     if last > tol and abs(last - prev) < 0.2 * max(last, prev):
         verdict = "stable"

@@ -1,9 +1,13 @@
 """Dense complex linear algebra.
 
 The routines operate on square complex matrices, or stacks of them, at
-desk scale (dimension up to a few thousand); ``real_gauge`` turns a
-flux-free Hermitian matrix into a real symmetric one with the same
-eigenvalues, whose eigensolve costs about a third as much.  The exact
+desk scale (dimension up to a few thousand).  Two helpers read the
+graph of a Hermitian matrix through one forest (``_forest``):
+``real_gauge`` turns a flux-free one into a real symmetric one with the
+same eigenvalues, whose eigensolve costs about a third as much, and
+``bipartition`` finds the even/odd split of one whose nonzero entries
+all join the two classes, so that its eigenvalues are +-sigma of one
+off-diagonal block of half the rows.  The exact
 rational LDL inertia lives in the numpy-free ``exact`` module; ``Inertia`` and
 ``rational_ldl_inertia`` are re-exported here under their public names.
 """
@@ -23,6 +27,7 @@ __all__ = [
     "Inertia",
     "as_matrix",
     "is_hermitian",
+    "bipartition",
     "hermitian_eigenvalues",
     "real_gauge",
     "sigma_min",
@@ -136,20 +141,58 @@ def sigma_min(a: np.ndarray, hermitian: bool):
     return np.linalg.svd(a, compute_uv=False)[..., -1]
 
 
+def _forest(nonzero: np.ndarray) -> list:
+    """The first-nonzero-neighbour forest on the graph of a square zero
+    pattern: index j's parent is the least i < j with ``nonzero[j, i]``,
+    and -1 marks a root, an index with no such neighbour.  Every parent
+    precedes its child, so the forest of a leading principal block is the
+    restriction of the whole one's."""
+    first = nonzero.argmax(axis=1)  # 0 for a zero row
+    rows = np.arange(first.size)
+    return np.where((first < rows) & nonzero[rows, first], first, -1).tolist()
+
+
+def bipartition(h: np.ndarray):
+    """The (even, odd) split of a square matrix ``h``: two ascending index
+    arrays such that every nonzero entry of ``h``, the diagonal included,
+    joins an even and an odd index; None when one nonzero entry joins two
+    indices of one class.
+
+    The classes are the depth parities in the first-nonzero-neighbour
+    forest that ``real_gauge`` takes its phases from, and the verdict
+    reads the exact zero pattern, with no tolerance.  A nonzero diagonal
+    entry or an odd cycle gives None; so does a split the forest misses
+    (a connected piece with two roots of opposite classes), which costs
+    only speed.  Every parent precedes its child, so the indices below m
+    are the split of the leading m x m block.  A Hermitian ``h`` is
+    [[0, B], [B^H, 0]] after a permutation, B = h[np.ix_(even, odd)], with
+    the eigenvalues +-sigma(B) and |len(even) - len(odd)| zeros.
+    """
+    nonzero = h != 0
+    parity = [False] * nonzero.shape[0]
+    for j, i in enumerate(_forest(nonzero)):
+        if i >= 0:
+            parity[j] = not parity[i]
+    odd = np.array(parity)
+    if (nonzero & (odd[:, None] == odd)).any():
+        return None
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
+
+
 def real_gauge(h: np.ndarray) -> np.ndarray:
     """Re(D^* h D) for a Hermitian matrix ``h`` when a diagonal unitary D
     makes D^* h D real within the Hermiticity rule; ``h`` itself, the
     same object, otherwise.
 
-    D comes from a forest on the graph of ``h``: index j takes as parent
-    its first nonzero neighbour i < j, and d_j = d_i h_ji/|h_ji| makes the
-    gauged entry conj(d_j) h_ji d_i = |h_ji| real; an index with no such
-    neighbour is a root with d_j = 1.  G = D^* h D is accepted when
-    ||G - conj(G)||_F <= HERMITICITY_TOL * ||G||_F.  That holds when h
-    carries no flux (every cycle product h_ij h_jk ... h_li is real) and
-    each connected piece of the graph has one root, as in the sections of
-    the mass-doubled central-difference operator; with flux no diagonal D
-    makes h real.  D is unitary, so G
+    D comes from the first-nonzero-neighbour forest on the graph of ``h``
+    (``_forest``): index j takes as parent its first nonzero neighbour
+    i < j, and d_j = d_i h_ji/|h_ji| makes the gauged entry
+    conj(d_j) h_ji d_i = |h_ji| real; a root has d_j = 1.  G = D^* h D is
+    accepted when ||G - conj(G)||_F <= HERMITICITY_TOL * ||G||_F.  That
+    holds when h carries no flux (every cycle product h_ij h_jk ... h_li
+    is real) and each connected piece of the graph has one root, as in the
+    sections of the mass-doubled central-difference operator; with flux no
+    diagonal D makes h real.  D is unitary, so G
     has the eigenvalues of h, and dropping Im G moves each by at most
     ||Im G||_2 <= HERMITICITY_TOL/2 * ||h||_F (Weyl's inequality).  Every
     parent precedes its child, so a leading principal block of the result
@@ -163,11 +206,10 @@ def real_gauge(h: np.ndarray) -> np.ndarray:
     tested before G is built, which rejects a dense 512-row section with
     flux in 0.36 ms.
     """
-    n = h.shape[0]
-    first = (h != 0).argmax(axis=1).tolist()  # 0 for a zero row
-    d = [1.0] * n
-    for j, (i, v) in enumerate(zip(first, h[np.arange(n), first].tolist())):
-        if i < j and v:
+    d = [1.0] * h.shape[0]
+    parents = _forest(h != 0)
+    for j, (i, v) in enumerate(zip(parents, h[np.arange(len(d)), parents].tolist())):
+        if i >= 0:
             p = d[i] * v
             d[j] = p / abs(p)
     phases = np.array(d, dtype=complex)

@@ -488,6 +488,18 @@ class TestFredholmViaSections:
         sweep = fredholm_via_sections(s, (8, 16, 32))
         assert sweep.verdict == "stable"
 
+    @staticmethod
+    def counted_sweep(s, sizes):
+        """The sweep, its ``eigvalsh`` and ``svd`` calls, and the number of
+        section builds, after checking its values against the oracle."""
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig, \
+                mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+                mock.patch.object(floquet, "finite_section", wraps=finite_section) as build:
+            sweep = fredholm_via_sections(s, sizes)
+        oracle = [singular_values(finite_section(s, n))[-1] for n in sizes]
+        assert np.allclose(sweep.sigma_min, oracle, rtol=1e-12)
+        return sweep, eig.call_args_list, svd.call_args_list, build.call_count
+
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_one_solve_per_size(self, hermitian):
         if hermitian:
@@ -497,17 +509,86 @@ class TestFredholmViaSections:
             s = LaurentSymbol.scalar({0: -2, 1: 1})
         assert s.hermitian_symmetric is hermitian
         sizes = (8, 16, 32)
-        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig, \
-                mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
-                mock.patch.object(floquet, "finite_section", wraps=finite_section) as build:
+        _, eig, svd, builds = self.counted_sweep(s, sizes)
+        # one section build and one SVD per size; the mass-doubled section
+        # has no flux and a bipartite graph, so each size's SVD is of its
+        # real off-diagonal block with half the section's rows
+        assert builds == 1
+        assert (len(eig), len(svd)) == (0, 3)
+        if hermitian:
+            assert [c.args[0].shape for c in svd] == [(8 * n, 8 * n) for n in sizes]
+            assert all(c.args[0].dtype == float for c in svd)
+
+    def test_twisted_section_keeps_one_real_eigensolve_per_size(self):
+        # the twist puts c on the diagonal, so the section is not bipartite;
+        # it still has no flux, so each leading block is solved in real
+        # arithmetic
+        d = build_circle_dirac(8, Scheme.CENTRAL_DIFFERENCE, BOUND, 0.3)
+        s = period_symbol(mass_doubled(d.matrix, 1.0))
+        sizes = (8, 16, 32)
+        _, eig, svd, builds = self.counted_sweep(s, sizes)
+        assert builds == 1
+        assert (len(eig), len(svd)) == (3, 0)
+        assert [c.args[0].shape for c in eig] == [(16 * n, 16 * n) for n in sizes]
+        assert all(c.args[0].dtype == float for c in eig)
+
+    @staticmethod
+    def chiral_symbol(rng, evens, odds, bandwidth, flux, perm=None):
+        """A_j = [[0, P_j], [P_{-j}^H, 0]], Hermitian-symmetric, with
+        ``evens`` x ``odds`` blocks P_j, conjugated by the block permutation
+        ``perm``.  Without ``flux`` the P_j are real up to a diagonal phase
+        gauge, so every section is gauge-equivalent to a real one."""
+        shape = (evens, odds)
+        p = {j: rng.normal(size=shape) + (1j * rng.normal(size=shape) if flux else 0.0)
+             for j in range(-bandwidth, bandwidth + 1)}
+        block = evens + odds
+        phases = np.exp(2j * np.pi * rng.uniform(size=block))
+        perm = np.arange(block) if perm is None else perm
+        coeffs = {}
+        for j in p:
+            a = np.zeros((block, block), dtype=complex)
+            a[:evens, evens:] = p[j]
+            a[evens:, :evens] = p[-j].conj().T
+            coeffs[j] = (phases.conj()[:, None] * a * phases)[np.ix_(perm, perm)]
+        return LaurentSymbol(coeffs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(half=st.integers(1, 2), bandwidth=st.integers(1, 2), flux=st.booleans(),
+           extra=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_chiral_symbol_takes_one_svd_of_its_off_diagonal_block(self, half, bandwidth,
+                                                                    flux, extra, seed):
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(2 * half)
+        s = self.chiral_symbol(rng, half, half, bandwidth, flux, perm)
+        assert s.hermitian_symmetric
+        sizes = (2 * bandwidth + 1, 2 * bandwidth + 2 + extra)
+        sweep, eig, svd, _ = self.counted_sweep(s, sizes)
+        # agreement within 1e-12 of the section's norm, the accuracy of a
+        # backward-stable singular value
+        for value, n in zip(sweep.sigma_min, sizes):
+            section = finite_section(s, n)
+            assert abs(value - singular_values(section)[-1]) <= 1e-12 * np.linalg.norm(section, 2)
+        assert len(eig) == 0
+        assert [c.args[0].shape for c in svd] == [(half * n, half * n) for n in sizes]
+        # a flux-free section is gauged real when its forest has one root,
+        # which needs block positions 0 and 1 in different classes; two roots
+        # miss the gauge, and the SVD stays complex
+        rooted_once = (perm[0] < half) != (perm[1] < half)
+        real = not flux and rooted_once
+        assert all(c.args[0].dtype == (float if real else complex) for c in svd)
+
+    def test_unbalanced_chiral_block_reports_zero(self):
+        # one even and two odd indices per period: every section has as many
+        # zero eigenvalues as periods
+        s = self.chiral_symbol(np.random.default_rng(11), 1, 2, 1, True)
+        sizes = (3, 5, 8)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
             sweep = fredholm_via_sections(s, sizes)
-        assert (eig.call_count, svd.call_count) == ((3, 0) if hermitian else (0, 3))
-        # one section build; the mass-doubled section has no flux, so its
-        # leading blocks are solved in real arithmetic
-        assert build.call_count == 1
-        assert all(c.args[0].dtype == float for c in eig.call_args_list)
-        oracle = [singular_values(finite_section(s, n))[-1] for n in sizes]
-        assert np.allclose(sweep.sigma_min, oracle, rtol=1e-12)
+        assert sweep.sigma_min == (0.0, 0.0, 0.0)
+        assert svd.call_count == 0
+        for n in sizes:
+            h = finite_section(s, n)
+            assert np.min(np.abs(np.linalg.eigvalsh(h))) <= 1e-12 * np.linalg.norm(h)
 
     @pytest.mark.parametrize("coeffs, sizes", [({2: 1, -2: 1}, (4, 8)),
                                                ({0: -2, 1: 1}, (3.5, 8))])

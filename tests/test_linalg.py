@@ -12,8 +12,8 @@ from spinspec.discretize import (DiscreteDirac, Scheme, build_circle_dirac, mass
 from spinspec.errors import ContractViolation
 from spinspec.exact import _to_fraction
 from spinspec.floquet import LaurentSymbol, finite_section, fredholm_via_sections
-from spinspec.linalg import (Inertia, hermitian_eigenvalues, rational_ldl_inertia, real_gauge,
-                             sigma_min)
+from spinspec.linalg import (Inertia, bipartition, hermitian_eigenvalues, rational_ldl_inertia,
+                             real_gauge, sigma_min)
 from spinspec.spectra import SpinStructure
 
 
@@ -314,6 +314,79 @@ class TestRealGauge:
         n = 2 * bandwidth + 1 + extra
         rows = n * block
         assert np.array_equal(finite_section(s, n), finite_section(s, n + more)[:rows, :rows])
+
+
+class TestBipartition:
+    """Every nonzero entry of a split matrix joins an even and an odd
+    index; one nonzero entry inside a class gives None."""
+
+    @pytest.mark.parametrize("spin", [SpinStructure.BOUNDING, SpinStructure.NONBOUNDING])
+    def test_ladder_gives_its_parity_classes(self, spin):
+        # site j, component s of the mass-doubled chain is index 2j + s;
+        # hops join sites j, j + 1 on one rail and the mass joins the rails
+        d = build_circle_dirac(8, Scheme.CENTRAL_DIFFERENCE, spin, 0.0)
+        s = period_symbol(mass_doubled(d.matrix, 0.7))
+        h = finite_section(s, 4)
+        site, component = np.divmod(np.arange(h.shape[0]), 2)
+        parity = (site + component) % 2
+        even, odd = bipartition(h)
+        assert np.array_equal(even, np.flatnonzero(parity == 0))
+        assert np.array_equal(odd, np.flatnonzero(parity == 1))
+        assert not h[np.ix_(even, even)].any() and not h[np.ix_(odd, odd)].any()
+        # the split of a leading block is the leading part of the split
+        lead_even, lead_odd = bipartition(finite_section(s, 3))
+        assert np.array_equal(lead_even, even[even < 48])
+        assert np.array_equal(lead_odd, odd[odd < 48])
+
+    def test_nonzero_diagonal_gives_none(self):
+        d = build_circle_dirac(8, Scheme.CENTRAL_DIFFERENCE, SpinStructure.BOUNDING, 0.0)
+        h = finite_section(period_symbol(mass_doubled(d.matrix, 0.7)), 3)
+        assert bipartition(h) is not None
+        h[5, 5] = 1e-300  # the exact zero pattern decides, with no tolerance
+        assert bipartition(h) is None
+        twisted = build_circle_dirac(8, Scheme.CENTRAL_DIFFERENCE, SpinStructure.BOUNDING, 0.3)
+        assert bipartition(finite_section(period_symbol(mass_doubled(twisted.matrix, 0.7)),
+                                          3)) is None
+
+    def test_triangle_gives_none(self):
+        h = np.ones((3, 3), dtype=complex) - np.eye(3)
+        assert bipartition(h) is None
+        h[0, 2] = h[2, 0] = 0.0  # cutting the edge 0 - 2 leaves the path 0 - 1 - 2
+        even, odd = bipartition(h)
+        assert even.tolist() == [0, 2] and odd.tolist() == [1]
+
+    def test_zero_rows_and_disconnected_pieces(self):
+        rng = np.random.default_rng(5)
+        h = np.zeros((9, 9), dtype=complex)
+        h[:4, :4] = random_tridiagonal(rng, 4)
+        h[5:, 5:] = random_tridiagonal(rng, 4)  # row and column 4 stay zero
+        h[np.diag_indices(9)] = 0.0
+        even, odd = bipartition(h)
+        # each piece and the zero row is rooted at its least index, which is even
+        assert even.tolist() == [0, 2, 4, 5, 7] and odd.tolist() == [1, 3, 6, 8]
+        even, odd = bipartition(np.zeros((3, 3)))
+        assert even.tolist() == [0, 1, 2] and odd.size == 0
+
+    def test_split_the_forest_misses_gives_none(self):
+        # the path 1 - 3 - 2 - 0 splits as {0, 3} | {1, 2}, but 1 and 0 are
+        # both roots of the forest; the clash on the edge 2 - 3 is caught
+        h = np.zeros((4, 4))
+        for i, j in [(0, 2), (1, 3), (2, 3)]:
+            h[i, j] = h[j, i] = 1.0
+        assert bipartition(h) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_split_spectrum_is_plus_minus_sigma(self, n, seed):
+        # a path is a tree, so the forest finds its split; the eigenvalues
+        # are +-sigma(B) and |len(even) - len(odd)| zeros
+        h = random_tridiagonal(np.random.default_rng(seed), n)
+        h[np.diag_indices(n)] = 0.0
+        even, odd = bipartition(h)
+        sigma = singular_values(h[np.ix_(even, odd)])
+        zeros = np.zeros(abs(even.size - odd.size))
+        want = np.sort(np.concatenate([sigma, -sigma, zeros]))
+        assert np.all(np.abs(np.linalg.eigvalsh(h) - want) <= 1e-12 * np.linalg.norm(h, 2))
 
 
 class TestSingularValues:
