@@ -20,10 +20,10 @@ in the unit disc (``_winding_index``), certified through the scan's
 lower bound, and the twist-loop crossings of a Hermitian-symmetric
 symbol are those on the circle (``twist_crossings``).  A section sweep
 solves its shorter sections as leading blocks of the longest, in real
-arithmetic when a Hermitian section carries no flux
-(``linalg.real_gauge``), and by one SVD of the off-diagonal block, with
-half the rows, when its graph splits into even and odd indices
-(``linalg.bipartition``).
+arithmetic when a Hermitian section carries no flux, and through the
+off-diagonal block B, with half the rows, when its graph splits into
+even and odd indices (both from one pass, ``linalg.gauge_split``): one
+``eigvalsh`` per size when B is Hermitian, one SVD otherwise.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from .conventions import (CIRCLE_GRID, CLIFFORD_SIGN, FREDHOLM_TOL, INDEX_SIGN, REFINE_TOL,
                           floquet_to_twist)
 from .errors import ContractViolation, DegenerateCrossing, check_tolerance
-from .linalg import bipartition, hermitian_eigenvalues, is_hermitian, real_gauge, sigma_min
+from .linalg import gauge_split, hermitian_eigenvalues, is_hermitian, sigma_min
 from .spectra import SpectrumSample, spectra_match
 
 __all__ = [
@@ -110,9 +110,15 @@ class LaurentSymbol:
             return np.zeros((self.block_size, self.block_size), dtype=complex)
         return a
 
+    @functools.cached_property
+    def _norms(self) -> dict:
+        """||A_j||_2 of each coefficient with j != 0, one SVD each, computed
+        when first asked for (sections never ask)."""
+        return {j: np.linalg.norm(a, 2) for j, a in self.coeffs.items() if j}
+
     def lipschitz_bound(self) -> float:
         """Bound on |d/dtheta sigma_min(A(e^{i theta}))|: sum |j| ||A_j||."""
-        return float(sum(abs(j) * np.linalg.norm(a, 2) for j, a in self.coeffs.items() if j))
+        return float(sum(abs(j) * norm for j, norm in self._norms.items()))
 
     def __repr__(self):
         js = sorted(self.coeffs)
@@ -495,24 +501,29 @@ def fredholm_via_sections(s: LaurentSymbol, sizes: Sequence[int],
     min |lambda| of an eigensolve that reads one triangle, so each value's
     error includes the symbol's Hermitian defect
     delta = sum_j ||A_j - A_{-j}^H||_F besides rounding.  Such a section
-    is first passed through ``linalg.real_gauge``: when it carries no flux
-    (the Floquet twist and the imaginary hops of -i d/dtheta are a pure
-    gauge on an open stretch of lattice) the eigensolve runs in real
-    arithmetic, about a third of the complex cost, and each value's error
-    also includes the dropped imaginary part, at most HERMITICITY_TOL/2
-    times the Frobenius norm of the longest section.  A section with flux
-    stays complex.
+    goes through ``linalg.gauge_split``, one pass over its nonzero
+    entries: when it carries no flux (the Floquet twist and the imaginary
+    hops of -i d/dtheta are a pure gauge on an open stretch of lattice)
+    the solve runs in real arithmetic, about a third of the complex cost,
+    and each value's error also includes the dropped imaginary part, at
+    most HERMITICITY_TOL/2 times the Frobenius norm of the longest
+    section.  A section with flux stays complex.
 
-    When ``linalg.bipartition`` splits the (gauged) longest section into
-    even and odd indices, the section of m rows is [[0, B_m], [B_m^H, 0]]
-    after a permutation, with B_m the leading r x c block of
-    B = section[np.ix_(even, odd)], r and c the even and odd indices below
-    m.  Its eigenvalues are +-sigma(B_m) and |r - c| zeros, so sigma_min
-    is the last singular value of one SVD of B_m, with half the rows, when
-    r = c, and 0.0 otherwise.  B reads each Hermitian pair of entries once,
-    as one triangle does, so the error statement above holds unchanged.
-    A nonzero diagonal, such as a twist, or an odd cycle keeps the
-    eigensolve, and a non-Hermitian symbol the SVD of each whole section.
+    When every nonzero entry of the longest section joins an even and an
+    odd index, the section of m rows is [[0, B_m], [B_m^H, 0]] after a
+    permutation, with B_m the leading r x c block of the split's B, r and
+    c the even and odd indices below m.  Its eigenvalues are +-sigma(B_m)
+    and |r - c| zeros, so sigma_min is 0.0 when r != c and otherwise the
+    least singular value of B_m, with half the rows.  B reads each
+    Hermitian pair of entries once, as one triangle does, so the error
+    statement above holds unchanged.  B is checked once by
+    ``is_hermitian``; a Hermitian B, such as that of every mass-doubled
+    section, has sigma(B_m) = |lambda(B_m)|, one ``eigvalsh`` that reads
+    one triangle of B_m and so errs by at most
+    ||B - B^H||_F <= HERMITICITY_TOL ||B||_F more (Weyl's inequality), and
+    any other B takes one SVD per size.  A nonzero diagonal, such as a
+    twist, or an odd cycle keeps the eigensolve of the whole section, and
+    a non-Hermitian symbol its SVD.
     """
     if list(sizes) != sorted(set(sizes)) or len(sizes) < 2:
         raise ContractViolation("sizes must be strictly ascending, at least two of them")
@@ -520,15 +531,15 @@ def fredholm_via_sections(s: LaurentSymbol, sizes: Sequence[int],
     big = finite_section(s, sizes[-1])
     split = None
     if s.hermitian_symmetric:
-        big = real_gauge(big)
-        split = bipartition(big)
+        big, split = gauge_split(big)
     if split is None:
         sigmas = [float(sigma_min(big[:m, :m], s.hermitian_symmetric)) for m in rows]
     else:
         even, odd = split
-        b = big[np.ix_(even, odd)]
+        hermitian = even.size == odd.size and is_hermitian(big)
         shapes = zip(np.searchsorted(even, rows).tolist(), np.searchsorted(odd, rows).tolist())
-        sigmas = [float(sigma_min(b[:r, :c], False)) if r == c else 0.0 for r, c in shapes]
+        sigmas = [float(sigma_min(big[:r, :c], hermitian)) if r == c else 0.0
+                  for r, c in shapes]
     last, prev = sigmas[-1], sigmas[-2]
     if last > tol and abs(last - prev) < 0.2 * max(last, prev):
         verdict = "stable"
@@ -591,7 +602,7 @@ def twist_crossings(s: LaurentSymbol) -> SpectralFlowResult:
     if zeros is None:
         raise DegenerateCrossing("the zeros of det A(z) are not certified")
     z, beta = zeros.z, zeros.level + _rounding_allowance(s)
-    curvature = sum(j * j * np.linalg.norm(a, 2) for j, a in s.coeffs.items())
+    curvature = sum(j * j * norm for j, norm in s._norms.items())
     lip = s.lipschitz_bound()
     reach = 4.0 * math.sqrt(2.0 * beta / curvature)
     near = np.flatnonzero(np.abs(np.abs(z) - 1.0) <= reach)

@@ -1,13 +1,16 @@
 """Dense complex linear algebra.
 
 The routines operate on square complex matrices, or stacks of them, at
-desk scale (dimension up to a few thousand).  Two helpers read the
-graph of a Hermitian matrix through one forest (``_forest``):
-``real_gauge`` turns a flux-free one into a real symmetric one with the
-same eigenvalues, whose eigensolve costs about a third as much, and
-``bipartition`` finds the even/odd split of one whose nonzero entries
-all join the two classes, so that its eigenvalues are +-sigma of one
-off-diagonal block of half the rows.  The exact
+desk scale (dimension up to a few thousand).  ``gauge_split`` reads the
+nonzero entries of a Hermitian matrix once: through one forest that
+roots each connected piece of its graph once, it gauges a flux-free one
+into a real symmetric one with the same eigenvalues, whose eigensolve
+costs about a third as much, and finds the even/odd split of one whose
+nonzero entries all join the two classes, returning its off-diagonal
+block B of half the rows: the matrix's eigenvalues are +-sigma(B).
+``sigma_min`` is the one smallest-singular-value solve:
+``eigvalsh`` for a Hermitian operand, such as the B of a mass-doubled
+section, and the SVD otherwise.  The exact
 rational LDL inertia lives in the numpy-free ``exact`` module; ``Inertia`` and
 ``rational_ldl_inertia`` are re-exported here under their public names.
 """
@@ -27,9 +30,8 @@ __all__ = [
     "Inertia",
     "as_matrix",
     "is_hermitian",
-    "bipartition",
+    "gauge_split",
     "hermitian_eigenvalues",
-    "real_gauge",
     "sigma_min",
     "rational_ldl_inertia",
 ]
@@ -141,85 +143,124 @@ def sigma_min(a: np.ndarray, hermitian: bool):
     return np.linalg.svd(a, compute_uv=False)[..., -1]
 
 
-def _forest(nonzero: np.ndarray) -> list:
-    """The first-nonzero-neighbour forest on the graph of a square zero
-    pattern: index j's parent is the least i < j with ``nonzero[j, i]``,
-    and -1 marks a root, an index with no such neighbour.  Every parent
-    precedes its child, so the forest of a leading principal block is the
-    restriction of the whole one's."""
-    first = nonzero.argmax(axis=1)  # 0 for a zero row
-    rows = np.arange(first.size)
-    return np.where((first < rows) & nonzero[rows, first], first, -1).tolist()
+def gauge_split(h: np.ndarray):
+    """One pass over the nonzero entries of a Hermitian matrix ``h``: a
+    real gauge when it carries no flux, and the even/odd split when every
+    nonzero entry joins two classes.  Returns ``(m, split)``.
 
+    The graph of ``h`` (an edge per nonzero entry, either triangle) is
+    spanned by a forest in which index j takes as parent its first nonzero
+    neighbour i < j, h_ji != 0; a connected piece whose first indices are
+    not joined among themselves starts as several trees, and those are
+    joined through the entries between them, so that each piece ends up
+    rooted once, at its least index.  Along the forest
+    d_j = d_i h_ji/|h_ji| makes the gauged entry conj(d_j) h_ji d_i =
+    |h_ji| real (a joined tree takes one constant phase that does the same
+    for its joining entry), and the depth parities give the classes.  The
+    diagonal unitary D is accepted when G = D^* h D passes the Hermiticity
+    rule, 2 ||Im G||_F <= HERMITICITY_TOL * ||h||_F over the nonzero
+    entries: h carries no flux (every cycle product h_ij h_jk ... h_li is
+    real), as in the sections of the mass-doubled central-difference
+    operator, and with flux no diagonal D makes h real.  D is unitary, so
+    G has the eigenvalues of h, and dropping Im G moves each by at most
+    ||Im G||_2 <= HERMITICITY_TOL/2 * ||h||_F (Weyl's inequality).  The
+    split holds when no nonzero entry, the diagonal included, joins two
+    indices of one class; it reads the exact zero pattern, with no
+    tolerance, and a nonzero diagonal entry or an odd cycle breaks it.
 
-def bipartition(h: np.ndarray):
-    """The (even, odd) split of a square matrix ``h``: two ascending index
-    arrays such that every nonzero entry of ``h``, the diagonal included,
-    joins an even and an odd index; None when one nonzero entry joins two
-    indices of one class.
+    With a split, ``split`` is the ascending (even, odd) index arrays and
+    ``m`` is B = G[even][:, odd], real without flux and h[even][:, odd]
+    otherwise: after a permutation h is [[0, B], [B^H, 0]], with the
+    eigenvalues +-sigma(B) and |len(even) - len(odd)| zeros.  Without one,
+    ``split`` is None and ``m`` is G.real, or ``h`` itself, the same
+    object, when there is flux.  B reads each Hermitian pair of entries
+    once, as one triangle does.
 
-    The classes are the depth parities in the first-nonzero-neighbour
-    forest that ``real_gauge`` takes its phases from, and the verdict
-    reads the exact zero pattern, with no tolerance.  A nonzero diagonal
-    entry or an odd cycle gives None; so does a split the forest misses
-    (a connected piece with two roots of opposite classes), which costs
-    only speed.  Every parent precedes its child, so the indices below m
-    are the split of the leading m x m block.  A Hermitian ``h`` is
-    [[0, B], [B^H, 0]] after a permutation, B = h[np.ix_(even, odd)], with
-    the eigenvalues +-sigma(B) and |len(even) - len(odd)| zeros.
+    A leading principal block of ``h`` takes the restriction of this D and
+    of these classes: a restricted real gauge is still real, and a
+    restricted 2-colouring is still proper.  So the leading m x m block of
+    G.real, and the leading r x c block of B with r and c the even and odd
+    indices below m, serve the leading m x m block of ``h`` as its own
+    would.  Where no trees were joined, every parent precedes its child,
+    and the restriction is exactly what the leading block gets on its own.
     """
-    nonzero = h != 0
-    parity = [False] * nonzero.shape[0]
-    for j, i in enumerate(_forest(nonzero)):
-        if i >= 0:
-            parity[j] = not parity[i]
-    odd = np.array(parity)
-    if (nonzero & (odd[:, None] == odd)).any():
-        return None
-    return np.flatnonzero(~odd), np.flatnonzero(odd)
-
-
-def real_gauge(h: np.ndarray) -> np.ndarray:
-    """Re(D^* h D) for a Hermitian matrix ``h`` when a diagonal unitary D
-    makes D^* h D real within the Hermiticity rule; ``h`` itself, the
-    same object, otherwise.
-
-    D comes from the first-nonzero-neighbour forest on the graph of ``h``
-    (``_forest``): index j takes as parent its first nonzero neighbour
-    i < j, and d_j = d_i h_ji/|h_ji| makes the gauged entry
-    conj(d_j) h_ji d_i = |h_ji| real; a root has d_j = 1.  G = D^* h D is
-    accepted when ||G - conj(G)||_F <= HERMITICITY_TOL * ||G||_F.  That
-    holds when h carries no flux (every cycle product h_ij h_jk ... h_li
-    is real) and each connected piece of the graph has one root, as in the
-    sections of the mass-doubled central-difference operator; with flux no
-    diagonal D makes h real.  D is unitary, so G
-    has the eigenvalues of h, and dropping Im G moves each by at most
-    ||Im G||_2 <= HERMITICITY_TOL/2 * ||h||_F (Weyl's inequality).  Every
-    parent precedes its child, so a leading principal block of the result
-    is the same gauge of the leading block of ``h``.  When the forest
-    misses a gauge that exists, ``h`` comes back and only speed is lost.
-
-    The real solve costs about a third of the complex one: ``eigvalsh``
-    of those sections at 256, 384 and 512 rows took 1.4, 3.7 and 7.0 ms
-    against 4.0, 12.4 and 24.4 ms, and the gauge 0.34, 0.50 and 0.85 ms
-    (medians, 2 cores, default OpenBLAS threads).  The last row of G is
-    tested before G is built, which rejects a dense 512-row section with
-    flux in 0.36 ms.
-    """
-    d = [1.0] * h.shape[0]
-    parents = _forest(h != 0)
-    for j, (i, v) in enumerate(zip(parents, h[np.arange(len(d)), parents].tolist())):
-        if i >= 0:
-            p = d[i] * v
-            d[j] = p / abs(p)
+    h = np.ascontiguousarray(h, dtype=complex)
+    n = h.shape[0]
+    # an entry is nonzero when either of its two float halves is: each
+    # pair of bools is tested at once as one uint16
+    nonzero = (h.view(float) != 0).view(np.uint16) != 0
+    flat = np.flatnonzero(nonzero)
+    rows, cols = np.divmod(flat, n)
+    values = h.ravel()[flat]
+    first = nonzero.argmax(axis=1)  # each row's least column, 0 for a zero row
+    index = np.arange(n)
+    tree = np.flatnonzero((first < index) & nonzero[index, first])
+    d, parity, root = [1.0] * n, [False] * n, list(range(n))
+    for j, i, v in zip(tree.tolist(), first[tree].tolist(), h[tree, first[tree]].tolist()):
+        p = d[i] * v
+        d[j] = p / abs(p)
+        parity[j] = not parity[i]
+        root[j] = root[i]
+    roots = np.array(root)
+    cross = np.flatnonzero(roots[rows] != roots[cols])
+    if cross.size:
+        _join_trees(d, parity, root, rows[cross].tolist(), cols[cross].tolist(),
+                    values[cross].tolist())
     phases = np.array(d, dtype=complex)
     # G - conj(G) = 2i Im G exactly and ||G||_F = ||h||_F, so this bound is
-    # the Hermiticity rule; any part of G, its last row first, can refute it
-    bound = HERMITICITY_TOL * np.linalg.norm(h)
-    if 2.0 * np.linalg.norm((h[-1] * phases * phases[-1].conjugate()).imag) > bound:
-        return h
-    g = h * phases.conj()[:, None]
-    g *= phases
-    if 2.0 * np.linalg.norm(g.imag) <= bound:
-        return g.real.copy()
-    return h
+    # the Hermiticity rule; the last row of G, tested first, can refute it
+    bound = HERMITICITY_TOL * np.linalg.norm(values)
+    last = slice(int(np.searchsorted(rows, n - 1)), None)
+    entries = values
+    if 2.0 * np.linalg.norm((values[last] * phases[cols[last]] * d[-1].conjugate()).imag) <= bound:
+        g = values * phases.conj()[rows]
+        g *= phases[cols]
+        if 2.0 * np.linalg.norm(g.imag) <= bound:
+            entries = g.real
+    parity = np.array(parity)
+    if (parity[rows] == parity[cols]).any():
+        if entries is values:
+            return h, None
+        m = np.zeros((n, n))
+        m[rows, cols] = entries
+        return m, None
+    even, odd = np.flatnonzero(~parity), np.flatnonzero(parity)
+    place = np.empty(n, dtype=int)  # each index's place in its class
+    place[even], place[odd] = np.arange(even.size), np.arange(odd.size)
+    top = ~parity[rows]
+    b = np.zeros((even.size, odd.size), dtype=entries.dtype)
+    b[place[rows[top]], place[cols[top]]] = entries[top]
+    return b, (even, odd)
+
+
+def _join_trees(d: list, parity: list, root: list, rows: list, cols: list, values: list):
+    """Join the trees of ``gauge_split``'s forest that nonzero entries
+    (rows[k], cols[k]) with ``values`` link, in place: from the least root
+    of each connected piece outwards, a tree reached through an entry takes
+    the constant phase that makes that entry's gauged value real and
+    positive, and flips its parities when the entry joins one class."""
+    links = {}
+    for r, c, v in zip(rows, cols, values):
+        e = d[r].conjugate() * v * d[c]
+        same = parity[r] == parity[c]
+        links.setdefault(root[r], []).append((root[c], e.conjugate(), same))
+        links.setdefault(root[c], []).append((root[r], e, same))
+    turn = {}  # tree root -> (phase, flip)
+    for start in sorted(links):
+        if start in turn:
+            continue
+        turn[start] = (1.0, False)
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            phase, flip = turn[a]
+            for b, e, same in links[a]:
+                if b not in turn:
+                    p = phase * e
+                    turn[b] = (p / abs(p), flip != same)
+                    stack.append(b)
+    for j, t in enumerate(root):
+        if t in turn:
+            phase, flip = turn[t]
+            d[j] *= phase
+            parity[j] = parity[j] != flip

@@ -68,6 +68,21 @@ class TestLaurentSymbol:
             a = symbol_eval(s, cmath.exp(1j * theta))
             assert np.linalg.norm(a - a.conj().T) < 1e-12
 
+    def test_spectral_norms_are_computed_once_when_first_asked_for(self):
+        rng = np.random.default_rng(4)
+        a1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        s = LaurentSymbol({0: np.diag([0.5, -0.5, 3.0, -3.0]), 1: a1, -1: a1.conj().T})
+        with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+            fredholm_via_sections(s, (3, 4))
+            assert not any(c.args[1:] == (2,) for c in norm.call_args_list)
+            lip = s.lipschitz_bound()
+            min_singular_on_circle(s, grid=16)
+            twist_crossings(s)
+            assert s.lipschitz_bound() == lip
+        # one SVD for each of A_1 and A_{-1}; A_0 never enters either bound
+        assert sum(c.args[1:] == (2,) for c in norm.call_args_list) == 2
+        assert lip == pytest.approx(2 * np.linalg.norm(a1, 2), rel=1e-14)
+
 
 class TestSymbolEval:
     def test_constant(self):
@@ -510,14 +525,17 @@ class TestFredholmViaSections:
         assert s.hermitian_symmetric is hermitian
         sizes = (8, 16, 32)
         _, eig, svd, builds = self.counted_sweep(s, sizes)
-        # one section build and one SVD per size; the mass-doubled section
-        # has no flux and a bipartite graph, so each size's SVD is of its
-        # real off-diagonal block with half the section's rows
+        # one section build and one solve per size; the mass-doubled section
+        # has no flux and a bipartite graph whose off-diagonal block is
+        # symmetric, so each size's solve is one real eigensolve of that
+        # block's leading part, with half the section's rows
         assert builds == 1
-        assert (len(eig), len(svd)) == (0, 3)
         if hermitian:
-            assert [c.args[0].shape for c in svd] == [(8 * n, 8 * n) for n in sizes]
-            assert all(c.args[0].dtype == float for c in svd)
+            assert (len(eig), len(svd)) == (3, 0)
+            assert [c.args[0].shape for c in eig] == [(8 * n, 8 * n) for n in sizes]
+            assert all(c.args[0].dtype == float for c in eig)
+        else:
+            assert (len(eig), len(svd)) == (0, 3)
 
     def test_twisted_section_keeps_one_real_eigensolve_per_size(self):
         # the twist puts c on the diagonal, so the section is not bipartite;
@@ -533,14 +551,19 @@ class TestFredholmViaSections:
         assert all(c.args[0].dtype == float for c in eig)
 
     @staticmethod
-    def chiral_symbol(rng, evens, odds, bandwidth, flux, perm=None):
+    def chiral_symbol(rng, evens, odds, bandwidth, flux, perm=None, hermitian_block=False):
         """A_j = [[0, P_j], [P_{-j}^H, 0]], Hermitian-symmetric, with
         ``evens`` x ``odds`` blocks P_j, conjugated by the block permutation
         ``perm``.  Without ``flux`` the P_j are real up to a diagonal phase
-        gauge, so every section is gauge-equivalent to a real one."""
+        gauge, so every section is gauge-equivalent to a real one.  With
+        ``hermitian_block`` (square P_j) P_{-j} = P_j^H, so the chiral
+        block of every section is Hermitian."""
         shape = (evens, odds)
         p = {j: rng.normal(size=shape) + (1j * rng.normal(size=shape) if flux else 0.0)
              for j in range(-bandwidth, bandwidth + 1)}
+        if hermitian_block:
+            p[0] = 0.5 * (p[0] + p[0].conj().T)
+            p.update({-j: p[j].conj().T for j in range(1, bandwidth + 1)})
         block = evens + odds
         phases = np.exp(2j * np.pi * rng.uniform(size=block))
         perm = np.arange(block) if perm is None else perm
@@ -568,14 +591,35 @@ class TestFredholmViaSections:
         for value, n in zip(sweep.sigma_min, sizes):
             section = finite_section(s, n)
             assert abs(value - singular_values(section)[-1]) <= 1e-12 * np.linalg.norm(section, 2)
+        # random P_j make the chiral block B non-Hermitian, so each size
+        # keeps its SVD; every flux-free section is gauged real
         assert len(eig) == 0
         assert [c.args[0].shape for c in svd] == [(half * n, half * n) for n in sizes]
-        # a flux-free section is gauged real when its forest has one root,
-        # which needs block positions 0 and 1 in different classes; two roots
-        # miss the gauge, and the SVD stays complex
-        rooted_once = (perm[0] < half) != (perm[1] < half)
-        real = not flux and rooted_once
-        assert all(c.args[0].dtype == (float if real else complex) for c in svd)
+        assert all(c.args[0].dtype == (complex if flux else float) for c in svd)
+
+    @settings(max_examples=40, deadline=None)
+    @given(half=st.integers(1, 3), bandwidth=st.integers(1, 2), extra=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_hermitian_chiral_block_takes_one_real_eigensolve(self, half, bandwidth, extra,
+                                                              seed):
+        # P_{-j} = P_j^H makes the chiral block B Hermitian once the gauge is
+        # real; the random riffle of the two classes keeps the order within
+        # each class, so B is not merely a row and column permutation of a
+        # Hermitian matrix
+        rng = np.random.default_rng(seed)
+        perm = np.empty(2 * half, dtype=int)
+        evens = np.isin(np.arange(2 * half), rng.choice(2 * half, half, replace=False))
+        perm[evens], perm[~evens] = np.arange(half), half + np.arange(half)
+        s = self.chiral_symbol(rng, half, half, bandwidth, False, perm, hermitian_block=True)
+        assert s.hermitian_symmetric
+        sizes = (2 * bandwidth + 1, 2 * bandwidth + 2 + extra)
+        sweep, eig, svd, builds = self.counted_sweep(s, sizes)
+        for value, n in zip(sweep.sigma_min, sizes):
+            section = finite_section(s, n)
+            assert abs(value - singular_values(section)[-1]) <= 1e-12 * np.linalg.norm(section, 2)
+        assert builds == 1 and len(svd) == 0
+        assert [c.args[0].shape for c in eig] == [(half * n, half * n) for n in sizes]
+        assert all(c.args[0].dtype == float for c in eig)
 
     def test_unbalanced_chiral_block_reports_zero(self):
         # one even and two odd indices per period: every section has as many

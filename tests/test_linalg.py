@@ -12,8 +12,8 @@ from spinspec.discretize import (DiscreteDirac, Scheme, build_circle_dirac, mass
 from spinspec.errors import ContractViolation
 from spinspec.exact import _to_fraction
 from spinspec.floquet import LaurentSymbol, finite_section, fredholm_via_sections
-from spinspec.linalg import (Inertia, bipartition, hermitian_eigenvalues, rational_ldl_inertia,
-                             real_gauge, sigma_min)
+from spinspec.linalg import (Inertia, gauge_split, hermitian_eigenvalues, rational_ldl_inertia,
+                             sigma_min)
 from spinspec.spectra import SpinStructure
 
 
@@ -246,35 +246,79 @@ def assert_same_spectrum(g, h):
                   <= 1e-12 * np.linalg.norm(h, 2))
 
 
+def reference_gauge(h):
+    """D^* h D, dense, with d_j = d_i h_ji/|h_ji| for the least i < j with
+    h_ji != 0 and d_j = 1 at a root, multiplied in the order the one-pass
+    gauge uses: its bitwise oracle where every connected piece has one
+    root."""
+    nonzero = h != 0
+    d = [1.0] * h.shape[0]
+    for j, i in enumerate(nonzero.argmax(axis=1).tolist()):
+        if i < j and nonzero[j, i]:
+            p = d[i] * complex(h[j, i])
+            d[j] = p / abs(p)
+    phases = np.array(d, dtype=complex)
+    g = h * phases.conj()[:, None]
+    g *= phases
+    return g
+
+
+def assert_gauged(h, m, split):
+    """``gauge_split(h)`` gave the real reference gauge: the dense section
+    with the eigenvalues of ``h``, or the off-diagonal block of a split
+    whose +-sigma and |len(even) - len(odd)| zeros are those eigenvalues."""
+    want = reference_gauge(h).real
+    assert m.dtype == float
+    if split is None:
+        assert np.array_equal(m, want)
+        assert_same_spectrum(m, h)
+        return
+    even, odd = split
+    assert np.array_equal(m, want[np.ix_(even, odd)])
+    sigma = singular_values(m)
+    zeros = np.zeros(abs(even.size - odd.size))
+    spectrum = np.sort(np.concatenate([sigma, -sigma, zeros]))
+    assert np.all(np.abs(np.linalg.eigvalsh(h) - spectrum) <= 1e-12 * np.linalg.norm(h, 2))
+
+
 class TestRealGauge:
-    """A flux-free Hermitian matrix comes back real symmetric with the
-    same eigenvalues; one with flux comes back as the same object."""
+    """``gauge_split`` of a flux-free Hermitian matrix comes back real
+    symmetric with the same eigenvalues; one with flux comes back as the
+    same object."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
     def test_tree_comes_back_real(self, n, seed):
         h = random_tridiagonal(np.random.default_rng(seed), n)
-        g = real_gauge(h)
+        g, split = gauge_split(h)
+        assert split is None  # the diagonal is nonzero
         assert g.dtype == float
         assert np.allclose(np.abs(g), np.abs(h), rtol=1e-14, atol=0.0)  # a diagonal unitary
-        assert_same_spectrum(g, h)
+        assert_gauged(h, g, split)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.sampled_from([8, 16, 32]), mass=st.floats(0.1, 2.0),
            bounding=st.booleans(), c=st.floats(-0.5, 0.5), periods=st.integers(4, 6))
     def test_mass_doubled_ladder_comes_back_real(self, n, mass, bounding, c, periods):
         # purely imaginary hops on two rails and real mass rungs: every
-        # plaquette product is real, so the section has no flux
+        # plaquette product is real, so the section has no flux; a twist
+        # puts c on the diagonal, and without one the section splits
         spin = SpinStructure.BOUNDING if bounding else SpinStructure.NONBOUNDING
         d = build_circle_dirac(n, Scheme.CENTRAL_DIFFERENCE, spin, c)
         s = period_symbol(mass_doubled(d.matrix, mass))
         h = finite_section(s, periods)
-        g = real_gauge(h)
-        assert g.dtype == float
-        assert_same_spectrum(g, h)
+        g, split = gauge_split(h)
+        assert (split is None) == (c != 0.0)
+        assert_gauged(h, g, split)
         # the gauge of a leading block is the leading block of the gauge
         rows = (periods - 1) * s.block_size
-        assert np.array_equal(g[:rows, :rows], real_gauge(finite_section(s, periods - 1)))
+        lead, lead_split = gauge_split(finite_section(s, periods - 1))
+        if split is None:
+            assert lead_split is None and np.array_equal(g[:rows, :rows], lead)
+        else:
+            even, odd = split
+            assert np.array_equal(g[:np.count_nonzero(even < rows), :np.count_nonzero(odd < rows)],
+                                  lead)
 
     @settings(max_examples=40, deadline=None)
     @given(r1=st.floats(0.2, 2.0), r2=st.floats(0.2, 2.0), alpha=st.floats(0.0, 2 * math.pi),
@@ -286,22 +330,55 @@ class TestRealGauge:
         s = LaurentSymbol.scalar({0: 0.3, 1: a, -1: np.conj(a), 2: b, -2: np.conj(b)})
         assert s.hermitian_symmetric
         h = finite_section(s, periods)
-        assert real_gauge(h) is h
+        m, split = gauge_split(h)
+        assert m is h and split is None
         sizes = (5, periods)
         sweep = fredholm_via_sections(s, sizes)
         assert sweep.sigma_min == tuple(float(sigma_min(finite_section(s, n), True))
                                         for n in sizes)
+
+    def test_flux_on_a_split_keeps_the_complex_entries(self):
+        # the square 0 - 1 - 2 - 3 - 0 with the flux i splits as {0, 2} | {1, 3}
+        h = np.zeros((4, 4), dtype=complex)
+        for i, j, v in [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1j)]:
+            h[i, j], h[j, i] = v, np.conj(v)
+        b, (even, odd) = gauge_split(h)
+        assert even.tolist() == [0, 2] and odd.tolist() == [1, 3]
+        assert b.dtype == complex and np.array_equal(b, h[np.ix_(even, odd)])
 
     def test_zero_rows_and_disconnected_blocks(self):
         rng = np.random.default_rng(3)
         h = np.zeros((9, 9), dtype=complex)
         h[:4, :4] = random_tridiagonal(rng, 4)
         h[5:, 5:] = random_tridiagonal(rng, 4)  # row and column 4 stay zero
-        g = real_gauge(h)
+        g, split = gauge_split(h)
         assert g.dtype == float and not g[4].any() and not g[:, 4].any()
-        assert_same_spectrum(g, h)
-        zero = real_gauge(np.zeros((3, 3), dtype=complex))
-        assert zero.dtype == float and not zero.any()
+        assert_gauged(h, g, split)
+        zero, (even, odd) = gauge_split(np.zeros((3, 3), dtype=complex))
+        assert zero.dtype == float and zero.shape == (3, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 30), seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_tree_is_rooted_once(self, n, seed):
+        # a random tree in a random index order: a piece whose first indices
+        # are not joined among themselves starts as several trees, which the
+        # pass joins, so the gauge is real and the split found whatever the
+        # order
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n)
+        h = np.zeros((n, n), dtype=complex)
+        for k in range(1, n):
+            i, j = order[k], order[rng.integers(k)]
+            h[i, j] = rng.normal() + 1j * rng.normal()
+            h[j, i] = np.conj(h[i, j])
+        b, split = gauge_split(h)
+        assert split is not None and b.dtype == float
+        even, odd = split
+        assert not h[np.ix_(even, even)].any() and not h[np.ix_(odd, odd)].any()
+        sigma = singular_values(b)
+        zeros = np.zeros(abs(even.size - odd.size))
+        want = np.sort(np.concatenate([sigma, -sigma, zeros]))
+        assert np.all(np.abs(np.linalg.eigvalsh(h) - want) <= 1e-12 * np.linalg.norm(h, 2))
 
     @settings(max_examples=40, deadline=None)
     @given(block=st.integers(1, 3), bandwidth=st.integers(0, 2), extra=st.integers(0, 3),
@@ -317,8 +394,8 @@ class TestRealGauge:
 
 
 class TestBipartition:
-    """Every nonzero entry of a split matrix joins an even and an odd
-    index; one nonzero entry inside a class gives None."""
+    """Every nonzero entry of a matrix that ``gauge_split`` splits joins an
+    even and an odd index; one nonzero entry inside a class gives None."""
 
     @pytest.mark.parametrize("spin", [SpinStructure.BOUNDING, SpinStructure.NONBOUNDING])
     def test_ladder_gives_its_parity_classes(self, spin):
@@ -329,31 +406,38 @@ class TestBipartition:
         h = finite_section(s, 4)
         site, component = np.divmod(np.arange(h.shape[0]), 2)
         parity = (site + component) % 2
-        even, odd = bipartition(h)
+        b, (even, odd) = gauge_split(h)
         assert np.array_equal(even, np.flatnonzero(parity == 0))
         assert np.array_equal(odd, np.flatnonzero(parity == 1))
         assert not h[np.ix_(even, even)].any() and not h[np.ix_(odd, odd)].any()
+        assert_gauged(h, b, (even, odd))
         # the split of a leading block is the leading part of the split
-        lead_even, lead_odd = bipartition(finite_section(s, 3))
+        lead, (lead_even, lead_odd) = gauge_split(finite_section(s, 3))
         assert np.array_equal(lead_even, even[even < 48])
         assert np.array_equal(lead_odd, odd[odd < 48])
+        assert np.array_equal(lead, b[:lead_even.size, :lead_odd.size])
 
     def test_nonzero_diagonal_gives_none(self):
         d = build_circle_dirac(8, Scheme.CENTRAL_DIFFERENCE, SpinStructure.BOUNDING, 0.0)
         h = finite_section(period_symbol(mass_doubled(d.matrix, 0.7)), 3)
-        assert bipartition(h) is not None
+        assert gauge_split(h)[1] is not None
         h[5, 5] = 1e-300  # the exact zero pattern decides, with no tolerance
-        assert bipartition(h) is None
+        g, split = gauge_split(h)
+        assert split is None
+        assert_gauged(h, g, split)
         twisted = build_circle_dirac(8, Scheme.CENTRAL_DIFFERENCE, SpinStructure.BOUNDING, 0.3)
-        assert bipartition(finite_section(period_symbol(mass_doubled(twisted.matrix, 0.7)),
-                                          3)) is None
+        assert gauge_split(finite_section(period_symbol(mass_doubled(twisted.matrix, 0.7)),
+                                          3))[1] is None
 
     def test_triangle_gives_none(self):
         h = np.ones((3, 3), dtype=complex) - np.eye(3)
-        assert bipartition(h) is None
+        g, split = gauge_split(h)
+        assert split is None
+        assert_gauged(h, g, split)
         h[0, 2] = h[2, 0] = 0.0  # cutting the edge 0 - 2 leaves the path 0 - 1 - 2
-        even, odd = bipartition(h)
+        b, (even, odd) = gauge_split(h)
         assert even.tolist() == [0, 2] and odd.tolist() == [1]
+        assert_gauged(h, b, (even, odd))
 
     def test_zero_rows_and_disconnected_pieces(self):
         rng = np.random.default_rng(5)
@@ -361,19 +445,26 @@ class TestBipartition:
         h[:4, :4] = random_tridiagonal(rng, 4)
         h[5:, 5:] = random_tridiagonal(rng, 4)  # row and column 4 stay zero
         h[np.diag_indices(9)] = 0.0
-        even, odd = bipartition(h)
+        b, (even, odd) = gauge_split(h)
         # each piece and the zero row is rooted at its least index, which is even
         assert even.tolist() == [0, 2, 4, 5, 7] and odd.tolist() == [1, 3, 6, 8]
-        even, odd = bipartition(np.zeros((3, 3)))
+        assert_gauged(h, b, (even, odd))
+        b, (even, odd) = gauge_split(np.zeros((3, 3)))
         assert even.tolist() == [0, 1, 2] and odd.size == 0
+        assert b.dtype == float and b.shape == (3, 0)
 
-    def test_split_the_forest_misses_gives_none(self):
-        # the path 1 - 3 - 2 - 0 splits as {0, 3} | {1, 2}, but 1 and 0 are
-        # both roots of the forest; the clash on the edge 2 - 3 is caught
-        h = np.zeros((4, 4))
-        for i, j in [(0, 2), (1, 3), (2, 3)]:
-            h[i, j] = h[j, i] = 1.0
-        assert bipartition(h) is None
+    def test_split_the_forest_used_to_miss_is_found(self):
+        # the path 1 - 3 - 2 - 0 splits as {0, 3} | {1, 2}; 1 and 0 both start
+        # trees of the forest, which the edge 2 - 3 joins into one piece
+        # rooted at 0
+        h = np.zeros((4, 4), dtype=complex)
+        for i, j, v in [(0, 2, 2j), (1, 3, -1.0 + 1j), (2, 3, 3.0 - 4j)]:
+            h[i, j], h[j, i] = v, np.conj(v)
+        b, (even, odd) = gauge_split(h)
+        assert even.tolist() == [0, 3] and odd.tolist() == [1, 2]
+        # one phase per index makes every entry real and positive
+        assert b.dtype == float
+        assert np.allclose(b, [[0.0, 2.0], [math.sqrt(2.0), 5.0]], rtol=1e-15, atol=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
@@ -382,11 +473,12 @@ class TestBipartition:
         # are +-sigma(B) and |len(even) - len(odd)| zeros
         h = random_tridiagonal(np.random.default_rng(seed), n)
         h[np.diag_indices(n)] = 0.0
-        even, odd = bipartition(h)
+        b, (even, odd) = gauge_split(h)
         sigma = singular_values(h[np.ix_(even, odd)])
         zeros = np.zeros(abs(even.size - odd.size))
         want = np.sort(np.concatenate([sigma, -sigma, zeros]))
         assert np.all(np.abs(np.linalg.eigvalsh(h) - want) <= 1e-12 * np.linalg.norm(h, 2))
+        assert_gauged(h, b, (even, odd))
 
 
 class TestSingularValues:
