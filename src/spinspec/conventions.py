@@ -10,6 +10,7 @@ these choices.
 from __future__ import annotations
 
 import math
+import sys
 
 # Clifford multiplication by the circle's volume form acts as +i on the
 # rank-1 spinor bundle, so the twist term `i c f*(dtheta)` acts as the real
@@ -28,9 +29,10 @@ def twist_to_floquet(c: float) -> complex:
 
 
 # Its inverse on the unit circle: the twist c in [0, 1) with z(c) = z/|z|.
+# An angle a rounding below 0 would give c a few ulps under 1; it is 0.
 def floquet_to_twist(z: complex) -> float:
     c = (math.atan2(z.imag, z.real) / (2.0 * math.pi * -CLIFFORD_SIGN)) % 1.0
-    return 0.0 if c == 1.0 else c
+    return 0.0 if 1.0 - c <= 4 * sys.float_info.epsilon else c
 
 
 # Index of the half-line (Toeplitz) compression of a Fredholm Laurent

@@ -641,7 +641,6 @@ def twist_crossings(s: LaurentSymbol) -> SpectralFlowResult:
 _PIN_EPS = 1e-11
 _ZERO_BAND = 1e-10  # eigenvalues this close to 0 count as 0, not negative
 _CROSSING_TOL = 1e-9  # width of the bracket that locates a crossing
-_PROBE_OFFSET = 0.45 * _CROSSING_TOL  # probes either side of a secant point
 
 
 def _negative_counts(eigenvalues: np.ndarray) -> np.ndarray:
@@ -663,60 +662,23 @@ def _family_eigenvalues(family: Callable[[float], np.ndarray], cs) -> np.ndarray
     return np.concatenate(rows)
 
 
-def _crossing_gap(eigenvalues: np.ndarray, n_lo: int, n_hi: int) -> float:
-    """lambda_k + _ZERO_BAND for the eigenvalue k whose passage through
-    -_ZERO_BAND first moves the negative count off n_lo toward n_hi."""
-    k = n_lo if n_hi > n_lo else n_lo - 1
-    return float(eigenvalues[k]) + _ZERO_BAND
-
-
-@dataclass
-class _Bracket:
-    """A crossing search interval: count ``n_lo`` at ``lo``, another count
-    ``n_hi`` at ``hi``, and the eigenvalues at both ends."""
-
-    lo: float
-    hi: float
-    n_lo: int
-    n_hi: int
-    e_lo: np.ndarray
-    e_hi: np.ndarray
-
-
-def _locate_crossings(family: Callable[[float], np.ndarray], brackets: list) -> list:
-    """Narrow every bracket to at most ``_CROSSING_TOL`` and return the
-    upper ends.
-
-    Each round probes, for every open bracket, two points
-    ``_PROBE_OFFSET`` either side of the secant root of the crossing
-    eigenvalue's gap (``_crossing_gap``) and the midpoint, all in one
-    stacked solve.  The new bracket runs from the last probe that still
-    has count n_lo to the first that does not, so it at least halves each
-    round, and a secant root within ``_PROBE_OFFSET`` of the crossing
-    closes it.
-    """
-    live = [b for b in brackets if b.hi - b.lo > _CROSSING_TOL]
-    while live:
-        probes = []
-        for b in live:
-            g_lo = _crossing_gap(b.e_lo, b.n_lo, b.n_hi)
-            g_hi = _crossing_gap(b.e_hi, b.n_lo, b.n_hi)
-            secant = b.lo + (b.hi - b.lo) * g_lo / (g_lo - g_hi)
-            points = {secant - _PROBE_OFFSET, secant + _PROBE_OFFSET, 0.5 * (b.lo + b.hi)}
-            probes.append(sorted(p for p in points if b.lo < p < b.hi))
-        eigs = _family_eigenvalues(family, [p for ps in probes for p in ps])
-        results = zip(eigs, _negative_counts(eigs).tolist())
-        for b, ps in zip(live, probes):
-            for p in ps:
-                e, n = next(results)
-                if p > b.hi:  # the bracket already ends at an earlier probe
-                    continue
-                if n == b.n_lo:
-                    b.lo, b.e_lo = p, e
-                else:
-                    b.hi, b.n_hi, b.e_hi = p, n, e
-        live = [b for b in live if b.hi - b.lo > _CROSSING_TOL]
-    return [b.hi for b in brackets]
+def _locate_crossings(family: Callable[[float], np.ndarray], lo: np.ndarray,
+                      hi: np.ndarray, n_lo: np.ndarray) -> np.ndarray:
+    """Halve every bracket [lo, hi], whose negative count is n_lo at lo
+    and another at hi, until it is no wider than ``_CROSSING_TOL``, and
+    return the upper ends.  Each round solves the midpoints of all open
+    brackets as one stack; a bracket moves lo to its midpoint where the
+    count there is n_lo and hi otherwise, so its ends keep different
+    counts."""
+    lo, hi = lo.copy(), hi.copy()
+    live = np.flatnonzero(hi - lo > _CROSSING_TOL)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        same = _negative_counts(_family_eigenvalues(family, mid)) == n_lo[live]
+        lo[live[same]] = mid[same]
+        hi[live[~same]] = mid[~same]
+        live = live[hi[live] - lo[live] > _CROSSING_TOL]
+    return hi
 
 
 def spectral_flow(family: Callable[[float], np.ndarray], steps: int = 50) -> SpectralFlowResult:
@@ -728,16 +690,16 @@ def spectral_flow(family: Callable[[float], np.ndarray], steps: int = 50) -> Spe
     Their eigenvalues give each point's negative-eigenvalue count and the
     pin check, and the first and last give the endpoint check.  Every scan
     interval whose count changes is a bracket, and all brackets are
-    narrowed together in rounds of one stacked solve each
-    (``_locate_crossings``): the eigenvalues place a secant root, and the
-    counts at two points beside it and at the midpoint decide the new
-    bracket.  A crossing is reported at the upper end of a bracket no
-    wider than ``_CROSSING_TOL``; the direction is the sign of the
-    eigenvalue's motion (+1 for upward).  The endpoints must be
-    isospectral away from truncation edges, which makes the flow over one
-    period well-defined.  An eigenvalue pinned at zero across consecutive
-    scan points raises ``DegenerateCrossing``.  The twist loop of a
-    symbol takes its crossings from zeros instead (``twist_crossings``).
+    halved together, one stacked solve of their midpoints per round
+    (``_locate_crossings``): ceil(log2(step / ``_CROSSING_TOL``)) rounds,
+    25 at the default 50 steps.  A crossing is reported at the upper end
+    of a bracket no wider than ``_CROSSING_TOL``; the direction is the
+    sign of the eigenvalue's motion (+1 for upward).  The endpoints must
+    be isospectral away from truncation edges, which makes the flow over
+    one period well-defined.  An eigenvalue pinned at zero across
+    consecutive scan points raises ``DegenerateCrossing``.  The twist loop
+    of a symbol takes its crossings from zeros instead
+    (``twist_crossings``).
     """
     if steps < 2:
         raise ContractViolation("need at least 2 steps")
@@ -748,18 +710,16 @@ def spectral_flow(family: Callable[[float], np.ndarray], steps: int = 50) -> Spe
     if not spectra_match(s0, s1, tol=1e-8):
         raise ContractViolation("family endpoints are not isospectral")
 
-    counts = _negative_counts(eigs).tolist()
+    counts = _negative_counts(eigs)
     pinned = np.min(np.abs(eigs), axis=-1) < _PIN_EPS
     if np.any(pinned[1:] & pinned[:-1]):
         raise DegenerateCrossing("an eigenvalue stays at zero across an interval")
 
-    changed = np.flatnonzero(np.diff(counts))
-    located = _locate_crossings(family, [_Bracket(cs[i], cs[i + 1], counts[i], counts[i + 1],
-                                                  eigs[i], eigs[i + 1]) for i in changed])
+    dn = np.diff(counts)
+    changed = np.flatnonzero(dn)
+    located = _locate_crossings(family, cs[changed], cs[changed + 1], counts[changed])
     crossings = []
-    for i, hi in zip(changed, located):
-        dn = counts[i + 1] - counts[i]
-        direction = -1 if dn > 0 else 1
-        crossings += [(float(hi), direction)] * abs(dn)
+    for d, hi in zip(dn[changed].tolist(), located.tolist()):
+        crossings += [(hi, -1 if d > 0 else 1)] * abs(d)
     flow = sum(d for _, d in crossings)
     return SpectralFlowResult(flow=flow, crossings=tuple(crossings))

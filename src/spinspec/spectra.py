@@ -107,9 +107,11 @@ def circle_modes(spin: SpinStructure, k_from: int, k_to: int) -> np.ndarray:
 def circle_spectrum(spin: SpinStructure, c: float, band: int) -> SpectrumSample:
     """Twisted circle spectrum {k + 1/2 + s*c} (bounding) or {k + s*c}
     (non-bounding) for |k| <= band, each with multiplicity one.  The
-    Clifford sign s is fixed in ``conventions``."""
+    Clifford sign s is fixed in ``conventions``; the twist must be finite."""
     if band < 1:
         raise ContractViolation("band must be >= 1")
+    if not math.isfinite(c):
+        raise ContractViolation("twist must be finite")
     vals = circle_modes(spin, -band, band + 1) + CLIFFORD_SIGN * float(c)
     return SpectrumSample.from_eigenvalues(vals, band=band)
 

@@ -89,6 +89,16 @@ class TestSpectrumCommand:
         code, _, _ = run(capsys, "spectrum", "sphere", "--l", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [["circle", "--band", "2"],
+                                      ["circle", "--format", "csv"],
+                                      ["product"]],
+                             ids=["circle-json", "circle-csv", "product"])
+    def test_non_finite_twist_exit_2(self, capsys, c, argv):
+        code, out, err = run(capsys, "spectrum", *argv, f"--c={c}")
+        assert code == 2 and out == ""
+        assert "twist must be finite" in err
+
 
 class TestTwistScan:
     def test_bounding(self, capsys):

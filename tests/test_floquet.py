@@ -11,7 +11,8 @@ from _corpus import (circle_zero_symbols, golden_section, invertible_symbols,
                      numeric_kernel_dim, section_index_oracle, singular_values,
                      symbol_direct_sum, winding_test_symbols)
 from spinspec import floquet
-from spinspec.conventions import FREDHOLM_TOL, HERMITICITY_TOL, REFINE_TOL, twist_to_floquet
+from spinspec.conventions import (FREDHOLM_TOL, HERMITICITY_TOL, REFINE_TOL, floquet_to_twist,
+                                  twist_to_floquet)
 from spinspec.discretize import (Scheme, build_circle_dirac, mass_doubled,
                                  period_symbol)
 from spinspec.errors import ContractViolation, DegenerateCrossing
@@ -776,25 +777,22 @@ class TestSpectralFlow:
 
     def test_one_stacked_solve_per_scan_and_round(self):
         # the 11 scan points are one stack, and each round of the crossing
-        # search one stack of at most three probes per bracket; the gap is
-        # linear here, so the first secant root is the crossing and one
-        # round closes the bracket [0.4, 0.5]
+        # search one stack of the bracket's midpoint: halving [0.4, 0.5]
+        # down to 1e-9 takes ceil(log2(0.1 / 1e-9)) = 27 rounds
         fam = lambda c: np.diag([c - 0.43, c + 2.0]).astype(complex)
         r, stacks = self._stack_sizes(fam, 10)
         assert r.flow == 1 and abs(r.crossings[0][0] - 0.43) < 1e-8
-        assert stacks == [11, 3]
+        assert stacks == [11] + [1] * 27
 
-    def test_rounds_at_least_halve_the_brackets(self):
+    def test_rounds_halve_all_brackets_together(self):
         # two crossings of a curved branch, at c = +-arccos(-0.3) / (2 pi):
-        # each round at least halves both brackets on their way to 1e-9
+        # each round halves both brackets in one stack of two midpoints
         fam = lambda c: np.diag([np.cos(2 * np.pi * c) + 0.3, 2.0]).astype(complex)
         r, stacks = self._stack_sizes(fam, 10)
         c1 = math.acos(-0.3) / (2 * math.pi)
         assert r.crossings[0][0] == pytest.approx(c1, abs=1e-8)
         assert r.crossings[1][0] == pytest.approx(1 - c1, abs=1e-8)
-        assert stacks[0] == 11
-        assert 1 <= len(stacks) - 1 <= math.ceil(math.log2(0.1 / 1e-9))
-        assert all(k <= 6 for k in stacks[1:])
+        assert stacks == [11] + [2] * math.ceil(math.log2(0.1 / 1e-9))
 
     def test_stacks_stay_within_chunk_bytes(self):
         fam = lambda c: build_circle_dirac(8, Scheme.SPECTRAL, BOUND, c).matrix
@@ -817,13 +815,10 @@ class TestSpectralFlow:
             return 0.5 * (a + a.conj().T)
 
         r = spectral_flow(fam, steps=steps)
-        ref = bisection_flow(fam, steps)
-        assert [d for _, d in r.crossings] == [d for _, d in ref.crossings] \
-            == [d for _, d in oracle]
-        assert r.flow == ref.flow == sum(d for _, d in oracle)
-        for (c, _), (cr, _), (co, _) in zip(r.crossings, ref.crossings, oracle):
-            assert abs(c - co) < 1e-8
-            assert abs(c - cr) <= floquet._CROSSING_TOL
+        assert r == bisection_flow(fam, steps)
+        assert [d for _, d in r.crossings] == [d for _, d in oracle]
+        assert r.flow == sum(d for _, d in oracle)
+        assert all(abs(c - co) < 1e-8 for (c, _), (co, _) in zip(r.crossings, oracle))
 
     def test_symbol_loop_has_zero_net_flow(self):
         d = build_circle_dirac(16, Scheme.CENTRAL_DIFFERENCE, BOUND, 0.0)
@@ -884,3 +879,13 @@ class TestTwistCrossings:
     def test_rejects_non_hermitian_symbol(self):
         with pytest.raises(ContractViolation, match="Hermitian-symmetric"):
             twist_crossings(LaurentSymbol.scalar({0: -2, 1: 1}))
+
+    def test_crossing_a_rounding_below_zero_is_at_zero(self):
+        # the angle of a circle zero at z = 1 can round a few ulps below 0
+        # (grid 8); the twist is 0, not the largest float below 1
+        assert floquet_to_twist(complex(1, -5e-16)) == 0.0
+        for grid in (8, 16, 32):
+            op = build_circle_dirac(grid, Scheme.CENTRAL_DIFFERENCE, NONBOUND, 0.0)
+            r = twist_crossings(period_symbol(op.matrix))
+            assert [d for _, d in r.crossings] == [-1, 1]
+            assert all(c < 1e-15 for c, _ in r.crossings)

@@ -56,6 +56,11 @@ class TestCircleSpectrum:
         with pytest.raises(ContractViolation):
             circle_spectrum(BOUND, 0.0, 0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_twist(self, c):
+        with pytest.raises(ContractViolation, match="finite"):
+            circle_spectrum(NONBOUND, c, 2)
+
 
 class TestSphereSpectrum:
     def test_dimension_two_gap(self):
