@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from . import __version__
 from .conventions import CIRCLE_GRID, FREDHOLM_TOL, GROUPING_TOL, convention_block
 from .errors import ContractViolation, ParseError, check_tolerance
-from .invariants import KOElement, Mod2Rational, builtin_form, parse_form_spec
+from .invariants import (BUILTIN_FORM_NAMES, KOElement, Mod2Rational, builtin_form,
+                         parse_form_spec)
 from .problemfile import INVARIANT_INPUTS, evaluate_invariant_record, parse_problem_file
 
 if TYPE_CHECKING:
@@ -177,19 +178,20 @@ def _cmd_spectral_flow(args, command, t0) -> int:
     return 0
 
 
-# the [invariant] record keys that are also flags (--sig-w is key sig-w)
-_INVARIANT_KEYS = ("kind", "rho", "sig-v", "sig-w", "ind", "n", "sign", "dim-ker",
-                   "dim-ker-plus")
+# the [invariant] input keys, each also a flag (--sig-w is key sig-w)
+_INVARIANT_FLAGS = tuple(dict.fromkeys(key for keys in INVARIANT_INPUTS.values()
+                                       for key in keys))
 # values of the flags that have one, used when the kind reads them
 _INVARIANT_DEFAULTS = {"rho": "0", "sig-v": 0, "sig-w": 0, "n": 4}
 
 
 def _invariant_record(args) -> dict:
-    """The [invariant] record the flags describe: the flags given, and the
-    defaults of the inputs the kind reads that were not given."""
-    given = {key: getattr(args, key.replace("-", "_")) for key in _INVARIANT_KEYS}
+    """The [invariant] record the flags describe: the kind, the flags given,
+    and the defaults of the inputs the kind reads that were not given."""
+    given = {key: getattr(args, key.replace("-", "_")) for key in _INVARIANT_FLAGS}
     record = {key: value for key, value in _INVARIANT_DEFAULTS.items()
               if key in INVARIANT_INPUTS[args.kind]}
+    record["kind"] = args.kind
     record.update((key, value) for key, value in given.items() if value is not None)
     if args.strict:
         record["strict"] = "true"
@@ -221,7 +223,7 @@ def _form_results(form) -> dict:
 
 def _cmd_forms(args, command, t0) -> int:
     if args.action == "list":
-        results = {"names": ["E8", "H", "K3", "Diag(d1,d2,...)"]}
+        results = {"names": list(BUILTIN_FORM_NAMES)}
     elif args.action == "show":
         results = _form_results(builtin_form(args.name))
     else:
@@ -275,15 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
                          "come from the zeros of det A(z)")
 
     iv = sub.add_parser("invariant", help="exact invariant arithmetic")
-    iv.add_argument("kind", choices=["alpha", "rohlin", "w", "beta", "wcs"])
-    iv.add_argument("--rho", default=None, help="rational, e.g. 1 or 3/2")
-    iv.add_argument("--sig-v", type=int, default=None)
-    iv.add_argument("--sig-w", type=int, default=None)
-    iv.add_argument("--ind", type=int, default=None)
-    iv.add_argument("--n", type=int, default=None)
-    iv.add_argument("--sign", type=int, default=None)
-    iv.add_argument("--dim-ker", type=int, default=None)
-    iv.add_argument("--dim-ker-plus", type=int, default=None)
+    iv.add_argument("kind", choices=list(INVARIANT_INPUTS))
+    for key in _INVARIANT_FLAGS:
+        if key == "rho":
+            iv.add_argument("--rho", help="rational, e.g. 1 or 3/2")
+        else:
+            iv.add_argument("--" + key, type=int)
     iv.add_argument("--strict", action="store_true")
 
     fo = sub.add_parser("forms", help="built-in intersection forms")

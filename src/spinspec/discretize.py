@@ -287,13 +287,7 @@ def period_symbol(matrix: np.ndarray) -> LaurentSymbol:
     one-period block is ``matrix``.  Evaluating it at the Floquet point
     z(c) from ``conventions.twist_to_floquet`` recovers (the spectrum of)
     the twist-c quotient operator."""
-    a_m1, a_0, a_p1 = _period_blocks(matrix)
-    coeffs = {0: a_0}
-    if np.any(a_p1):
-        coeffs[1] = a_p1
-    if np.any(a_m1):
-        coeffs[-1] = a_m1
-    return LaurentSymbol(coeffs)
+    return LaurentSymbol(dict(zip((-1, 0, 1), _period_blocks(matrix))))
 
 
 def mass_doubled(matrix: np.ndarray, m: float) -> np.ndarray:

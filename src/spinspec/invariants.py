@@ -28,6 +28,7 @@ __all__ = [
     "Mod2Rational",
     "IntersectionForm",
     "KOElement",
+    "BUILTIN_FORM_NAMES",
     "builtin_form",
     "diag_form",
     "form_from_rows",
@@ -177,20 +178,27 @@ def _named_form(key: str) -> IntersectionForm:
     return _block_sum("K3", (minus_e8, minus_e8, h, h, h))
 
 
+_NAMED_FORMS = ("E8", "H", "K3")
+# the names builtin_form takes; the last stands for every diagonal form
+BUILTIN_FORM_NAMES = _NAMED_FORMS + ("Diag(d1,d2,...)",)
+_DIAG_RE = re.compile(r"Diag\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)")
+
+
 def builtin_form(name: str) -> IntersectionForm:
     """Named forms: E8 (even positive definite, signature +8), H (the
     hyperbolic plane), K3 = 2(-E8) + 3H (signature -16, rank 22), and
     Diag(d1,d2,...)."""
     key = name.strip()
-    if key in ("E8", "H", "K3"):
+    if key in _NAMED_FORMS:
         return _named_form(key)
-    m = re.fullmatch(r"Diag\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)", key)
+    m = _DIAG_RE.fullmatch(key)
     if m:
         return diag_form([int(tok) for tok in m.group(1).split(",")])
     raise ContractViolation(f"unknown form name {name!r}")
 
 
-_TERM_RE = re.compile(r"^(-)?(\d+)?(E8|H|K3|Diag\(\s*-?\d+(?:\s*,\s*-?\d+)*\s*\))$")
+# an optional '-' and count; builtin_form reads the name that follows
+_TERM_RE = re.compile(r"(-)?(\d*)(.+)", re.DOTALL)
 
 
 def parse_form_spec(spec: str) -> IntersectionForm:
@@ -204,10 +212,7 @@ def parse_form_spec(spec: str) -> IntersectionForm:
     for raw in text.split("+"):
         if raw == "":
             raise ContractViolation(f"malformed form spec {spec!r}")
-        m = _TERM_RE.match(raw)
-        if not m:
-            raise ContractViolation(f"malformed term {raw!r} in form spec")
-        neg, count, name = m.group(1), m.group(2), m.group(3)
+        neg, count, name = _TERM_RE.fullmatch(raw).groups()
         f = builtin_form(name)
         if neg:
             f = negate(f)

@@ -236,10 +236,11 @@ def _record_strict(record: dict) -> bool:
 _ALPHA_KEYS = (("sign", "sign"), ("ind", "ind_plus"), ("dim-ker", "dim_ker"),
                ("dim-ker-plus", "dim_ker_plus"))
 
-# the inputs each invariant kind reads
+# the inputs each invariant kind reads; ``spinspec invariant`` takes the
+# kinds as its choices and each key, in order of first use, as a flag
 INVARIANT_INPUTS = {
-    "rohlin": ("sig-w",),
     "beta": ("rho", "sig-v"),
+    "rohlin": ("sig-w",),
     "w": ("ind", "sig-w"),
     "wcs": ("ind", "sig-w", "sig-v"),
     "alpha": ("n",) + tuple(key for key, _ in _ALPHA_KEYS),

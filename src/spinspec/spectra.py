@@ -38,10 +38,24 @@ class SpinStructure(enum.Enum):
     NONBOUNDING = "nonbounding"
 
 
+def _group(pairs: Iterable[tuple]) -> tuple:
+    """Merge ascending (value, multiplicity) pairs: a value within
+    ``GROUPING_TOL`` of the current anchor, the least value of its group,
+    adds its multiplicity there; any other value becomes the next anchor."""
+    groups = []
+    for value, mult in pairs:
+        if groups and value - groups[-1][0] <= GROUPING_TOL:
+            groups[-1][1] += mult
+        else:
+            groups.append([value, mult])
+    return tuple((value, mult) for value, mult in groups)
+
+
 @dataclass(frozen=True)
 class SpectrumSample:
     """Sorted (eigenvalue, multiplicity) pairs with a truncation radius;
-    eigenvalues within ``GROUPING_TOL`` of each other form one pair.
+    eigenvalues are grouped by ``_group``, so each pair's eigenvalue lies
+    more than ``GROUPING_TOL`` above the previous one.
 
     ``band`` records how far out the sample is trusted; comparisons drop
     the outermost eigenvalues, where band-truncated sets legitimately
@@ -69,19 +83,8 @@ class SpectrumSample:
     @classmethod
     def from_eigenvalues(cls, values: Iterable[float], band: int,
                          symmetric: bool = False) -> "SpectrumSample":
-        vals = np.sort(np.asarray(list(values), dtype=float))
-        if vals.size == 0:
-            raise ContractViolation("empty spectrum")
-        pairs = []
-        anchor, count = vals[0], 1
-        for v in vals[1:]:
-            if v - anchor <= GROUPING_TOL:
-                count += 1
-            else:
-                pairs.append((float(anchor), count))
-                anchor, count = v, 1
-        pairs.append((float(anchor), count))
-        return cls(pairs=tuple(pairs), band=band, symmetric=symmetric)
+        vals = np.sort(np.asarray(list(values), dtype=float)).tolist()
+        return cls(pairs=_group((v, 1) for v in vals), band=band, symmetric=symmetric)
 
     def values(self) -> np.ndarray:
         """Eigenvalues expanded with multiplicity, ascending."""
@@ -151,25 +154,22 @@ def _symmetric_part(s: SpectrumSample, name: str) -> SpectrumSample:
 def product_square_spectrum(base: SpectrumSample, sphere: SpectrumSample,
                             cutoff: float) -> SpectrumSample:
     """Spectrum of the squared operator on a product: all sums mu^2 + nu^2
-    with product multiplicities, truncated at ``cutoff``.  Both factors
-    must be symmetric spectra (unpaired truncation-edge values are
+    with product multiplicities, truncated at a finite ``cutoff`` and
+    grouped by the rule of ``SpectrumSample.from_eigenvalues``.  Both
+    factors must be symmetric spectra (unpaired truncation-edge values are
     dropped); the minimum is at least min(nu^2)."""
     if not base.pairs or not sphere.pairs:
         raise ContractViolation("empty factor spectrum")
+    if not math.isfinite(cutoff):
+        raise ContractViolation("cutoff must be finite")
     base = _symmetric_part(base, "base")
     sphere = _symmetric_part(sphere, "sphere")
-    sums: dict = {}
-    for mu, mmu in base.pairs:
-        for nu, mnu in sphere.pairs:
-            s2 = mu * mu + nu * nu
-            if s2 <= cutoff:
-                key = round(s2 / GROUPING_TOL)
-                val, m = sums.get(key, (s2, 0))
-                sums[key] = (val, m + mmu * mnu)
-    if not sums:
+    sums = sorted((s2, mmu * mnu) for mu, mmu in base.pairs for nu, mnu in sphere.pairs
+                  if (s2 := mu * mu + nu * nu) <= cutoff)
+    pairs = _group(sums)
+    if not pairs:
         raise ContractViolation("cutoff excludes the entire product spectrum")
-    pairs = sorted(sums.values())
-    return SpectrumSample(pairs=tuple(pairs), band=int(math.ceil(cutoff)))
+    return SpectrumSample(pairs=pairs, band=int(math.ceil(cutoff)))
 
 
 def _interior_values(sample: SpectrumSample, lo: float, hi: float) -> np.ndarray:

@@ -18,6 +18,7 @@ import spinspec
 from _corpus import symbol_to_text
 from spinspec.cli import main, report_to_json
 from spinspec.floquet import LaurentSymbol
+from spinspec.invariants import BUILTIN_FORM_NAMES
 
 
 def run(capsys, *argv):
@@ -98,6 +99,12 @@ class TestSpectrumCommand:
         code, out, err = run(capsys, "spectrum", *argv, f"--c={c}")
         assert code == 2 and out == ""
         assert "twist must be finite" in err
+
+    @pytest.mark.parametrize("cutoff", ["inf", "-inf", "nan"])
+    def test_non_finite_cutoff_exit_2(self, capsys, cutoff):
+        code, out, err = run(capsys, "spectrum", "product", f"--cutoff={cutoff}")
+        assert code == 2 and out == ""
+        assert "cutoff must be finite" in err
 
 
 class TestTwistScan:
@@ -414,11 +421,17 @@ class TestFormsCommand:
 
     def test_list(self, capsys):
         doc = run_json(capsys, "forms", "list")
-        assert "E8" in doc["results"]["names"]
+        assert doc["results"]["names"] == list(BUILTIN_FORM_NAMES)
 
     def test_unknown_name_exit_2(self, capsys):
         code, _, _ = run(capsys, "forms", "show", "E9")
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["3", "2E8+X", "2--E8"])
+    def test_sum_of_unknown_name_exit_2(self, capsys, spec):
+        code, out, err = run(capsys, "forms", "sum", spec)
+        assert code == 2 and out == ""
+        assert "unknown form name" in err
 
 
 class TestReportDocument:

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from _corpus import alpha_s1, w_cs_mod2_matches_beta, w_mod2_equals_rohlin
 from spinspec.errors import ContractViolation
-from spinspec.invariants import (Mod2Rational, alpha_n, beta, builtin_form,
-                                 diag_form, direct_sum, form_from_rows, ko_group,
-                                 negate, parse_form_spec, rohlin, w_cs, w_invariant)
+from spinspec.invariants import (BUILTIN_FORM_NAMES, Mod2Rational, alpha_n, beta,
+                                 builtin_form, diag_form, direct_sum, form_from_rows,
+                                 ko_group, negate, parse_form_spec, rohlin, w_cs,
+                                 w_invariant)
 from spinspec.linalg import Inertia, rational_ldl_inertia
 
 
@@ -39,6 +40,12 @@ class TestBuiltinForms:
     def test_unknown_name(self):
         with pytest.raises(ContractViolation):
             builtin_form("E9")
+
+    def test_every_exported_name_builds(self):
+        *names, diag_template = BUILTIN_FORM_NAMES
+        assert all(builtin_form(name).name == name for name in names)
+        with pytest.raises(ContractViolation, match="unknown form name"):
+            builtin_form(diag_template)
 
 
 class TestFormArithmetic:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _corpus import lichnerowicz_bound_check, spectrum_contains
 from spinspec.cli import main
@@ -105,6 +107,23 @@ class TestSphereSpectrum:
             sphere_spectrum(0, 3)
 
 
+def _near_lattice_samples():
+    """Symmetric samples +-mu with mu^2 = q/4 + e * 1e-8 (e < 10), so sums of
+    two squares from different pairs often lie within GROUPING_TOL of each
+    other, on either side of a multiple of it."""
+    draws = st.lists(st.tuples(st.integers(1, 12), st.integers(0, 9), st.integers(1, 3)),
+                     min_size=1, max_size=4, unique_by=lambda t: t[0])
+
+    def sample(draws):
+        pairs = []
+        for q, e, m in draws:
+            mu = math.sqrt(q / 4 + e * 1e-8)
+            pairs += [(-mu, m), (mu, m)]
+        return SpectrumSample(pairs=tuple(sorted(pairs)), band=2, symmetric=True)
+
+    return draws.map(sample)
+
+
 class TestProductSquareSpectrum:
     def test_smallest_entry(self):
         base = circle_spectrum(BOUND, 0.0, 3)
@@ -143,6 +162,28 @@ class TestProductSquareSpectrum:
         with pytest.raises(ContractViolation):
             product_square_spectrum(circle_spectrum(BOUND, 0.0, 2),
                                     sphere_spectrum(2, 1), 0.5)
+
+    def test_sums_closer_than_grouping_tol_form_one_pair(self):
+        # 4.25 + 3e-8 and 4.25 + 8e-8 lie 5e-8 apart on either side of a
+        # multiple of GROUPING_TOL = 1e-7
+        a, b = math.sqrt(0.25 + 3e-8), math.sqrt(3.25 + 8e-8)
+        base = SpectrumSample.from_eigenvalues([-b, -a, a, b], band=2, symmetric=True)
+        prod = product_square_spectrum(base, sphere_spectrum(2, 1), 40.0)
+        assert [m for _, m in prod.pairs] == [8, 24, 16]
+        assert [lam for lam, _ in prod.pairs] == pytest.approx([1.25, 4.25, 7.25])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_near_lattice_samples(), _near_lattice_samples(), st.integers(1, 12))
+    def test_matches_grouping_of_the_expanded_sums(self, base, other, cutoff):
+        sums = [mu * mu + nu * nu for mu, mmu in base.pairs for nu, mnu in other.pairs
+                for _ in range(mmu * mnu)]
+        kept = [s2 for s2 in sums if s2 <= cutoff]
+        if not kept:
+            with pytest.raises(ContractViolation):
+                product_square_spectrum(base, other, cutoff)
+            return
+        assert (product_square_spectrum(base, other, cutoff)
+                == SpectrumSample.from_eigenvalues(kept, band=cutoff))
 
 
 class TestTwistChecks:
