@@ -11,9 +11,14 @@ to minus the winding number of det A(z).
 chunks of at most ``_CHUNK_BYTES`` for batched calls.  Every sigma_min,
 of a stack, a point or a finite section, comes from ``linalg.sigma_min``:
 a Hermitian eigensolve for a Hermitian-symmetric symbol, whose A(z) and
-sections are Hermitian on the circle, the SVD otherwise.  The circle
-minimum of sigma_min(A(z)) is a Lipschitz branch-and-bound (Piyavskii;
-Shubert) with a certified lower bound, polished by one Brent search.
+sections are Hermitian on the circle, the SVD otherwise.  A symbol whose
+coefficients' nonzero patterns fall into several connected pieces, found
+on its first scan, is a direct sum: the scans solve each A(z) piece by
+piece, pieces of one size as one stack and a 1 x 1 piece as |a|.  The
+circle minimum of sigma_min(A(z)) is a Lipschitz branch-and-bound
+(Piyavskii; Shubert) with a certified lower bound, polished by one Brent
+search; the index runs the same loop as a decision, which splits arcs
+only until each clears the tolerance and makes no polish.
 The zeros of det A(z) come from one solve and one eigensolve of a block
 companion matrix (``_symbol_zeros``): the half-line index counts those
 in the unit disc (``_winding_index``), certified through the scan's
@@ -40,7 +45,8 @@ import numpy as np
 from .conventions import (CIRCLE_GRID, CLIFFORD_SIGN, FREDHOLM_TOL, INDEX_SIGN, REFINE_TOL,
                           floquet_to_twist)
 from .errors import ContractViolation, DegenerateCrossing, check_tolerance
-from .linalg import gauge_split, hermitian_eigenvalues, is_hermitian, sigma_min
+from .linalg import (connected_pieces, gauge_split, hermitian_eigenvalues, is_hermitian,
+                     sigma_min)
 from .spectra import SpectrumSample, spectra_match
 
 __all__ = [
@@ -111,10 +117,37 @@ class LaurentSymbol:
         return a
 
     @functools.cached_property
+    def _pieces(self) -> Optional[list]:
+        """The connected pieces of the union of the coefficients' nonzero
+        patterns (``linalg.connected_pieces``), found when first asked for
+        (sections never ask): None for one piece, and otherwise one
+        (count, size) index array per piece size, each row the ascending
+        indices p of one piece.  A(z) is then the direct sum of its blocks
+        A(z)[p][:, p] at every z."""
+        n = self.block_size
+        pattern = (self._stacked != 0).any(axis=0).reshape(n, n)
+        if pattern.all():  # a dense symbol is one piece
+            return None
+        labels = connected_pieces(pattern)
+        if not labels.any():
+            return None
+        order = np.argsort(labels, kind="stable")
+        _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+        by_size = {}
+        for start, size in zip(starts.tolist(), sizes.tolist()):
+            by_size.setdefault(size, []).append(order[start:start + size])
+        return [np.array(rows) for _, rows in sorted(by_size.items())]
+
+    @functools.cached_property
     def _norms(self) -> dict:
-        """||A_j||_2 of each coefficient with j != 0, one SVD each, computed
-        when first asked for (sections never ask)."""
-        return {j: np.linalg.norm(a, 2) for j, a in self.coeffs.items() if j}
+        """||A_j||_2 of each coefficient with j != 0, computed when first
+        asked for (sections never ask): one SVD each for a one-piece
+        symbol, and otherwise the largest over the pieces of A_j, one
+        batched SVD per piece size and |a| for a 1 x 1 piece."""
+        if self._pieces is None:
+            return {j: np.linalg.norm(a, 2) for j, a in self.coeffs.items() if j}
+        return {j: max(float(_spectral_norms(_piece_blocks(a, p)).max()) for p in self._pieces)
+                for j, a in self.coeffs.items() if j}
 
     def lipschitz_bound(self) -> float:
         """Bound on |d/dtheta sigma_min(A(e^{i theta}))|: sum |j| ||A_j||."""
@@ -123,6 +156,19 @@ class LaurentSymbol:
     def __repr__(self):
         js = sorted(self.coeffs)
         return f"LaurentSymbol(block_size={self.block_size}, offsets={js})"
+
+
+def _piece_blocks(a: np.ndarray, pieces: np.ndarray) -> np.ndarray:
+    """The (..., count, size, size) blocks a[p][:, p] of a matrix or stack
+    ``a`` for the rows p of a (count, size) index array."""
+    return a[..., pieces[:, :, None], pieces[:, None, :]]
+
+
+def _spectral_norms(a: np.ndarray) -> np.ndarray:
+    """||.||_2 of each block of a stack; |a| for 1 x 1 blocks."""
+    if a.shape[-1] == 1:
+        return np.abs(a[..., 0, 0])
+    return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
 def symbol_eval(s: LaurentSymbol, z) -> np.ndarray:
@@ -231,36 +277,39 @@ def _rounding_allowance(s: LaurentSymbol) -> float:
     return float(allowance)
 
 
-def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID) -> CircleMinimum:
-    """Global minimum of sigma_min(A(e^{i theta})) over the unit circle.
+def _sigma_min(s: LaurentSymbol, a: np.ndarray):
+    """``linalg.sigma_min`` of A(z), or of each block of a stack of them;
+    a symbol with several pieces (``LaurentSymbol._pieces``) takes the
+    least over its pieces, one batched solve per piece size."""
+    herm = s.hermitian_symmetric
+    if s._pieces is None:
+        return sigma_min(a, herm)
+    return functools.reduce(np.minimum, [sigma_min(_piece_blocks(a, p), herm).min(axis=-1)
+                                         for p in s._pieces])
 
-    With L = ``s.lipschitz_bound()`` (a Lipschitz constant of sigma_min in
-    theta, by Weyl's inequality) and eps = L pi / grid, the returned value
-    is within eps of the true minimum -- the guarantee of a uniform
-    ``grid``-point scan.  The scan is a branch-and-bound: sigma_min at
-    ``_START_GRID`` equally spaced points (``grid`` if fewer) splits the
-    circle into arcs, and an arc [a, b] is bounded below by
-    (f(a) + f(b))/2 - L (b - a)/2.  Each round evaluates the midpoints of
-    all arcs whose bound is below best - eps in one batched SVD call,
-    until none is.  An arc no wider than 2 pi / grid always passes, so the
-    scan evaluates at most 2 * grid points (``grid`` when grid / 32 is a
-    power of two).  The least arc bound, less ``_rounding_allowance``, is the
-    certified ``lower_bound``.  The best point is then refined by one
-    Brent search (``_brent``) over [best - 2 pi/grid, best + 2 pi/grid] to
-    a bracket of REFINE_TOL / max(L, 1): the polished value is within
-    REFINE_TOL of its basin's minimum when L >= 1, and within
-    REFINE_TOL * L -- relative to the symbol's scale -- below that.  Its
-    parabolic steps take 7 to 35 probes on the benchmark's fredholm and
-    index symbols, where a golden-section search took 33 to 54.
+
+def _circle_scan(s: LaurentSymbol, grid: int, tol: Optional[float] = None):
+    """The branch-and-bound loop (Piyavskii; Shubert) of both circle
+    scans.  Returns the best angle and value, the least bound of the arcs
+    it closed less ``_rounding_allowance``, and the evaluations made.
+
+    sigma_min at ``_START_GRID`` equally spaced points (``grid`` if fewer)
+    splits the circle into arcs, and an arc [a, b] is bounded below by
+    (f(a) + f(b))/2 - L (b - a)/2, L = ``s.lipschitz_bound()``.  Each round
+    evaluates the midpoints of all arcs that do not clear a level in one
+    batched call, until every arc does.  For the minimum (``tol`` None)
+    the level is best - eps, eps = L pi / grid.  For the decision an arc
+    clears when its bound less the allowance exceeds ``tol``; an arc no
+    wider than 2 pi / grid is not split but closed as it is, which keeps
+    the lower bound at or below ``tol``, and the first value <= ``tol``
+    stops the scan with lower bound -inf.
     """
-    if grid < 16:
-        raise ContractViolation("grid must be at least 16")
     lam = s.lipschitz_bound()
     eps = lam * (math.pi / grid)
-    herm = s.hermitian_symmetric
+    allowance = _rounding_allowance(s)
 
     def sigma(thetas):
-        return _scan(s, np.exp(1j * thetas), lambda stack: sigma_min(stack, herm))
+        return _scan(s, np.exp(1j * thetas), lambda stack: _sigma_min(s, stack))
 
     start = min(grid, _START_GRID)
     h = 2.0 * math.pi / start
@@ -272,11 +321,16 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID) -> CircleM
     evaluations = start
     lower = math.inf
     while True:
+        if tol is not None and best_value <= tol:
+            return best_theta, best_value, -math.inf, evaluations
         bound = 0.5 * (f_left + f_right) - lam * (0.5 * h)
-        split = bound < best_value - eps
+        if tol is None:
+            split = bound < best_value - eps
+        else:
+            split = (bound - allowance <= tol) & (h > 2.0 * math.pi / grid)
         lower = min(lower, float(bound[~split].min(initial=math.inf)))
         if not split.any():
-            break
+            return best_theta, best_value, lower - allowance, evaluations
         left, f_left, f_right = left[split], f_left[split], f_right[split]
         h *= 0.5
         mid = left + h
@@ -288,20 +342,52 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID) -> CircleM
         left = np.concatenate([left, mid])
         f_left, f_right = np.concatenate([f_left, f_mid]), np.concatenate([f_mid, f_right])
 
+
+def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID) -> CircleMinimum:
+    """Global minimum of sigma_min(A(e^{i theta})) over the unit circle.
+
+    With L = ``s.lipschitz_bound()`` (a Lipschitz constant of sigma_min in
+    theta, by Weyl's inequality) and eps = L pi / grid, the returned value
+    is within eps of the true minimum -- the guarantee of a uniform
+    ``grid``-point scan.  The scan is the branch-and-bound of
+    ``_circle_scan``, splitting each arc whose bound is below best - eps.
+    An arc no wider than 2 pi / grid always clears that level, so the
+    scan evaluates at most 2 * grid points (``grid`` when grid / 32 is a
+    power of two).  The least arc bound, less ``_rounding_allowance``, is
+    the certified ``lower_bound``.
+
+    Every sigma_min goes through ``symbol_eval`` and ``_sigma_min``.  When
+    the nonzero patterns of the coefficients fall into several connected
+    pieces, as in a diagonal symbol, A(z) is their direct sum: its
+    sigma_min is the least over the pieces, solved with the pieces of one
+    size as one stack and a 1 x 1 piece as |a|, and each ||A_j|| of L is
+    the largest over the pieces.  L, the allowance, the evaluation points
+    and the certificate are those of the whole block.
+
+    The best point is then refined by one Brent search (``_brent``) over
+    [best - 2 pi/grid, best + 2 pi/grid] to a bracket of
+    REFINE_TOL / max(L, 1): the polished value is within REFINE_TOL of its
+    basin's minimum when L >= 1, and within REFINE_TOL * L -- relative to
+    the symbol's scale -- below that.  Its parabolic steps take 7 to 35
+    probes on the benchmark's conjugated diagonal symbols, where a
+    golden-section search took 33 to 54.
+    """
+    if grid < 16:
+        raise ContractViolation("grid must be at least 16")
+    best_theta, best_value, lower, evaluations = _circle_scan(s, grid)
     step = 2.0 * math.pi / grid
-    xtol = min(REFINE_TOL / max(lam, 1.0), step)
+    xtol = min(REFINE_TOL / max(s.lipschitz_bound(), 1.0), step)
     probes = 0
 
     def probe(theta: float) -> float:
         nonlocal probes
         probes += 1
-        return float(sigma_min(symbol_eval(s, cmath.exp(1j * theta)), herm))
+        return float(_sigma_min(s, symbol_eval(s, cmath.exp(1j * theta))))
 
     x, v = _brent(probe, best_theta - step, best_theta + step, xtol)
     if v < best_value:
         best_value, best_theta = v, x
-    return CircleMinimum(best_value, cmath.exp(1j * best_theta),
-                         lower - _rounding_allowance(s), evaluations + probes)
+    return CircleMinimum(best_value, cmath.exp(1j * best_theta), lower, evaluations + probes)
 
 
 @dataclass(frozen=True)
@@ -352,16 +438,34 @@ def is_fredholm(s: LaurentSymbol, tol: float = FREDHOLM_TOL,
 
 def toeplitz_index(s: LaurentSymbol, tol: float = FREDHOLM_TOL) -> int:
     """Half-line index of a symbol whose sigma_min on the unit circle
-    exceeds ``tol`` (``is_fredholm``); an index that ``_winding_index``
-    does not certify raises ``ContractViolation``.  The count takes 0.04,
-    0.6, 3.3, 16 and 19 ms past the scan at block/bandwidth 1/1, 32/1,
-    32/2, 64/2 and 128/1 (best of 7, 2 cores, default OpenBLAS threads)."""
-    rep = is_fredholm(s, tol=tol)
-    if not rep.is_fredholm:
+    exceeds ``tol``.
+
+    The count needs a certified lower bound above ``tol``, not the
+    minimum, so the scan runs as a decision (``_circle_scan``): it splits
+    an arc only while its bound, less the allowance, is <= ``tol``, makes
+    no Brent polish, and raises ``ContractViolation`` at the first
+    evaluated sigma_min <= ``tol``.  ``_winding_index`` then counts the
+    zeros through the lower bound it reached.  Where an arc stays open at
+    width 2 pi / CIRCLE_GRID, or that count is not certified, the index is
+    ``is_fredholm``'s, and one that neither certifies raises
+    ``ContractViolation``.  So the index is given where ``is_fredholm``
+    gives one, unless the decision evaluates a sigma_min <= ``tol`` that
+    the minimum scan did not, and also where an inconclusive scan leaves
+    that None but every arc clears ``tol``, as for -(1 + 3e-6) + z.
+    """
+    check_tolerance(tol)
+    _, value, lower, _ = _circle_scan(s, CIRCLE_GRID, tol)
+    if value <= tol:
         raise ContractViolation("symbol is not Fredholm; the index is undefined")
-    if rep.index is None:
-        raise ContractViolation("index is not certified")
-    return rep.index
+    index = _winding_index(s, lower) if lower > tol else None
+    if index is None:
+        rep = is_fredholm(s, tol=tol)
+        if not rep.is_fredholm:
+            raise ContractViolation("symbol is not Fredholm; the index is undefined")
+        if rep.index is None:
+            raise ContractViolation("index is not certified")
+        index = rep.index
+    return index
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ into a real symmetric one with the same eigenvalues, whose eigensolve
 costs about a third as much, and finds the even/odd split of one whose
 nonzero entries all join the two classes, returning its off-diagonal
 block B of half the rows: the matrix's eigenvalues are +-sigma(B).
-``sigma_min`` is the one smallest-singular-value solve:
+``connected_pieces`` labels the pieces of a nonzero pattern through the
+same forest.  ``sigma_min`` is the one smallest-singular-value solve:
 ``eigvalsh`` for a Hermitian operand, such as the B of a mass-doubled
-section, and the SVD otherwise.  The exact
+section, the SVD otherwise, and |a| for a 1 x 1 block.  The exact
 rational LDL inertia lives in the numpy-free ``exact`` module; ``Inertia`` and
 ``rational_ldl_inertia`` are re-exported here under their public names.
 """
@@ -31,6 +32,7 @@ __all__ = [
     "as_matrix",
     "is_hermitian",
     "gauge_split",
+    "connected_pieces",
     "hermitian_eigenvalues",
     "sigma_min",
     "rational_ldl_inertia",
@@ -137,7 +139,12 @@ def sigma_min(a: np.ndarray, hermitian: bool):
     symmetrised copy is built.  That triangle defines a Hermitian H with
     ||H - a||_F <= ||a - a^H||_F, and by Weyl's inequality the result
     errs from sigma_min(a) by at most that defect besides rounding.
+
+    A 1 x 1 block is answered without a solve: |a|, or |Re a| with
+    ``hermitian``, the real diagonal that ``eigvalsh`` reads.
     """
+    if a.shape[-1] == 1:
+        return np.abs(a.real if hermitian else a)[..., 0, 0]
     if hermitian:
         return np.abs(np.linalg.eigvalsh(a)).min(axis=-1)
     return np.linalg.svd(a, compute_uv=False)[..., -1]
@@ -186,26 +193,7 @@ def gauge_split(h: np.ndarray):
     """
     h = np.ascontiguousarray(h, dtype=complex)
     n = h.shape[0]
-    # an entry is nonzero when either of its two float halves is: each
-    # pair of bools is tested at once as one uint16
-    nonzero = (h.view(float) != 0).view(np.uint16) != 0
-    flat = np.flatnonzero(nonzero)
-    rows, cols = np.divmod(flat, n)
-    values = h.ravel()[flat]
-    first = nonzero.argmax(axis=1)  # each row's least column, 0 for a zero row
-    index = np.arange(n)
-    tree = np.flatnonzero((first < index) & nonzero[index, first])
-    d, parity, root = [1.0] * n, [False] * n, list(range(n))
-    for j, i, v in zip(tree.tolist(), first[tree].tolist(), h[tree, first[tree]].tolist()):
-        p = d[i] * v
-        d[j] = p / abs(p)
-        parity[j] = not parity[i]
-        root[j] = root[i]
-    roots = np.array(root)
-    cross = np.flatnonzero(roots[rows] != roots[cols])
-    if cross.size:
-        _join_trees(d, parity, root, rows[cross].tolist(), cols[cross].tolist(),
-                    values[cross].tolist())
+    rows, cols, values, d, parity, _ = _forest(h)
     phases = np.array(d, dtype=complex)
     # G - conj(G) = 2i Im G exactly and ||G||_F = ||h||_F, so this bound is
     # the Hermiticity rule; the last row of G, tested first, can refute it
@@ -233,34 +221,73 @@ def gauge_split(h: np.ndarray):
     return b, (even, odd)
 
 
+def _forest(h: np.ndarray):
+    """The forest of ``gauge_split`` over the graph of a complex matrix
+    ``h`` whose nonzero pattern is symmetric.  Returns the row-major rows,
+    columns and values of its nonzero entries, and for each index the
+    phase d, the depth parity and the root: the least index of its
+    connected piece."""
+    n = h.shape[0]
+    # an entry is nonzero when either of its two float halves is: each
+    # pair of bools is tested at once as one uint16
+    nonzero = (h.view(float) != 0).view(np.uint16) != 0
+    flat = np.flatnonzero(nonzero)
+    rows, cols = np.divmod(flat, n)
+    values = h.ravel()[flat]
+    first = nonzero.argmax(axis=1)  # each row's least column, 0 for a zero row
+    index = np.arange(n)
+    tree = np.flatnonzero((first < index) & nonzero[index, first])
+    d, parity, root = [1.0] * n, [False] * n, list(range(n))
+    for j, i, v in zip(tree.tolist(), first[tree].tolist(), h[tree, first[tree]].tolist()):
+        p = d[i] * v
+        d[j] = p / abs(p)
+        parity[j] = not parity[i]
+        root[j] = root[i]
+    roots = np.array(root)
+    cross = np.flatnonzero(roots[rows] != roots[cols])
+    if cross.size:
+        _join_trees(d, parity, root, rows[cross].tolist(), cols[cross].tolist(),
+                    values[cross].tolist())
+    return rows, cols, values, d, parity, root
+
+
+def connected_pieces(pattern: np.ndarray) -> np.ndarray:
+    """The connected pieces of the graph of a square boolean ``pattern``,
+    an edge per True entry of either triangle, through the forest of
+    ``gauge_split``: each index's label is the least index of its piece."""
+    square = (pattern | pattern.T).astype(complex)
+    return np.array(_forest(square)[-1])
+
+
 def _join_trees(d: list, parity: list, root: list, rows: list, cols: list, values: list):
     """Join the trees of ``gauge_split``'s forest that nonzero entries
     (rows[k], cols[k]) with ``values`` link, in place: from the least root
     of each connected piece outwards, a tree reached through an entry takes
     the constant phase that makes that entry's gauged value real and
-    positive, and flips its parities when the entry joins one class."""
+    positive, and flips its parities when the entry joins one class; its
+    indices take that least root as theirs."""
     links = {}
     for r, c, v in zip(rows, cols, values):
         e = d[r].conjugate() * v * d[c]
         same = parity[r] == parity[c]
         links.setdefault(root[r], []).append((root[c], e.conjugate(), same))
         links.setdefault(root[c], []).append((root[r], e, same))
-    turn = {}  # tree root -> (phase, flip)
+    turn = {}  # tree root -> (phase, flip, least root of its piece)
     for start in sorted(links):
         if start in turn:
             continue
-        turn[start] = (1.0, False)
+        turn[start] = (1.0, False, start)
         stack = [start]
         while stack:
             a = stack.pop()
-            phase, flip = turn[a]
+            phase, flip, _ = turn[a]
             for b, e, same in links[a]:
                 if b not in turn:
                     p = phase * e
-                    turn[b] = (p / abs(p), flip != same)
+                    turn[b] = (p / abs(p), flip != same, start)
                     stack.append(b)
     for j, t in enumerate(root):
         if t in turn:
-            phase, flip = turn[t]
+            phase, flip, root[j] = turn[t]
             d[j] *= phase
             parity[j] = parity[j] != flip

@@ -51,6 +51,20 @@ def _group(pairs: Iterable[tuple]) -> tuple:
     return tuple((value, mult) for value, mult in groups)
 
 
+def _mirror_multiplicities(pairs: tuple) -> list:
+    """``find_multiplicity(-lam)`` of each ascending (lam, m) pair, in one
+    merge of the pairs against their negated reverse: as lam falls, the
+    first pair within ``GROUPING_TOL`` of -lam can only move up."""
+    out, j = [0] * len(pairs), 0
+    for i in range(len(pairs) - 1, -1, -1):
+        x = -pairs[i][0]
+        while j < len(pairs) and pairs[j][0] - x < -GROUPING_TOL:
+            j += 1
+        if j < len(pairs) and abs(pairs[j][0] - x) <= GROUPING_TOL:
+            out[i] = pairs[j][1]
+    return out
+
+
 @dataclass(frozen=True)
 class SpectrumSample:
     """Sorted (eigenvalue, multiplicity) pairs with a truncation radius;
@@ -75,10 +89,9 @@ class SpectrumSample:
             raise ContractViolation("multiplicities must be >= 1")
         if any(b - a <= GROUPING_TOL for a, b in zip(vals, vals[1:])):
             raise ContractViolation("eigenvalues must be strictly increasing after grouping")
-        if self.symmetric:
-            for lam, mult in self.pairs:
-                if self.find_multiplicity(-lam) != mult:
-                    raise ContractViolation("spectrum is not symmetric under negation")
+        if self.symmetric and any(mirror != m for (_, m), mirror in
+                                  zip(self.pairs, _mirror_multiplicities(self.pairs))):
+            raise ContractViolation("spectrum is not symmetric under negation")
 
     @classmethod
     def from_eigenvalues(cls, values: Iterable[float], band: int,
@@ -144,7 +157,8 @@ def sphere_spectrum(l: int, kmax: int) -> SpectrumSample:
 def _symmetric_part(s: SpectrumSample, name: str) -> SpectrumSample:
     """Drop unpaired truncation-edge eigenvalues; reject genuinely
     asymmetric spectra (more than 2*EDGE_EXCLUSION unpaired values)."""
-    kept = tuple((lam, m) for lam, m in s.pairs if s.find_multiplicity(-lam) == m)
+    kept = tuple(pair for pair, mirror in zip(s.pairs, _mirror_multiplicities(s.pairs))
+                 if mirror == pair[1])
     dropped = sum(m for _, m in s.pairs) - sum(m for _, m in kept)
     if dropped > 2 * EDGE_EXCLUSION or not kept:
         raise ContractViolation(f"{name} spectrum is not symmetric")

@@ -130,6 +130,46 @@ def circle_zero_symbols():
     return out[:10]
 
 
+def permuted_block_diagonal_symbols():
+    """Twelve direct sums of two to five random pieces, of sizes 1-4 and
+    bandwidth 1-2 each, under a random permutation of rows and columns.
+    Every other one is Hermitian-symmetric; every third one has a 1 x 1
+    piece with a zero on the unit circle, and the other pieces keep
+    sigma_min >= 0.25."""
+    rng = np.random.default_rng(31)
+    out = []
+    for case in range(12):
+        hermitian = case % 2 == 0
+        pieces = []
+        for size in rng.integers(1, 5, size=rng.integers(2, 6)).tolist():
+            bandwidth = int(rng.integers(1, 3))
+            if hermitian:
+                pieces.append(_shift_positive(_random_hermitian_symmetric(rng, size, bandwidth)))
+            else:
+                piece = {j: rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+                         for j in range(-bandwidth, bandwidth + 1)}
+                # a dominant A_k keeps sigma_min >= 1 on the circle and
+                # winds det A(z) k * size times
+                k = int(rng.integers(-bandwidth, bandwidth + 1))
+                others = sum(np.linalg.norm(a, 2) for j, a in piece.items() if j != k)
+                piece[k] = (others + 1.0) * np.eye(size) + 0.1 * piece[k]
+                pieces.append(piece)
+        if case % 3 == 2:
+            pieces.append({-1: np.ones((1, 1)), 0: -2 * np.ones((1, 1)), 1: np.ones((1, 1))}
+                          if hermitian else {0: -np.ones((1, 1)), 1: np.ones((1, 1))})
+        n = sum(next(iter(piece.values())).shape[0] for piece in pieces)
+        coeffs, start = {}, 0
+        for piece in pieces:
+            size = next(iter(piece.values())).shape[0]
+            for j, a in piece.items():
+                coeffs.setdefault(j, np.zeros((n, n), complex))[start:start + size,
+                                                               start:start + size] = a
+            start += size
+        perm = rng.permutation(n)
+        out.append(LaurentSymbol({j: a[perm][:, perm] for j, a in coeffs.items()}))
+    return out
+
+
 def winding_test_symbols():
     """Twelve scalar symbols with winding -2..2 and roots at least 0.2
     away from the unit circle, as (symbol, expected winding) pairs."""

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 from unittest import mock
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import (circle_zero_symbols, golden_section, invertible_symbols,
-                     numeric_kernel_dim, section_index_oracle, singular_values,
-                     symbol_direct_sum, winding_test_symbols)
+                     numeric_kernel_dim, permuted_block_diagonal_symbols, section_index_oracle,
+                     singular_values, symbol_direct_sum, winding_test_symbols)
 from spinspec import floquet
 from spinspec.conventions import (FREDHOLM_TOL, HERMITICITY_TOL, REFINE_TOL, floquet_to_twist,
                                   twist_to_floquet)
@@ -451,19 +452,99 @@ class TestToeplitzIndex:
         assert toeplitz_index(s) == 0
 
     def test_uncertified_index(self):
-        # sigma_min = 3e-6 clears the tolerance, but the scan's lower bound
-        # is negative and certifies no count
+        # sigma_min = 3e-6 clears the tolerance, but the minimum scan's
+        # lower bound is negative and certifies no count; the decision
+        # scan splits arcs until each clears the tolerance, and counts the
+        # zero 1 + 3e-6 outside the disc
         s = LaurentSymbol.scalar({0: -(1 + 3e-6), 1: 1})
         rep = is_fredholm(s)
         assert rep.lower_bound < 0.0
         assert rep.verdict == "inconclusive" and rep.index is None
-        with pytest.raises(ContractViolation, match="index is not certified"):
-            toeplitz_index(s)
+        assert toeplitz_index(s) == 0
         # zeros at 1/a' for both disc map points: no point serves
         r1, r2 = (1 / a.conjugate() for a in floquet._MOBIUS)
         both = LaurentSymbol.scalar({0: r1 * r2, 1: -(r1 + r2), 2: 1})
         rep = is_fredholm(both)
         assert rep.verdict == "fredholm" and rep.index is None
+        with pytest.raises(ContractViolation, match="index is not certified"):
+            toeplitz_index(both)
+
+
+block_diagonal_symbols = functools.cache(permuted_block_diagonal_symbols)
+
+
+class TestPieces:
+    """A symbol whose coefficients' nonzero patterns fall into several
+    connected pieces is solved piece by piece."""
+
+    @staticmethod
+    def whole_block(s):
+        """The same symbol, solved as one block."""
+        with mock.patch.object(LaurentSymbol, "_pieces", None):
+            return is_fredholm(LaurentSymbol(s.coeffs))
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_pieces_match_the_whole_block(self, case):
+        s = block_diagonal_symbols()[case]
+        assert s._pieces is not None
+        rep, whole = is_fredholm(s), self.whole_block(s)
+        assert (rep.verdict, rep.index) == (whole.verdict, whole.index)
+        assert rep.lower_bound == pytest.approx(whole.lower_bound, rel=1e-12)
+        if rep.is_fredholm:
+            assert rep.min_singular == pytest.approx(whole.min_singular, rel=1e-12)
+        else:  # a circle zero: both values are rounding
+            assert max(rep.min_singular, whole.min_singular) <= floquet._rounding_allowance(s)
+        lipschitz = sum(abs(j) * np.linalg.norm(a, 2) for j, a in s.coeffs.items())
+        assert s.lipschitz_bound() == pytest.approx(lipschitz, rel=1e-12)
+
+    def test_pieces_are_grouped_by_size(self):
+        s = LaurentSymbol({0: np.eye(3), 1: [[0, 0, 0], [0, 0, 0], [2, 0, 0]]})
+        assert [p.tolist() for p in s._pieces] == [[[1]], [[0, 2]]]
+        dense = LaurentSymbol({0: np.eye(2), 1: np.ones((2, 2))})
+        assert dense._pieces is None
+
+    def test_sections_do_not_find_pieces(self):
+        d = build_circle_dirac(8, Scheme.CENTRAL_DIFFERENCE, BOUND, 0.3)
+        s = period_symbol(mass_doubled(d.matrix, 1.0))
+        fredholm_via_sections(s, (8, 16))
+        assert "_pieces" not in vars(s)
+
+    def test_diagonal_scan_takes_no_svd(self):
+        # 300 I + 50 I z: 128 pieces of 1 x 1, each |300 + 50 z|
+        s = LaurentSymbol({0: 300.0 * np.eye(128), 1: 50.0 * np.eye(128)})
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            found = min_singular_on_circle(s)
+        assert svd.call_count == 0
+        assert found[0] == pytest.approx(250.0, rel=1e-12)
+        assert s.lipschitz_bound() == 50.0
+        assert 250.0 - 50.0 * math.pi / 512 <= found.lower_bound <= 250.0
+
+    def test_index_makes_no_single_point_probe(self):
+        s = LaurentSymbol({0: [[-2, 0.5j], [0.25, -3]], 1: [[1, 0], [0.5, 1]]})
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            assert toeplitz_index(s) == 0
+        assert svd.call_count > 0
+        assert all(c.args[0].ndim == 3 for c in svd.call_args_list)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            is_fredholm(s)
+        assert any(c.args[0].ndim == 2 for c in svd.call_args_list)  # the polish
+
+
+@functools.cache
+def corpus_symbols():
+    rng = np.random.default_rng(17)
+    return (invertible_symbols() + circle_zero_symbols()
+            + [s for s, _ in winding_test_symbols()] + block_diagonal_symbols()
+            + [diagonal_symbol(rng, block, 1 + block % 2, 10.0 ** (block % 3 - 1))[0]
+               for block in range(1, 9)])
+
+
+@pytest.mark.parametrize("case", range(len(corpus_symbols())))
+def test_index_matches_fredholm_on_the_corpus(case):
+    s = corpus_symbols()[case]
+    index = is_fredholm(s).index
+    if index is not None:
+        assert toeplitz_index(s) == index
 
 
 class TestFiniteSection:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from spinspec.discretize import (DiscreteDirac, Scheme, build_circle_dirac, mass
 from spinspec.errors import ContractViolation
 from spinspec.exact import _to_fraction
 from spinspec.floquet import LaurentSymbol, finite_section, fredholm_via_sections
-from spinspec.linalg import (Inertia, gauge_split, hermitian_eigenvalues, rational_ldl_inertia,
-                             sigma_min)
+from spinspec.linalg import (Inertia, connected_pieces, gauge_split, hermitian_eigenvalues,
+                             rational_ldl_inertia, sigma_min)
 from spinspec.spectra import SpinStructure
 
 
@@ -233,6 +234,41 @@ class TestSigmaMin:
         want = np.linalg.svd(a, compute_uv=False)[:, -1]
         assert np.array_equal(sigma_min(a, False), want)
         assert sigma_min(a[1], False) == want[1]
+
+    def test_one_by_one_blocks_take_no_solve(self):
+        # |a| on the general path; the Hermitian one reads the real
+        # diagonal, as eigvalsh does
+        a = np.array([[[3 - 4j]], [[-2 + 1e-13j]]])
+        with mock.patch.object(np.linalg, "svd") as svd, \
+                mock.patch.object(np.linalg, "eigvalsh") as eig:
+            assert np.array_equal(sigma_min(a, False), [5.0, abs(-2 + 1e-13j)])
+            assert np.array_equal(sigma_min(a, True), [3.0, 2.0])
+            assert sigma_min(a[0], False) == 5.0
+        assert (svd.call_count, eig.call_count) == (0, 0)
+        assert sigma_min(a[1], True) == abs(np.linalg.eigvalsh(a[1])[0])
+
+
+class TestConnectedPieces:
+    def test_permuted_blocks(self):
+        rng = np.random.default_rng(5)
+        pieces = [[0], [1, 2], [3, 4, 5], [6, 7, 8, 9]]
+        pattern = np.zeros((10, 10), dtype=bool)
+        for p in pieces:  # a path through each piece, one triangle only
+            for i, j in zip(p, p[1:]):
+                pattern[i, j] = True
+        perm = rng.permutation(10)
+        labels = connected_pieces(pattern[perm][:, perm])
+        # the label is the least index of the piece, after the permutation
+        place = np.argsort(perm)
+        for p in pieces:
+            assert set(labels[place[p]].tolist()) == {place[p].min()}
+
+    def test_joined_trees_take_the_least_root(self):
+        # 1 has no neighbour below it and starts a tree of its own; the
+        # entry (1, 2) joins it to the tree of 0 through 2
+        pattern = np.zeros((4, 4), dtype=bool)
+        pattern[0, 2] = pattern[1, 2] = True
+        assert connected_pieces(pattern).tolist() == [0, 0, 0, 3]
 
 
 def random_tridiagonal(rng, n):
