@@ -8,13 +8,13 @@ unit circle; the half-line compression is then Fredholm with index equal
 to minus the winding number of det A(z).
 
 ``symbol_eval`` is the one evaluator; scans build symbol stacks in
-chunks of at most ``_CHUNK_BYTES`` for batched calls.  Every sigma_min,
-of a stack, a point or a finite section, comes from ``linalg.sigma_min``:
-a Hermitian eigensolve for a Hermitian-symmetric symbol, whose A(z) and
-sections are Hermitian on the circle, the SVD otherwise.  A symbol whose
-coefficients' nonzero patterns fall into several connected pieces, found
-on its first scan, is a direct sum: the scans solve each A(z) piece by
-piece, pieces of one size as one stack and a 1 x 1 piece as |a|.  The
+chunks of at most ``_CHUNK_BYTES`` for batched calls.  Every sigma_min of
+a stack or a point comes from ``linalg.sigma_min``: a Hermitian
+eigensolve for a Hermitian-symmetric symbol, whose A(z) is Hermitian on
+the circle, the SVD otherwise.  A symbol whose coefficients' nonzero
+patterns fall into several connected pieces, found on its first scan, is
+a direct sum: the scans solve each A(z) piece by piece, pieces of one
+size as one stack and a 1 x 1 piece as |a|.  The
 circle minimum of sigma_min(A(z)) is a Lipschitz branch-and-bound
 (Piyavskii; Shubert) with a certified lower bound, polished by one Brent
 search; the index runs the same loop as a decision, which splits arcs
@@ -25,10 +25,14 @@ in the unit disc (``_winding_index``), certified through the scan's
 lower bound, and the twist-loop crossings of a Hermitian-symmetric
 symbol are those on the circle (``twist_crossings``).  A section sweep
 solves its shorter sections as leading blocks of the longest, in real
-arithmetic when a Hermitian section carries no flux, and through the
-off-diagonal block B, with half the rows, when its graph splits into
-even and odd indices (both from one pass, ``linalg.gauge_split``): one
-``eigvalsh`` per size when B is Hermitian, one SVD otherwise.
+arithmetic when a Hermitian section carries no flux.  When its graph
+splits into even and odd indices with the diagonal constant on each,
+c +- mu (both from one pass, ``linalg.gauge_split``), the eigenvalues
+are c +- sqrt(mu^2 + sigma(B)^2) from the off-diagonal block B, with half
+the rows; a Hermitian B is split the same way in turn, so a mass-doubled
+section at twist 0 takes one SVD per size of a block with a quarter of
+its rows.  A Hermitian block that does not split takes one ``eigvalsh``
+per size, any other block one SVD.
 """
 
 from __future__ import annotations
@@ -600,50 +604,45 @@ def fredholm_via_sections(s: LaurentSymbol, sizes: Sequence[int],
     ``is_fredholm``'s.
 
     Every size is checked first; the longest section is then built once,
-    and each shorter one is its leading block.  The sections of a
-    Hermitian-symmetric symbol are Hermitian, and their sigma_min is
-    min |lambda| of an eigensolve that reads one triangle, so each value's
-    error includes the symbol's Hermitian defect
-    delta = sum_j ||A_j - A_{-j}^H||_F besides rounding.  Such a section
-    goes through ``linalg.gauge_split``, one pass over its nonzero
-    entries: when it carries no flux (the Floquet twist and the imaginary
-    hops of -i d/dtheta are a pure gauge on an open stretch of lattice)
-    the solve runs in real arithmetic, about a third of the complex cost,
-    and each value's error also includes the dropped imaginary part, at
-    most HERMITICITY_TOL/2 times the Frobenius norm of the longest
-    section.  A section with flux stays complex.
+    and each shorter one is its leading block, solved by
+    ``_leading_values``: one SVD per size for a non-Hermitian symbol.  The
+    sections of a Hermitian-symmetric symbol are Hermitian, and their
+    sigma_min is the least |eigenvalue|.  Each solve reads one of each
+    Hermitian pair of entries, so each value's error includes the
+    symbol's Hermitian defect delta = sum_j ||A_j - A_{-j}^H||_F besides
+    rounding.  The section goes through ``linalg.gauge_split``, one pass
+    over its nonzero entries.  When it carries no flux (the Floquet twist
+    and the imaginary hops of -i d/dtheta are a pure gauge on an open
+    stretch of lattice) the solves run in real arithmetic, about a third
+    of the complex cost, and each value's error also includes the dropped
+    imaginary part, at most HERMITICITY_TOL/2 times the Frobenius norm of
+    the longest section.  A section with flux stays complex.
 
-    When every nonzero entry of the longest section joins an even and an
-    odd index, the section of m rows is [[0, B_m], [B_m^H, 0]] after a
-    permutation, with B_m the leading r x c block of the split's B, r and
-    c the even and odd indices below m.  Its eigenvalues are +-sigma(B_m)
-    and |r - c| zeros, so sigma_min is 0.0 when r != c and otherwise the
-    least singular value of B_m, with half the rows.  B reads each
-    Hermitian pair of entries once, as one triangle does, so the error
-    statement above holds unchanged.  B is checked once by
-    ``is_hermitian``; a Hermitian B, such as that of every mass-doubled
-    section, has sigma(B_m) = |lambda(B_m)|, one ``eigvalsh`` that reads
-    one triangle of B_m and so errs by at most
-    ||B - B^H||_F <= HERMITICITY_TOL ||B||_F more (Weyl's inequality), and
-    any other B takes one SVD per size.  A nonzero diagonal, such as a
-    twist, or an odd cycle keeps the eigensolve of the whole section, and
-    a non-Hermitian symbol its SVD.
+    When every nonzero off-diagonal entry joins an even and an odd index
+    and the diagonal is c + mu on one class and c - mu on the other, the
+    section is c I + mu Gamma + [[0, B], [B^H, 0]] after a permutation,
+    and each size is solved on its leading block of B, with half the rows:
+    its eigenvalues are c +- sqrt(mu^2 + sigma_k(B_m)^2) and c +- mu for
+    the unpaired indices.  The diagonal's deviation from c +- mu, at most
+    HERMITICITY_TOL times the Frobenius norm of the longest section in
+    each entry, is dropped and counts as error (Weyl's inequality), as the
+    imaginary part does.  A Hermitian B is split the same way in turn,
+    with ||B - B^H||_F more error, and so on: the B of a mass-doubled
+    section at twist 0 has diagonal +-mu on its own classes and a
+    bipartite hop, so each size takes one real SVD of B's off-diagonal
+    block C, with a quarter of the section's rows, and sigma_min =
+    hypot(mu, sigma_min(C_m)).  A block that does not split ends in one
+    ``eigvalsh`` per size if it is Hermitian and one SVD otherwise.  A
+    twist puts c sigma_z on the mass-doubled section's diagonal, which is
+    not constant on a class, and keeps the eigensolve of the whole
+    section; an odd cycle does the same.
     """
     if list(sizes) != sorted(set(sizes)) or len(sizes) < 2:
         raise ContractViolation("sizes must be strictly ascending, at least two of them")
     rows = [_section_rows(s, n) for n in sizes]
-    big = finite_section(s, sizes[-1])
-    split = None
-    if s.hermitian_symmetric:
-        big, split = gauge_split(big)
-    if split is None:
-        sigmas = [float(sigma_min(big[:m, :m], s.hermitian_symmetric)) for m in rows]
-    else:
-        even, odd = split
-        hermitian = even.size == odd.size and is_hermitian(big)
-        shapes = zip(np.searchsorted(even, rows).tolist(), np.searchsorted(odd, rows).tolist())
-        sigmas = [float(sigma_min(big[:r, :c], hermitian)) if r == c else 0.0
-                  for r, c in shapes]
+    values = _leading_values(finite_section(s, sizes[-1]), [(m, m) for m in rows],
+                             s.hermitian_symmetric, True)
+    sigmas = [float(np.abs(v).min()) for v in values]
     last, prev = sigmas[-1], sigmas[-2]
     if last > tol and abs(last - prev) < 0.2 * max(last, prev):
         verdict = "stable"
@@ -653,6 +652,41 @@ def fredholm_via_sections(s: LaurentSymbol, sizes: Sequence[int],
         verdict = "inconclusive"
     return SectionSweep(sizes=tuple(sizes), sigma_min=tuple(sigmas),
                         verdict=verdict, tol=tol)
+
+
+def _leading_values(a: np.ndarray, shapes: list, hermitian: bool, least: bool) -> list:
+    """One array per (r, c) in ``shapes``: the eigenvalues of the leading
+    block a[:r, :r] when ``hermitian`` (``a`` Hermitian, every r == c),
+    else the singular values of a[:r, :c].  With ``least`` only the least
+    modulus of each array need be right.
+
+    A Hermitian ``a`` that ``linalg.gauge_split`` splits with levels
+    c +- mu gives each block's eigenvalues from the singular values of its
+    leading block of B, which this helper finds on B in turn, as
+    eigenvalues when B is Hermitian and every needed block of it square.
+    When c is 0 and only the least modulus is asked for, a block with an
+    unpaired index is |mu|, which no pair undercuts, and takes no solve.
+    """
+    if not hermitian:
+        return [np.linalg.svd(a[:r, :c], compute_uv=False) for r, c in shapes]
+    b, split = gauge_split(a)
+    if split is None:
+        return [np.linalg.eigvalsh(b[:r, :r]) for r, _ in shapes]
+    even, odd, shift, mass = split
+    inner = [(int(np.searchsorted(even, r)), int(np.searchsorted(odd, r))) for r, _ in shapes]
+    least = least and shift == 0.0
+    wanted = [min(r, c) > 0 and (r == c or not least) for r, c in inner]
+    solve = [shape for shape, w in zip(inner, wanted) if w]
+    square = all(r == c for r, c in solve) and b.shape[0] == b.shape[1] and is_hermitian(b)
+    solved = iter(_leading_values(b, solve, square, least) if solve else [])
+    out = []
+    for (r, c), w in zip(inner, wanted):
+        sigma = np.abs(next(solved)) if w else np.zeros(0)
+        root = np.hypot(mass, sigma)
+        out.append(np.concatenate([shift + root, shift - root,
+                                   np.full(r - sigma.size, shift + mass),
+                                   np.full(c - sigma.size, shift - mass)]))
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,18 @@ nonzero entries of a Hermitian matrix once: through one forest that
 roots each connected piece of its graph once, it gauges a flux-free one
 into a real symmetric one with the same eigenvalues, whose eigensolve
 costs about a third as much, and finds the even/odd split of one whose
-nonzero entries all join the two classes, returning its off-diagonal
-block B of half the rows: the matrix's eigenvalues are +-sigma(B).
-``connected_pieces`` labels the pieces of a nonzero pattern through the
-same forest.  ``sigma_min`` is the one smallest-singular-value solve:
-``eigvalsh`` for a Hermitian operand, such as the B of a mass-doubled
-section, the SVD otherwise, and |a| for a 1 x 1 block.  The exact
-rational LDL inertia lives in the numpy-free ``exact`` module; ``Inertia`` and
-``rational_ldl_inertia`` are re-exported here under their public names.
+nonzero off-diagonal entries all join the two classes and whose diagonal
+is constant on each class, c + mu and c - mu, up to a deviation within
+the Hermiticity tolerance that counts as error.  It returns the
+off-diagonal block B of half the rows with c and mu: the matrix's
+eigenvalues are c +- sqrt(mu^2 + sigma(B)^2) and c +- mu for the
+unpaired indices.  ``connected_pieces`` labels the pieces of a nonzero
+pattern through the same forest.  ``sigma_min`` is the one
+smallest-singular-value solve of a symbol stack: ``eigvalsh`` for a
+Hermitian operand, the SVD otherwise, and |a| for a 1 x 1 block.  The
+exact rational LDL inertia lives in the numpy-free ``exact`` module;
+``Inertia`` and ``rational_ldl_inertia`` are re-exported here under their
+public names.
 """
 
 from __future__ import annotations
@@ -153,14 +157,15 @@ def sigma_min(a: np.ndarray, hermitian: bool):
 def gauge_split(h: np.ndarray):
     """One pass over the nonzero entries of a Hermitian matrix ``h``: a
     real gauge when it carries no flux, and the even/odd split when every
-    nonzero entry joins two classes.  Returns ``(m, split)``.
+    nonzero off-diagonal entry joins two classes on which the diagonal is
+    constant.  Returns ``(m, split)``.
 
-    The graph of ``h`` (an edge per nonzero entry, either triangle) is
-    spanned by a forest in which index j takes as parent its first nonzero
-    neighbour i < j, h_ji != 0; a connected piece whose first indices are
-    not joined among themselves starts as several trees, and those are
-    joined through the entries between them, so that each piece ends up
-    rooted once, at its least index.  Along the forest
+    The graph of ``h`` (an edge per nonzero off-diagonal entry, either
+    triangle) is spanned by a forest in which index j takes as parent its
+    first nonzero neighbour i < j, h_ji != 0; a connected piece whose first
+    indices are not joined among themselves starts as several trees, and
+    those are joined through the entries between them, so that each piece
+    ends up rooted once, at its least index.  Along the forest
     d_j = d_i h_ji/|h_ji| makes the gauged entry conj(d_j) h_ji d_i =
     |h_ji| real (a joined tree takes one constant phase that does the same
     for its joining entry), and the depth parities give the classes.  The
@@ -170,43 +175,63 @@ def gauge_split(h: np.ndarray):
     real), as in the sections of the mass-doubled central-difference
     operator, and with flux no diagonal D makes h real.  D is unitary, so
     G has the eigenvalues of h, and dropping Im G moves each by at most
-    ||Im G||_2 <= HERMITICITY_TOL/2 * ||h||_F (Weyl's inequality).  The
-    split holds when no nonzero entry, the diagonal included, joins two
-    indices of one class; it reads the exact zero pattern, with no
-    tolerance, and a nonzero diagonal entry or an odd cycle breaks it.
+    ||Im G||_2 <= HERMITICITY_TOL/2 * ||h||_F (Weyl's inequality).
 
-    With a split, ``split`` is the ascending (even, odd) index arrays and
-    ``m`` is B = G[even][:, odd], real without flux and h[even][:, odd]
-    otherwise: after a permutation h is [[0, B], [B^H, 0]], with the
-    eigenvalues +-sigma(B) and |len(even) - len(odd)| zeros.  Without one,
-    ``split`` is None and ``m`` is G.real, or ``h`` itself, the same
-    object, when there is flux.  B reads each Hermitian pair of entries
+    A real ``h`` is its own real gauge, D = I, and is not gauged.
+
+    The split holds when no nonzero off-diagonal entry joins two indices
+    of one class, read off the exact zero pattern with no tolerance (an
+    odd cycle breaks it), and the diagonal's real part, which ``eigvalsh``
+    reads, is c + mu on the even and c - mu on the odd class up to a
+    deviation of at most HERMITICITY_TOL * ||h||_F in every entry.  Each
+    class's level is the midpoint of its diagonal range, which a constant
+    class hits exactly.  The deviation is a diagonal matrix of that
+    2-norm, and dropping it moves each eigenvalue by at most as much
+    (Weyl's inequality), as dropping Im G does.  After a permutation h is
+    then c I + mu Gamma + K, Gamma = +-1 on the two classes and
+    K = [[0, B], [B^H, 0]]; Gamma anticommutes with K, so
+    (h - c)^2 = mu^2 + K^2 and the eigenvalues are
+    c +- sqrt(mu^2 + sigma_k(B)^2), one pair per singular value of B,
+    c + mu for each further even index and c - mu for each further odd
+    one.
+
+    With a split, ``split`` is ``(even, odd, c, mu)``, the ascending index
+    arrays and the two floats, and ``m`` is B = G[even][:, odd], real
+    without flux and h[even][:, odd] otherwise.  Without one, ``split`` is
+    None and ``m`` is G.real, or ``h`` itself, the same object, when ``h``
+    is real or carries flux.  B reads each Hermitian pair of entries
     once, as one triangle does.
 
     A leading principal block of ``h`` takes the restriction of this D and
-    of these classes: a restricted real gauge is still real, and a
-    restricted 2-colouring is still proper.  So the leading m x m block of
-    G.real, and the leading r x c block of B with r and c the even and odd
-    indices below m, serve the leading m x m block of ``h`` as its own
-    would.  Where no trees were joined, every parent precedes its child,
-    and the restriction is exactly what the leading block gets on its own.
+    of these classes: a restricted real gauge is still real, a restricted
+    2-colouring is still proper, and a restricted diagonal deviates from
+    c +- mu by no more.  So the leading m x m block of G.real, and the
+    leading r x c block of B with r and c the even and odd indices below
+    m, serve the leading m x m block of ``h`` as its own would.  Where no
+    trees were joined, every parent precedes its child, and the
+    restriction is exactly what the leading block gets on its own.
     """
-    h = np.ascontiguousarray(h, dtype=complex)
+    real = np.isrealobj(h)
+    h = np.ascontiguousarray(h, dtype=float if real else complex)
     n = h.shape[0]
     rows, cols, values, d, parity, _ = _forest(h)
-    phases = np.array(d, dtype=complex)
     # G - conj(G) = 2i Im G exactly and ||G||_F = ||h||_F, so this bound is
     # the Hermiticity rule; the last row of G, tested first, can refute it
     bound = HERMITICITY_TOL * np.linalg.norm(values)
-    last = slice(int(np.searchsorted(rows, n - 1)), None)
-    entries = values
-    if 2.0 * np.linalg.norm((values[last] * phases[cols[last]] * d[-1].conjugate()).imag) <= bound:
-        g = values * phases.conj()[rows]
-        g *= phases[cols]
-        if 2.0 * np.linalg.norm(g.imag) <= bound:
-            entries = g.real
+    entries = values  # a real h is its own real gauge, D = I
+    if not real:
+        phases = np.array(d, dtype=complex)
+        last = slice(int(np.searchsorted(rows, n - 1)), None)
+        if 2.0 * np.linalg.norm((values[last] * phases[cols[last]] * d[-1].conjugate()).imag) <= bound:
+            g = values * phases.conj()[rows]
+            g *= phases[cols]
+            if 2.0 * np.linalg.norm(g.imag) <= bound:
+                entries = g.real
     parity = np.array(parity)
-    if (parity[rows] == parity[cols]).any():
+    levels = None
+    if not ((parity[rows] == parity[cols]) & (rows != cols)).any():
+        levels = _class_levels(h.diagonal().real, parity, bound)
+    if levels is None:
         if entries is values:
             return h, None
         m = np.zeros((n, n))
@@ -215,22 +240,41 @@ def gauge_split(h: np.ndarray):
     even, odd = np.flatnonzero(~parity), np.flatnonzero(parity)
     place = np.empty(n, dtype=int)  # each index's place in its class
     place[even], place[odd] = np.arange(even.size), np.arange(odd.size)
-    top = ~parity[rows]
+    top = ~parity[rows] & parity[cols]
     b = np.zeros((even.size, odd.size), dtype=entries.dtype)
     b[place[rows[top]], place[cols[top]]] = entries[top]
-    return b, (even, odd)
+    return b, (even, odd) + levels
+
+
+def _class_levels(diagonal: np.ndarray, parity: np.ndarray, bound: float):
+    """``(c, mu)`` with ``diagonal`` within ``bound`` of c + mu on the even
+    and c - mu on the odd indices (``parity``) in every entry, from the
+    midpoints of the two ranges; None when a range is wider than 2 bound.
+    An empty class takes the other's level, so mu is then 0."""
+    levels = []
+    for members in (diagonal[~parity], diagonal[parity]):
+        if members.size:
+            lo, hi = members.min(), members.max()
+            if hi - lo > 2.0 * bound:
+                return None
+            levels.append(lo + 0.5 * (hi - lo))
+    up, down = levels[0], levels[-1]
+    return float(0.5 * (up + down)), float(0.5 * (up - down))
 
 
 def _forest(h: np.ndarray):
-    """The forest of ``gauge_split`` over the graph of a complex matrix
-    ``h`` whose nonzero pattern is symmetric.  Returns the row-major rows,
-    columns and values of its nonzero entries, and for each index the
+    """The forest of ``gauge_split`` over the graph of a real or complex
+    matrix ``h`` whose nonzero pattern is symmetric.  Returns the row-major
+    rows, columns and values of its nonzero entries, and for each index the
     phase d, the depth parity and the root: the least index of its
     connected piece."""
     n = h.shape[0]
-    # an entry is nonzero when either of its two float halves is: each
-    # pair of bools is tested at once as one uint16
-    nonzero = (h.view(float) != 0).view(np.uint16) != 0
+    if h.dtype == complex:
+        # an entry is nonzero when either of its two float halves is: each
+        # pair of bools is tested at once as one uint16
+        nonzero = (h.view(float) != 0).view(np.uint16) != 0
+    else:
+        nonzero = h != 0
     flat = np.flatnonzero(nonzero)
     rows, cols = np.divmod(flat, n)
     values = h.ravel()[flat]
@@ -255,8 +299,7 @@ def connected_pieces(pattern: np.ndarray) -> np.ndarray:
     """The connected pieces of the graph of a square boolean ``pattern``,
     an edge per True entry of either triangle, through the forest of
     ``gauge_split``: each index's label is the least index of its piece."""
-    square = (pattern | pattern.T).astype(complex)
-    return np.array(_forest(square)[-1])
+    return np.array(_forest((pattern | pattern.T).astype(float))[-1])
 
 
 def _join_trees(d: list, parity: list, root: list, rows: list, cols: list, values: list):

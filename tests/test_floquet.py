@@ -608,14 +608,15 @@ class TestFredholmViaSections:
         sizes = (8, 16, 32)
         _, eig, svd, builds = self.counted_sweep(s, sizes)
         # one section build and one solve per size; the mass-doubled section
-        # has no flux and a bipartite graph whose off-diagonal block is
-        # symmetric, so each size's solve is one real eigensolve of that
-        # block's leading part, with half the section's rows
+        # has no flux and a bipartite graph whose off-diagonal block B is
+        # symmetric, with diagonal +-m on B's own classes and a bipartite
+        # hop, so each size's solve is one real SVD of B's off-diagonal
+        # block C, with a quarter of the section's rows
         assert builds == 1
         if hermitian:
-            assert (len(eig), len(svd)) == (3, 0)
-            assert [c.args[0].shape for c in eig] == [(8 * n, 8 * n) for n in sizes]
-            assert all(c.args[0].dtype == float for c in eig)
+            assert (len(eig), len(svd)) == (0, 3)
+            assert [c.args[0].shape for c in svd] == [(4 * n, 4 * n) for n in sizes]
+            assert all(c.args[0].dtype == float for c in svd)
         else:
             assert (len(eig), len(svd)) == (0, 3)
 
@@ -631,6 +632,39 @@ class TestFredholmViaSections:
         assert (len(eig), len(svd)) == (3, 0)
         assert [c.args[0].shape for c in eig] == [(16 * n, 16 * n) for n in sizes]
         assert all(c.args[0].dtype == float for c in eig)
+
+    @pytest.mark.parametrize("spin", [BOUND, NONBOUND])
+    @pytest.mark.parametrize("grid, sizes", [(16, (3, 4, 6, 8)), (32, (3, 4, 6))])
+    def test_mass_doubled_sweep_takes_one_svd_of_the_quarter_block(self, spin, grid, sizes):
+        # the section is K with B = mu Gamma_B + [[0, C], [C^T, 0]] after
+        # two splits, so sigma_min = hypot(mu, sigma_min(C)): the open chain
+        # of p * grid sites has hopping eigenvalues cos(k pi / (L + 1)) / h
+        mass = 0.6
+        d = build_circle_dirac(grid, Scheme.CENTRAL_DIFFERENCE, spin, 0.0)
+        s = period_symbol(mass_doubled(d.matrix, mass))
+        sweep, eig, svd, builds = self.counted_sweep(s, sizes)
+        assert builds == 1 and len(eig) == 0
+        assert [c.args[0].shape for c in svd] == [(grid * n // 2, grid * n // 2) for n in sizes]
+        assert all(c.args[0].dtype == float for c in svd)
+        h = 2.0 * math.pi / grid
+        for value, n in zip(sweep.sigma_min, sizes):
+            k = np.arange(1, grid * n + 1)
+            mu = np.min(np.abs(np.cos(k * math.pi / (grid * n + 1)))) / h
+            assert value == pytest.approx(math.hypot(mass, mu), rel=1e-13)
+
+    @pytest.mark.parametrize("spin", [BOUND, NONBOUND])
+    def test_twisted_plain_section_splits_with_its_shift(self, spin):
+        # the twist puts c on the whole diagonal, constant on both classes
+        # of the open chain, so the section splits with shift c: one SVD
+        # per size of the bidiagonal hop B, with half the section's rows,
+        # and the values c +- sigma_k(B)
+        d = build_circle_dirac(8, Scheme.CENTRAL_DIFFERENCE, spin, 0.3)
+        s = period_symbol(d.matrix)
+        sizes = (4, 8, 16)
+        _, eig, svd, builds = self.counted_sweep(s, sizes)
+        assert builds == 1 and len(eig) == 0
+        assert [c.args[0].shape for c in svd] == [(4 * n, 4 * n) for n in sizes]
+        assert all(c.args[0].dtype == float for c in svd)
 
     @staticmethod
     def chiral_symbol(rng, evens, odds, bandwidth, flux, perm=None, hermitian_block=False):
@@ -699,9 +733,19 @@ class TestFredholmViaSections:
         for value, n in zip(sweep.sigma_min, sizes):
             section = finite_section(s, n)
             assert abs(value - singular_values(section)[-1]) <= 1e-12 * np.linalg.norm(section, 2)
-        assert builds == 1 and len(svd) == 0
-        assert [c.args[0].shape for c in eig] == [(half * n, half * n) for n in sizes]
-        assert all(c.args[0].dtype == float for c in eig)
+        assert builds == 1
+        if half == bandwidth == 1:
+            # B is then the chain P_0 I + P_1 (shift) + P_1 (shift)^T: its
+            # diagonal is constant and its hop bipartite, so it splits
+            # again, and each size takes one real SVD of its off-diagonal
+            # block
+            assert len(eig) == 0
+            assert [c.args[0].shape for c in svd] == [((n + 1) // 2, n // 2) for n in sizes]
+            assert all(c.args[0].dtype == float for c in svd)
+        else:
+            assert len(svd) == 0
+            assert [c.args[0].shape for c in eig] == [(half * n, half * n) for n in sizes]
+            assert all(c.args[0].dtype == float for c in eig)
 
     def test_unbalanced_chiral_block_reports_zero(self):
         # one even and two odd indices per period: every section has as many

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _corpus import numeric_kernel_dim, singular_values
+from spinspec.conventions import HERMITICITY_TOL
 from spinspec.discretize import (DiscreteDirac, Scheme, build_circle_dirac, mass_doubled,
                                  period_symbol)
 from spinspec.errors import ContractViolation
@@ -299,22 +300,32 @@ def reference_gauge(h):
     return g
 
 
+def split_spectrum(b, split):
+    """The eigenvalues a split ``(even, odd, c, mu)`` with off-diagonal
+    block ``b`` stands for, ascending: c +- hypot(mu, sigma_k(b)), c + mu
+    for each unpaired even index and c - mu for each unpaired odd one."""
+    even, odd, shift, mass = split
+    sigma = singular_values(b) if b.size else np.zeros(0)
+    root = np.hypot(mass, sigma)
+    return np.sort(np.concatenate([shift + root, shift - root,
+                                   np.full(even.size - sigma.size, shift + mass),
+                                   np.full(odd.size - sigma.size, shift - mass)]))
+
+
 def assert_gauged(h, m, split):
     """``gauge_split(h)`` gave the real reference gauge: the dense section
     with the eigenvalues of ``h``, or the off-diagonal block of a split
-    whose +-sigma and |len(even) - len(odd)| zeros are those eigenvalues."""
+    whose ``split_spectrum`` is those eigenvalues."""
     want = reference_gauge(h).real
     assert m.dtype == float
     if split is None:
         assert np.array_equal(m, want)
         assert_same_spectrum(m, h)
         return
-    even, odd = split
+    even, odd = split[:2]
     assert np.array_equal(m, want[np.ix_(even, odd)])
-    sigma = singular_values(m)
-    zeros = np.zeros(abs(even.size - odd.size))
-    spectrum = np.sort(np.concatenate([sigma, -sigma, zeros]))
-    assert np.all(np.abs(np.linalg.eigvalsh(h) - spectrum) <= 1e-12 * np.linalg.norm(h, 2))
+    assert np.all(np.abs(np.linalg.eigvalsh(h) - split_spectrum(m, split))
+                  <= 1e-12 * np.linalg.norm(h, 2))
 
 
 class TestRealGauge:
@@ -327,9 +338,12 @@ class TestRealGauge:
     def test_tree_comes_back_real(self, n, seed):
         h = random_tridiagonal(np.random.default_rng(seed), n)
         g, split = gauge_split(h)
-        assert split is None  # the diagonal is nonzero
+        # the random diagonal is constant on a class only when each class
+        # has one index
+        assert (split is None) == (n > 2)
         assert g.dtype == float
-        assert np.allclose(np.abs(g), np.abs(h), rtol=1e-14, atol=0.0)  # a diagonal unitary
+        if split is None:
+            assert np.allclose(np.abs(g), np.abs(h), rtol=1e-14, atol=0.0)  # a diagonal unitary
         assert_gauged(h, g, split)
 
     @settings(max_examples=20, deadline=None)
@@ -338,13 +352,14 @@ class TestRealGauge:
     def test_mass_doubled_ladder_comes_back_real(self, n, mass, bounding, c, periods):
         # purely imaginary hops on two rails and real mass rungs: every
         # plaquette product is real, so the section has no flux; a twist
-        # puts c on the diagonal, and without one the section splits
+        # puts +-c on the diagonal, alternating inside each class, and
+        # without one, or with one within the tolerance, the section splits
         spin = SpinStructure.BOUNDING if bounding else SpinStructure.NONBOUNDING
         d = build_circle_dirac(n, Scheme.CENTRAL_DIFFERENCE, spin, c)
         s = period_symbol(mass_doubled(d.matrix, mass))
         h = finite_section(s, periods)
         g, split = gauge_split(h)
-        assert (split is None) == (c != 0.0)
+        assert (split is None) == (abs(c) > HERMITICITY_TOL * np.linalg.norm(h))
         assert_gauged(h, g, split)
         # the gauge of a leading block is the leading block of the gauge
         rows = (periods - 1) * s.block_size
@@ -352,7 +367,7 @@ class TestRealGauge:
         if split is None:
             assert lead_split is None and np.array_equal(g[:rows, :rows], lead)
         else:
-            even, odd = split
+            even, odd = split[:2]
             assert np.array_equal(g[:np.count_nonzero(even < rows), :np.count_nonzero(odd < rows)],
                                   lead)
 
@@ -378,8 +393,9 @@ class TestRealGauge:
         h = np.zeros((4, 4), dtype=complex)
         for i, j, v in [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1j)]:
             h[i, j], h[j, i] = v, np.conj(v)
-        b, (even, odd) = gauge_split(h)
+        b, (even, odd, shift, mass) = gauge_split(h)
         assert even.tolist() == [0, 2] and odd.tolist() == [1, 3]
+        assert shift == mass == 0.0
         assert b.dtype == complex and np.array_equal(b, h[np.ix_(even, odd)])
 
     def test_zero_rows_and_disconnected_blocks(self):
@@ -390,8 +406,8 @@ class TestRealGauge:
         g, split = gauge_split(h)
         assert g.dtype == float and not g[4].any() and not g[:, 4].any()
         assert_gauged(h, g, split)
-        zero, (even, odd) = gauge_split(np.zeros((3, 3), dtype=complex))
-        assert zero.dtype == float and zero.shape == (3, 0)
+        zero, (even, odd, shift, mass) = gauge_split(np.zeros((3, 3), dtype=complex))
+        assert zero.dtype == float and zero.shape == (3, 0) and shift == mass == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 30), seed=st.integers(0, 2 ** 32 - 1))
@@ -409,7 +425,8 @@ class TestRealGauge:
             h[j, i] = np.conj(h[i, j])
         b, split = gauge_split(h)
         assert split is not None and b.dtype == float
-        even, odd = split
+        even, odd, shift, mass = split
+        assert shift == mass == 0.0
         assert not h[np.ix_(even, even)].any() and not h[np.ix_(odd, odd)].any()
         sigma = singular_values(b)
         zeros = np.zeros(abs(even.size - odd.size))
@@ -430,8 +447,10 @@ class TestRealGauge:
 
 
 class TestBipartition:
-    """Every nonzero entry of a matrix that ``gauge_split`` splits joins an
-    even and an odd index; one nonzero entry inside a class gives None."""
+    """Every nonzero off-diagonal entry of a matrix that ``gauge_split``
+    splits joins an even and an odd index, and its diagonal is constant on
+    each class within the tolerance; one off-diagonal entry inside a class,
+    or a diagonal entry off its class's level, gives None."""
 
     @pytest.mark.parametrize("spin", [SpinStructure.BOUNDING, SpinStructure.NONBOUNDING])
     def test_ladder_gives_its_parity_classes(self, spin):
@@ -442,13 +461,15 @@ class TestBipartition:
         h = finite_section(s, 4)
         site, component = np.divmod(np.arange(h.shape[0]), 2)
         parity = (site + component) % 2
-        b, (even, odd) = gauge_split(h)
+        b, split = gauge_split(h)
+        even, odd, shift, mass = split
         assert np.array_equal(even, np.flatnonzero(parity == 0))
         assert np.array_equal(odd, np.flatnonzero(parity == 1))
         assert not h[np.ix_(even, even)].any() and not h[np.ix_(odd, odd)].any()
-        assert_gauged(h, b, (even, odd))
+        assert shift == mass == 0.0
+        assert_gauged(h, b, split)
         # the split of a leading block is the leading part of the split
-        lead, (lead_even, lead_odd) = gauge_split(finite_section(s, 3))
+        lead, (lead_even, lead_odd, _, _) = gauge_split(finite_section(s, 3))
         assert np.array_equal(lead_even, even[even < 48])
         assert np.array_equal(lead_odd, odd[odd < 48])
         assert np.array_equal(lead, b[:lead_even.size, :lead_odd.size])
@@ -457,7 +478,14 @@ class TestBipartition:
         d = build_circle_dirac(8, Scheme.CENTRAL_DIFFERENCE, SpinStructure.BOUNDING, 0.0)
         h = finite_section(period_symbol(mass_doubled(d.matrix, 0.7)), 3)
         assert gauge_split(h)[1] is not None
-        h[5, 5] = 1e-300  # the exact zero pattern decides, with no tolerance
+        # a diagonal entry within the tolerance of its class's level is
+        # dropped as error, so the split stays
+        h[5, 5] = 1e-300
+        b, split = gauge_split(h)
+        assert split is not None
+        assert_gauged(h, b, split)
+        # one beyond it leaves a diagonal that is not constant on its class
+        h[5, 5] = 1e-3
         g, split = gauge_split(h)
         assert split is None
         assert_gauged(h, g, split)
@@ -471,9 +499,9 @@ class TestBipartition:
         assert split is None
         assert_gauged(h, g, split)
         h[0, 2] = h[2, 0] = 0.0  # cutting the edge 0 - 2 leaves the path 0 - 1 - 2
-        b, (even, odd) = gauge_split(h)
-        assert even.tolist() == [0, 2] and odd.tolist() == [1]
-        assert_gauged(h, b, (even, odd))
+        b, split = gauge_split(h)
+        assert split[0].tolist() == [0, 2] and split[1].tolist() == [1]
+        assert_gauged(h, b, split)
 
     def test_zero_rows_and_disconnected_pieces(self):
         rng = np.random.default_rng(5)
@@ -481,11 +509,11 @@ class TestBipartition:
         h[:4, :4] = random_tridiagonal(rng, 4)
         h[5:, 5:] = random_tridiagonal(rng, 4)  # row and column 4 stay zero
         h[np.diag_indices(9)] = 0.0
-        b, (even, odd) = gauge_split(h)
+        b, split = gauge_split(h)
         # each piece and the zero row is rooted at its least index, which is even
-        assert even.tolist() == [0, 2, 4, 5, 7] and odd.tolist() == [1, 3, 6, 8]
-        assert_gauged(h, b, (even, odd))
-        b, (even, odd) = gauge_split(np.zeros((3, 3)))
+        assert split[0].tolist() == [0, 2, 4, 5, 7] and split[1].tolist() == [1, 3, 6, 8]
+        assert_gauged(h, b, split)
+        b, (even, odd, _, _) = gauge_split(np.zeros((3, 3)))
         assert even.tolist() == [0, 1, 2] and odd.size == 0
         assert b.dtype == float and b.shape == (3, 0)
 
@@ -496,7 +524,7 @@ class TestBipartition:
         h = np.zeros((4, 4), dtype=complex)
         for i, j, v in [(0, 2, 2j), (1, 3, -1.0 + 1j), (2, 3, 3.0 - 4j)]:
             h[i, j], h[j, i] = v, np.conj(v)
-        b, (even, odd) = gauge_split(h)
+        b, (even, odd, _, _) = gauge_split(h)
         assert even.tolist() == [0, 3] and odd.tolist() == [1, 2]
         # one phase per index makes every entry real and positive
         assert b.dtype == float
@@ -509,13 +537,67 @@ class TestBipartition:
         # are +-sigma(B) and |len(even) - len(odd)| zeros
         h = random_tridiagonal(np.random.default_rng(seed), n)
         h[np.diag_indices(n)] = 0.0
-        b, (even, odd) = gauge_split(h)
+        b, split = gauge_split(h)
+        even, odd, shift, mass = split
+        assert shift == mass == 0.0
         sigma = singular_values(h[np.ix_(even, odd)])
         zeros = np.zeros(abs(even.size - odd.size))
         want = np.sort(np.concatenate([sigma, -sigma, zeros]))
         assert np.all(np.abs(np.linalg.eigvalsh(h) - want) <= 1e-12 * np.linalg.norm(h, 2))
-        assert_gauged(h, b, (even, odd))
+        assert_gauged(h, b, split)
 
+
+    @settings(max_examples=80, deadline=None)
+    @given(evens=st.integers(1, 9), odds=st.integers(0, 9),
+           shift=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+           mass=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+           complex_hop=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_graded_spectrum_is_shift_plus_minus_root(self, evens, odds, shift, mass,
+                                                      complex_hop, seed):
+        # H = c I + mu Gamma + K with K joining only the two classes, in a
+        # random index order: (H - c)^2 = mu^2 + K^2, so the eigenvalues are
+        # c +- hypot(mu, sigma_k(B)) and c +- mu for the unpaired indices
+        rng = np.random.default_rng(seed)
+        n = evens + odds
+        order = rng.permutation(n)
+        up, down = order[:evens], order[evens:]
+        hop = rng.normal(size=(evens, odds)) + (1j * rng.normal(size=(evens, odds))
+                                                 if complex_hop else 0.0)
+        h = np.zeros((n, n), dtype=complex)
+        h[np.ix_(up, down)] = hop
+        h[np.ix_(down, up)] = hop.conj().T
+        h[up, up], h[down, down] = shift + mass, shift - mass
+        b, split = gauge_split(h)
+        assert split is not None
+        even, odd = split[:2]
+        assert {frozenset(even.tolist()), frozenset(odd.tolist())} <= {
+            frozenset(up.tolist()), frozenset(down.tolist()), frozenset()}
+        tol = 4 * n * np.finfo(float).eps * np.linalg.norm(h, 2)
+        assert np.all(np.abs(np.linalg.eigvalsh(h) - split_spectrum(b, split)) <= tol)
+
+    def test_diagonal_level_is_read_within_the_tolerance(self):
+        # the ladder with its mass rungs, shifted by c and graded by mu: one
+        # diagonal entry moved by delta widens its class's range by delta,
+        # which the split drops as error up to 2 HERMITICITY_TOL ||h||_F
+        d = build_circle_dirac(8, Scheme.CENTRAL_DIFFERENCE, SpinStructure.NONBOUNDING, 0.0)
+        h = finite_section(period_symbol(mass_doubled(d.matrix, 0.7)), 3)
+        even, odd = gauge_split(h)[1][:2]
+        h[even, even], h[odd, odd] = 0.3 + 0.2, 0.3 - 0.2
+        b, split = gauge_split(h)
+        assert np.allclose(split[2:], (0.3, 0.2), rtol=1e-15, atol=0.0)
+        assert_gauged(h, b, split)
+        bound = HERMITICITY_TOL * np.linalg.norm(h)
+        h[odd[3], odd[3]] += bound
+        b, split = gauge_split(h)
+        assert split is not None
+        # the dropped deviation, bound/2 in each entry of the class, moves
+        # each eigenvalue by at most as much (Weyl's inequality)
+        err = np.abs(np.linalg.eigvalsh(h) - split_spectrum(b, split))
+        assert np.all(err <= 0.5 * bound + 1e-12 * np.linalg.norm(h, 2))
+        h[odd[3], odd[3]] += 3.0 * bound
+        g, split = gauge_split(h)
+        assert split is None
+        assert_gauged(h, g, split)
 
 class TestSingularValues:
     def test_identity(self):
