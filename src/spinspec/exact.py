@@ -30,10 +30,6 @@ class Inertia:
     def signature(self) -> int:
         return self.n_plus - self.n_minus
 
-    @property
-    def dimension(self) -> int:
-        return self.n_plus + self.n_minus + self.n_zero
-
 
 def _to_fraction(x) -> Fraction:
     """An exact rational entry: ``Fraction``, any ``numbers.Integral``

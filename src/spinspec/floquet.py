@@ -18,7 +18,9 @@ size as one stack and a 1 x 1 piece as |a|.  The
 circle minimum of sigma_min(A(z)) is a Lipschitz branch-and-bound
 (Piyavskii; Shubert) with a certified lower bound, polished by one Brent
 search; the index runs the same loop as a decision, which splits arcs
-only until each clears the tolerance and makes no polish.
+only until each clears the tolerance and makes no polish, and settles an
+arc it leaves open, or a bound that certifies no count, with one minimum
+scan, keeping the larger bound.
 The zeros of det A(z) come from one solve and one eigensolve of a block
 companion matrix (``_symbol_zeros``): the half-line index counts those
 in the unit disc (``_winding_index``), certified through the scan's
@@ -372,9 +374,7 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID) -> CircleM
     [best - 2 pi/grid, best + 2 pi/grid] to a bracket of
     REFINE_TOL / max(L, 1): the polished value is within REFINE_TOL of its
     basin's minimum when L >= 1, and within REFINE_TOL * L -- relative to
-    the symbol's scale -- below that.  Its parabolic steps take 7 to 35
-    probes on the benchmark's conjugated diagonal symbols, where a
-    golden-section search took 33 to 54.
+    the symbol's scale -- below that.
     """
     if grid < 16:
         raise ContractViolation("grid must be at least 16")
@@ -444,31 +444,27 @@ def toeplitz_index(s: LaurentSymbol, tol: float = FREDHOLM_TOL) -> int:
     """Half-line index of a symbol whose sigma_min on the unit circle
     exceeds ``tol``.
 
-    The count needs a certified lower bound above ``tol``, not the
-    minimum, so the scan runs as a decision (``_circle_scan``): it splits
-    an arc only while its bound, less the allowance, is <= ``tol``, makes
-    no Brent polish, and raises ``ContractViolation`` at the first
-    evaluated sigma_min <= ``tol``.  ``_winding_index`` then counts the
-    zeros through the lower bound it reached.  Where an arc stays open at
-    width 2 pi / CIRCLE_GRID, or that count is not certified, the index is
-    ``is_fredholm``'s, and one that neither certifies raises
-    ``ContractViolation``.  So the index is given where ``is_fredholm``
-    gives one, unless the decision evaluates a sigma_min <= ``tol`` that
-    the minimum scan did not, and also where an inconclusive scan leaves
-    that None but every arc clears ``tol``, as for -(1 + 3e-6) + z.
+    One rule: the scan runs as a decision (``_circle_scan``), splitting an
+    arc only while its bound, less the allowance, is <= ``tol``, with no
+    polish.  Where it evaluates no sigma_min <= ``tol`` but leaves an arc
+    open at width 2 pi / CIRCLE_GRID, or its bound certifies no count,
+    ``min_singular_on_circle`` runs once, and the smaller sigma_min and
+    the larger lower bound of the two scans are kept.  A sigma_min <=
+    ``tol`` raises ``ContractViolation`` (not Fredholm); otherwise
+    ``_winding_index`` counts the zeros through the lower bound, and a
+    count it does not certify raises ``ContractViolation``.
     """
     check_tolerance(tol)
     _, value, lower, _ = _circle_scan(s, CIRCLE_GRID, tol)
+    index = _winding_index(s, lower) if lower > tol else None
+    if index is None and value > tol:
+        found = min_singular_on_circle(s)
+        value, lower = min(value, found[0]), max(lower, found.lower_bound)
+        index = _winding_index(s, lower) if value > tol else None
     if value <= tol:
         raise ContractViolation("symbol is not Fredholm; the index is undefined")
-    index = _winding_index(s, lower) if lower > tol else None
     if index is None:
-        rep = is_fredholm(s, tol=tol)
-        if not rep.is_fredholm:
-            raise ContractViolation("symbol is not Fredholm; the index is undefined")
-        if rep.index is None:
-            raise ContractViolation("index is not certified")
-        index = rep.index
+        raise ContractViolation("index is not certified")
     return index
 
 

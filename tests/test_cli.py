@@ -201,6 +201,14 @@ class TestFredholmCommands:
         code, _, err = run(capsys, "index", root_on_circle_file)
         assert code == 3 and "error" in err
 
+    def test_index_near_a_circle_zero(self, capsys, tmp_path):
+        # sigma_min = 1.2e-6, just above --tol: `fredholm` prints index null,
+        # and `index` counts through the decision scan's bound
+        path = tmp_path / "near_zero.txt"
+        path.write_text(symbol_to_text(LaurentSymbol.scalar({0: -(1 + 1.2e-6), 1: 1})))
+        assert run_json(capsys, "fredholm", str(path))["results"]["index"] is None
+        assert run_json(capsys, "index", str(path))["results"]["index"] == 0
+
     def test_parse_failure_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("[symbol]\nblock-size: 1\nbandwidth: 0\n[coeff 0]\nnope\n")

@@ -469,6 +469,40 @@ class TestToeplitzIndex:
         with pytest.raises(ContractViolation, match="index is not certified"):
             toeplitz_index(both)
 
+    @pytest.mark.parametrize("d, index", [(1.2e-6, 0), (1.6e-6, 0), (-1.2e-6, -1), (-1.6e-6, -1)])
+    def test_decision_bound_certifies_a_near_circle_zero(self, d, index):
+        # the zero 1 + d sits where sigma_min is |d|, just above the
+        # tolerance: the decision closes an arc of width 2 pi / CIRCLE_GRID
+        # with a bound in (0, tol), the minimum scan's bound is negative,
+        # and the count goes through the larger, the zero's side of the circle
+        s = LaurentSymbol.scalar({0: -(1 + d), 1: 1})
+        _, value, lower, _ = floquet._circle_scan(s, floquet.CIRCLE_GRID, FREDHOLM_TOL)
+        assert 0.0 < lower <= FREDHOLM_TOL < value
+        rep = is_fredholm(s)
+        assert rep.is_fredholm and rep.lower_bound < 0.0 and rep.index is None
+        with mock.patch.object(floquet, "min_singular_on_circle",
+                               wraps=floquet.min_singular_on_circle) as scan, \
+                mock.patch.object(floquet, "is_fredholm", side_effect=AssertionError):
+            assert toeplitz_index(s) == index
+        assert scan.call_count == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(block=st.integers(1, 5), bandwidth=st.integers(1, 2),
+           ratio=st.floats(0.3, 5.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_agrees_with_fredholm_near_the_tolerance(self, block, bandwidth, ratio, seed):
+        # random blocks scaled so that sigma_min is 0.3 to 5 tolerances
+        rng = np.random.default_rng(seed)
+        coeffs = {j: rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
+                  for j in range(-bandwidth, bandwidth + 1)}
+        scale = ratio * FREDHOLM_TOL / min_singular_on_circle(LaurentSymbol(coeffs))[0]
+        s = LaurentSymbol({j: scale * a for j, a in coeffs.items()})
+        rep = is_fredholm(s)
+        if not rep.is_fredholm:
+            with pytest.raises(ContractViolation, match="not Fredholm"):
+                toeplitz_index(s)
+        elif rep.index is not None:
+            assert toeplitz_index(s) == rep.index
+
 
 block_diagonal_symbols = functools.cache(permuted_block_diagonal_symbols)
 
@@ -989,6 +1023,36 @@ class TestTwistCrossings:
         assert [d for _, d in r.crossings] == [-1, -1, 1, 1]
         assert all(abs(c - co) < 1e-12 for (c, _), (co, _) in
                    zip(r.crossings, sorted(2 * list(one.crossings))))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cluster_of_opposite_directions(self, seed):
+        # U diag(a, -a, 4 + 0.3 z + 0.3/z) U^*: a two-dimensional kernel at
+        # each twist of the scalar branch a, with one direction each way
+        t = 0.9 * cmath.exp(0.4j)
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        rotate = lambda d: (u * np.asarray(d, complex)) @ u.conj().T
+        s = LaurentSymbol({0: rotate([0.7, -0.7, 4.0]), 1: rotate([t, -t, 0.3]),
+                           -1: rotate([t.conjugate(), -t.conjugate(), 0.3])})
+        one = twist_crossings(LaurentSymbol.scalar({0: 0.7, 1: t, -1: t.conjugate()}))
+        r = twist_crossings(s)
+        assert r.flow == 0
+        assert [d for _, d in r.crossings] == [-1, 1] * len(one.crossings)
+        assert all(abs(c - co) < 1e-12 for (c, _), (co, _) in
+                   zip(r.crossings, sorted(2 * list(one.crossings))))
+
+    @pytest.mark.parametrize("size", [0.5, 1.0, 2.0])
+    def test_block_tangency(self, size):
+        # det A(e^{i theta}) = 3 (1 - cos theta) touches zero at theta = 0
+        # without changing sign, where A' = [[0, size], [size, 0]] is
+        # invertible but e_0^H A' e_0 = 0
+        q, b = size * size / 3.0, size / 2j
+        a1, a2 = np.array([[-0.5, b], [b, 0.0]]), np.diag([-q / 4.0, 0.0])
+        s = LaurentSymbol({0: np.diag([1.0 + q / 2.0, 3.0]), 1: a1, -1: a1.conj().T,
+                           2: a2, -2: a2.conj().T})
+        assert s.hermitian_symmetric
+        with pytest.raises(DegenerateCrossing):
+            twist_crossings(s)
 
     def test_constant_symbols(self):
         assert twist_crossings(LaurentSymbol({0: np.diag([1.0, -2.0])})).crossings == ()
