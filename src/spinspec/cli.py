@@ -66,8 +66,36 @@ def _report(command: List[str], results: dict, tolerances: dict, t0: float) -> d
     }
 
 
-def _emit(doc: dict) -> None:
-    sys.stdout.write(report_to_json(doc) + "\n")
+# the form results' ``matrix`` before it is written; JSON escapes every '"'
+# inside a string, so this text can only be that key and its value
+_MATRIX_PLACEHOLDER = '"matrix": null'
+
+
+def _matrix_json(form) -> str:
+    """``form.matrix`` as ``json.dumps`` writes it, row by row from the
+    blocks: each row is the block's row text between runs of zeros, and
+    each distinct block's row text is made once."""
+    row_texts = {}
+    rows = []
+    offset = 0
+    for block in form.blocks:
+        texts = row_texts.get(id(block))
+        if texts is None:
+            texts = row_texts[id(block)] = [", ".join(map(str, row)) for row in block]
+        left, right = "0, " * offset, ", 0" * (form.rank - offset - len(block))
+        rows.extend("[" + left + text + right + "]" for text in texts)
+        offset += len(block)
+    return '"matrix": [' + ", ".join(rows) + "]"
+
+
+def _emit(doc: dict, form=None) -> None:
+    """Write ``doc`` as one ``report_to_json`` line; with ``form``, its
+    matrix goes in place of the results' null ``matrix``."""
+    text = report_to_json(doc)
+    if form is not None:
+        head, tail = text.split(_MATRIX_PLACEHOLDER)
+        text = head + _matrix_json(form) + tail
+    sys.stdout.write(text + "\n")
 
 
 def _spin(name: str) -> SpinStructure:
@@ -217,18 +245,16 @@ def _form_results(form) -> dict:
         "rank": form.rank,
         "signature": form.signature,
         "inertia": [form.inertia.n_plus, form.inertia.n_minus, form.inertia.n_zero],
-        "matrix": [list(row) for row in form.matrix],
+        "matrix": None,  # _emit writes it from the blocks
     }
 
 
 def _cmd_forms(args, command, t0) -> int:
     if args.action == "list":
-        results = {"names": list(BUILTIN_FORM_NAMES)}
-    elif args.action == "show":
-        results = _form_results(builtin_form(args.name))
-    else:
-        results = _form_results(parse_form_spec(args.spec))
-    _emit(_report(command, results, {}, t0))
+        _emit(_report(command, {"names": list(BUILTIN_FORM_NAMES)}, {}, t0))
+        return 0
+    form = builtin_form(args.name) if args.action == "show" else parse_form_spec(args.spec)
+    _emit(_report(command, _form_results(form), {}, t0), form)
     return 0
 
 

@@ -296,9 +296,12 @@ def mass_doubled(matrix: np.ndarray, m: float) -> np.ndarray:
     so the twisted family (and its symbol) stays invertible uniformly in
     the twist, unlike a scalar shift which some twist always cancels."""
     a = np.asarray(matrix, dtype=complex)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return np.kron(a, sz) + m * np.kron(np.eye(a.shape[0]), sx)
+    out = np.zeros((2 * a.shape[0], 2 * a.shape[0]), dtype=complex)
+    out[0::2, 0::2] = a   # kron(a, sz) + m kron(1, sx), strided
+    out[1::2, 1::2] = -a
+    np.fill_diagonal(out[0::2, 1::2], m)
+    np.fill_diagonal(out[1::2, 0::2], m)
+    return out
 
 
 def spectrum_sample(matrix: np.ndarray, band: Optional[int] = None) -> SpectrumSample:

@@ -83,7 +83,7 @@ class LaurentSymbol:
     ``coeffs`` maps integer offsets to square blocks of one common size;
     missing offsets are zero.  ``hermitian_symmetric`` is set when
     A_{-j} = A_j^* for all j, which makes A(z) Hermitian on |z| = 1; the
-    stack A_{-d}, ..., A_d is checked as a whole by ``is_hermitian``.
+    blocks A_{-d}, ..., A_d are checked as one stack by ``is_hermitian``.
     """
 
     def __init__(self, coeffs: Mapping[int, object]):
@@ -110,7 +110,7 @@ class LaurentSymbol:
         self._stacked = np.stack([blocks[j].reshape(-1) for j in sorted(blocks)])
         self.bandwidth = max(abs(j) for j in blocks)
         self.hermitian_symmetric = is_hermitian(
-            np.stack([self.coeff(j) for j in range(-self.bandwidth, self.bandwidth + 1)]))
+            [self.coeff(j) for j in range(-self.bandwidth, self.bandwidth + 1)])
 
     @classmethod
     def scalar(cls, coeffs: Mapping[int, complex]) -> "LaurentSymbol":

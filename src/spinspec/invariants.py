@@ -5,7 +5,10 @@ enters.  The E8 and hyperbolic base blocks and forms read from raw rows
 (problem-file ``[form]`` sections) get their inertia from the pivoted LDL
 over rationals; sums, negations and diagonal forms carry it by Sylvester's
 law of inertia (it adds under direct sum, negation swaps n+ and n-, and a
-diagonal matrix is its own LDL) without another elimination.  Mod-2
+diagonal matrix is its own LDL) without another elimination.  A form is
+kept as the tuple of its diagonal blocks: a sum concatenates its parts'
+blocks and shares their objects, so ``8K3`` holds two distinct blocks,
+and the dense matrix is built only when asked for.  Mod-2
 reductions are done on ``fractions.Fraction`` values, so the identities
 tying the invariants together (well-definedness of the lifted Rohlin
 invariant, of the Cappell-Shaneson invariant, and the mod-2 agreement
@@ -84,31 +87,45 @@ class Mod2Rational:
 
 @dataclass(frozen=True)
 class IntersectionForm:
-    """Exact symmetric integer bilinear form with its inertia.
+    """Exact symmetric integer bilinear form with its inertia, kept as the
+    direct sum of its diagonal ``blocks``, each a tuple of integer rows.
 
-    ``form_from_rows`` validates raw rows and computes the inertia by exact
-    LDL; ``direct_sum``, ``negate`` and ``diag_form`` derive it from their
-    already-validated inputs by Sylvester's law, with no elimination.
+    E8, H and a form read from rows are one block each and ``Diag`` is one
+    1x1 block per entry.  ``form_from_rows`` validates raw rows and computes
+    the inertia by exact LDL; ``direct_sum``, ``negate`` and ``diag_form``
+    derive it from their already-validated inputs by Sylvester's law, with
+    no elimination.  ``matrix`` is the dense form, built on first use.
     """
 
     name: str
-    matrix: tuple
+    blocks: tuple
     rank: int
     signature: int
     inertia: Inertia
+
+    @functools.cached_property
+    def matrix(self) -> tuple:
+        """The dense rank x rank rows, the blocks down the diagonal."""
+        rows = []
+        offset = 0
+        for block in self.blocks:
+            left, right = (0,) * offset, (0,) * (self.rank - offset - len(block))
+            rows.extend(left + row + right for row in block)
+            offset += len(block)
+        return tuple(rows)
 
     def __str__(self):
         return f"{self.name}: rank {self.rank}, signature {self.signature}"
 
 
-def _form(name: str, matrix: tuple, inertia: Inertia) -> IntersectionForm:
-    return IntersectionForm(name=name, matrix=matrix, rank=len(matrix),
+def _form(name: str, blocks: tuple, inertia: Inertia) -> IntersectionForm:
+    return IntersectionForm(name=name, blocks=blocks, rank=sum(len(b) for b in blocks),
                             signature=inertia.signature, inertia=inertia)
 
 
 def form_from_rows(name: str, rows: Sequence[Sequence[int]]) -> IntersectionForm:
     matrix = tuple(tuple(int(x) for x in row) for row in rows)
-    return _form(name, matrix, rational_ldl_inertia(matrix))
+    return _form(name, (matrix,), rational_ldl_inertia(matrix))
 
 
 _E8_ROWS = (
@@ -129,26 +146,18 @@ def diag_form(entries: Sequence[int]) -> IntersectionForm:
     ents = tuple(int(e) for e in entries)
     if not ents:
         raise ContractViolation("diagonal form needs at least one entry")
-    n = len(ents)
-    matrix = tuple(tuple(ents[i] if i == j else 0 for j in range(n)) for i in range(n))
     n_plus = sum(e > 0 for e in ents)
     n_minus = sum(e < 0 for e in ents)
-    return _form("Diag(" + ",".join(str(e) for e in ents) + ")", matrix,
-                 Inertia(n_plus=n_plus, n_minus=n_minus, n_zero=n - n_plus - n_minus))
+    return _form("Diag(" + ",".join(str(e) for e in ents) + ")",
+                 tuple(((e,),) for e in ents),
+                 Inertia(n_plus=n_plus, n_minus=n_minus, n_zero=len(ents) - n_plus - n_minus))
 
 
 def _block_sum(name: str, forms: Sequence[IntersectionForm]) -> IntersectionForm:
-    total = sum(f.rank for f in forms)
-    matrix = []
-    offset = 0
-    for f in forms:
-        left, right = (0,) * offset, (0,) * (total - offset - f.rank)
-        matrix.extend(left + row + right for row in f.matrix)
-        offset += f.rank
     inertia = Inertia(n_plus=sum(f.inertia.n_plus for f in forms),
                       n_minus=sum(f.inertia.n_minus for f in forms),
                       n_zero=sum(f.inertia.n_zero for f in forms))
-    return _form(name, tuple(matrix), inertia)
+    return _form(name, tuple(b for f in forms for b in f.blocks), inertia)
 
 
 def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
@@ -160,11 +169,11 @@ def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
 
 
 def negate(form: IntersectionForm) -> IntersectionForm:
-    matrix = tuple(tuple(-x for x in row) for row in form.matrix)
     name = form.name[1:] if form.name.startswith("-") else "-" + form.name
     inertia = form.inertia
-    return _form(name, matrix, Inertia(n_plus=inertia.n_minus, n_minus=inertia.n_plus,
-                                       n_zero=inertia.n_zero))
+    return _form(name, tuple(tuple(tuple(-x for x in row) for row in b) for b in form.blocks),
+                 Inertia(n_plus=inertia.n_minus, n_minus=inertia.n_plus,
+                         n_zero=inertia.n_zero))
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,9 +216,16 @@ def parse_form_spec(spec: str) -> IntersectionForm:
     text = spec.replace(" ", "")
     if not text:
         raise ContractViolation("empty form spec")
-    # split on '+' but keep a leading '-' attached to its term
+    # split on each '+' outside parentheses (Diag(+1) stays one term); a
+    # leading '-' stays attached to its term
+    raws = []
+    for piece in text.split("+"):
+        if raws and raws[-1].count("(") > raws[-1].count(")"):
+            raws[-1] += "+" + piece
+        else:
+            raws.append(piece)
     terms = []
-    for raw in text.split("+"):
+    for raw in raws:
         if raw == "":
             raise ContractViolation(f"malformed form spec {spec!r}")
         neg, count, name = _TERM_RE.fullmatch(raw).groups()

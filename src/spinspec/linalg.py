@@ -22,6 +22,7 @@ public names.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,26 +65,32 @@ class EigResult:
     residual: float
 
 
-def _within_hermiticity_tol(x: np.ndarray, adjoint: np.ndarray, axis=None):
+def _within_hermiticity_tol(defect, size):
     """The Hermiticity inequality ||x - x^H||_F <= HERMITICITY_TOL * ||x||_F,
-    given ``adjoint`` = x^H: over all of ``x``, or one verdict per block
-    with ``axis=(-2, -1)``."""
-    return (np.linalg.norm(x - adjoint, axis=axis)
-            <= HERMITICITY_TOL * np.linalg.norm(x, axis=axis))
+    given the Frobenius norms ``defect`` = ||x - x^H||_F and ``size`` =
+    ||x||_F, or arrays of them for one verdict per block."""
+    return defect <= HERMITICITY_TOL * size
 
 
-def is_hermitian(x: np.ndarray) -> bool:
+def is_hermitian(x) -> bool:
     """The Hermiticity rule: ||x - x^H||_F <= HERMITICITY_TOL * ||x||_F,
     so a zero matrix passes.
 
-    A (k, N, N) stack stands for the block anti-diagonal matrix with x[i]
-    in block row i, whose adjoint is the reversed stack of block adjoints;
-    the stack A_{-d}, ..., A_d of a Laurent symbol passes exactly when
-    A_{-j} = A_j^H for every j.
+    A (k, N, N) stack, or a sequence of k N x N blocks, stands for the
+    block anti-diagonal matrix with x[i] in block row i, whose adjoint is
+    the reversed stack of block adjoints; the stack A_{-d}, ..., A_d of a
+    Laurent symbol passes exactly when A_{-j} = A_j^H for every j.  The
+    norms are summed pair by pair, ||x[i] - x[k-1-i]^H||_F being the same
+    for i and k-1-i, so no stack or adjoint copy is built.
     """
-    blocks = x.reshape(-1, *x.shape[-2:])  # a matrix is a one-block stack
-    adjoint = blocks[::-1].conj().swapaxes(-1, -2)
-    return bool(_within_hermiticity_tol(blocks, adjoint))
+    blocks = x.reshape(-1, *x.shape[-2:]) if isinstance(x, np.ndarray) else x
+    k = len(blocks)
+    defect = 0.0
+    for i in range((k + 1) // 2):
+        d = blocks[i] - blocks[k - 1 - i].conj().T
+        defect += (1 if 2 * i == k - 1 else 2) * np.vdot(d, d).real
+    size = sum(np.vdot(b, b).real for b in blocks)
+    return bool(_within_hermiticity_tol(math.sqrt(defect), math.sqrt(size)))
 
 
 def _square_blocks(m) -> np.ndarray:
@@ -122,7 +129,8 @@ def hermitian_eigenvalues(m) -> EigResult:
     """
     a = _square_blocks(m)
     adjoint = a.conj().swapaxes(-1, -2)
-    if not _within_hermiticity_tol(a, adjoint, axis=(-2, -1)).all():
+    if not _within_hermiticity_tol(np.linalg.norm(a - adjoint, axis=(-2, -1)),
+                                   np.linalg.norm(a, axis=(-2, -1))).all():
         raise ContractViolation("matrix is not Hermitian within tolerance")
     a = 0.5 * (a + adjoint)
     vals, vecs = np.linalg.eigh(a)  # ascending
@@ -207,9 +215,12 @@ def gauge_split(h: np.ndarray):
     2-colouring is still proper, and a restricted diagonal deviates from
     c +- mu by no more.  So the leading m x m block of G.real, and the
     leading r x c block of B with r and c the even and odd indices below
-    m, serve the leading m x m block of ``h`` as its own would.  Where no
-    trees were joined, every parent precedes its child, and the
-    restriction is exactly what the leading block gets on its own.
+    m, serve the leading m x m block of ``h`` within the tolerance of
+    ``h``.  Where no trees were joined, every parent precedes its child,
+    and the restricted gauge is exactly the leading block's own.  Its own
+    split may differ: its smaller ||.||_F can refuse a diagonal deviation
+    that this one accepts, and it then comes back unsplit, its real gauge
+    holding the restricted B as its even/odd block.
     """
     real = np.isrealobj(h)
     h = np.ascontiguousarray(h, dtype=float if real else complex)

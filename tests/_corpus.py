@@ -9,6 +9,7 @@ from importlib import resources
 from typing import Callable, List
 
 import numpy as np
+from hypothesis import strategies as st
 
 from spinspec.conventions import DEFAULT_TOL, GROUPING_TOL
 from spinspec.errors import ContractViolation, ParseError
@@ -334,6 +335,30 @@ def symbol_to_text(s: LaurentSymbol) -> str:
         for row in s.coeffs[j]:
             lines.append(" ".join(_fmt_complex(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+_RANKS = {"E8": 8, "H": 2, "K3": 22}
+
+
+@st.composite
+def signed_spec(draw, max_rank: int = 64):
+    """A form spec of signed, repeated E8, H, K3 and Diag(...) terms."""
+    terms, rank = [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["E8", "H", "K3", "Diag"]))
+        if kind == "Diag":
+            entries = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+            kind = "Diag(" + ",".join(map(str, entries)) + ")"
+            size = len(entries)
+        else:
+            size = _RANKS[kind]
+        count = draw(st.integers(1, 3))
+        if rank + count * size > max_rank:
+            break
+        rank += count * size
+        terms.append(("-" if draw(st.booleans()) else "") + (str(count) if count > 1 else "")
+                     + kind)
+    return "+".join(terms or ["H"])
 
 
 def form_to_text(f: IntersectionForm) -> str:

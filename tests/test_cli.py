@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -15,10 +16,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinspec
-from _corpus import symbol_to_text
+from _corpus import signed_spec, symbol_to_text
 from spinspec.cli import main, report_to_json
 from spinspec.floquet import LaurentSymbol
-from spinspec.invariants import BUILTIN_FORM_NAMES
+from spinspec.invariants import BUILTIN_FORM_NAMES, builtin_form, parse_form_spec
 
 
 def run(capsys, *argv):
@@ -445,6 +446,51 @@ class TestFormsCommand:
         assert code == 2 and out == ""
         assert "unknown form name" in err
 
+    @pytest.mark.parametrize("spec,term", [("K3+Diag(+1)", "Diag(+1)"),
+                                           ("E8+Diag(1,+2)+H", "Diag(1,+2)"),
+                                           ("H+Diag(+1", "Diag(+1")])
+    def test_bad_term_is_named_whole(self, capsys, spec, term):
+        code, out, err = run(capsys, "forms", "sum", spec)
+        assert (code, out, err) == (2, "", f"error: unknown form name {term!r}\n")
+
+
+def assert_dense_encoding(out, form):
+    """``out`` is the report ``json.dumps`` writes with the form's dense
+    rows as its ``matrix``."""
+    doc = json.loads(out)
+    doc["results"]["matrix"] = [list(row) for row in form.matrix]
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
+
+
+class TestFormReports:
+    """``forms`` writes the matrix row by row from the blocks, byte for byte
+    what ``json.dumps`` writes for the dense rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_spec(max_rank=200))
+    def test_sum_report_is_the_dense_encoding(self, spec):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["forms", "sum", spec]) == 0
+        assert_dense_encoding(out.getvalue(), parse_form_spec(spec))
+
+    @pytest.mark.parametrize("name", ["E8", "H", "K3", "Diag(0,-2,3,0,-1)"])
+    def test_show_report_is_the_dense_encoding(self, capsys, name):
+        code, out, _ = run(capsys, "forms", "show", name)
+        assert code == 0
+        assert_dense_encoding(out, builtin_form(name))
+
+    def test_report_builds_no_dense_matrix(self, capsys):
+        forms = []
+
+        def keep(spec):
+            forms.append(parse_form_spec(spec))
+            return forms[-1]
+        with mock.patch("spinspec.cli.parse_form_spec", keep):
+            doc = run_json(capsys, "forms", "sum", "8K3+2E8")
+        assert doc["results"]["rank"] == 192 and len(doc["results"]["matrix"]) == 192
+        assert "matrix" not in forms[0].__dict__
+
 
 class TestReportDocument:
     def test_schema_and_convention(self, capsys, shifted_scalar_file):
@@ -575,6 +621,41 @@ parse_problem_file("[invariant]\\nkind: rohlin\\nsig-w: 8\\n")
 numpy = [m for m in sys.modules if m == "numpy" or m.startswith("numpy.")]
 print(json.dumps({"codes": codes, "numpy": numpy}))
 """
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def _readme_blocks(heading):
+    """The fenced blocks of the README section under ``heading``, as lists
+    of lines."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## " + heading + "\n", 1)[1].split("\n## ", 1)[0]
+    return [block.split("\n", 1)[1].splitlines() for block in section.split("```")[1::2]]
+
+
+class TestReadmeExamples:
+    """Every line of the README's command-line block runs, on the README's
+    own symbol file, with exit 0 and one JSON report (or CSV with its
+    header)."""
+
+    def test_command_line_block(self, capsys, tmp_path, monkeypatch):
+        symbol = next(b for b in _readme_blocks("Problem files") if b[0] == "[symbol]")
+        (tmp_path / "symbol.txt").write_text("\n".join(symbol) + "\n")
+        monkeypatch.chdir(tmp_path)
+        lines = [shlex.split(line, comments=True) for line in _readme_blocks("Command line")[0]]
+        commands = [tokens for tokens in lines if tokens]
+        assert {tokens[1] for tokens in commands} >= {"spectral-flow", "index", "forms"}
+        for tokens in commands:
+            assert tokens[0] == "spinspec"
+            code, out, err = run(capsys, *tokens[1:])
+            assert (code, err) == (0, ""), tokens
+            if "csv" in tokens:
+                assert out.splitlines()[0] == "eigenvalue,multiplicity"
+            else:
+                assert out.count("\n") == 1
+                doc = json.loads(out)
+                assert tokens[1] == "--convention" or doc["schema"] == "spinspec.report/2"
 
 
 class TestImportGraph:

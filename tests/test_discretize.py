@@ -291,6 +291,15 @@ class TestMassDoubled:
         expected = np.sort(np.repeat(np.hypot(mu, m), 2))
         assert np.all(np.abs(doubled - expected) <= 1e-12 * np.max(expected))
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 128), m=st.floats(-4.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_kronecker_products(self, n, m, seed):
+        # the strided build and the Kronecker form agree up to signed zeros
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        sz, sx = np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(mass_doubled(a, m), np.kron(a, sz) + m * np.kron(np.eye(n), sx))
+
 
 class TestKernelTwists:
     @pytest.mark.parametrize("n", [32, 64, 128])

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from _corpus import alpha_s1, w_cs_mod2_matches_beta, w_mod2_equals_rohlin
+from _corpus import (alpha_s1, signed_spec, w_cs_mod2_matches_beta,
+                     w_mod2_equals_rohlin)
 from spinspec.errors import ContractViolation
 from spinspec.invariants import (BUILTIN_FORM_NAMES, Mod2Rational, alpha_n, beta,
                                  builtin_form, diag_form, direct_sum, form_from_rows,
@@ -78,30 +78,6 @@ class TestFormArithmetic:
                 parse_form_spec(bad)
 
 
-_RANKS = {"E8": 8, "H": 2, "K3": 22}
-
-
-@st.composite
-def signed_spec(draw, max_rank: int = 64):
-    """A form spec of signed, repeated E8, H, K3 and Diag(...) terms."""
-    terms, rank = [], 0
-    for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["E8", "H", "K3", "Diag"]))
-        if kind == "Diag":
-            entries = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
-            kind = "Diag(" + ",".join(map(str, entries)) + ")"
-            size = len(entries)
-        else:
-            size = _RANKS[kind]
-        count = draw(st.integers(1, 3))
-        if rank + count * size > max_rank:
-            break
-        rank += count * size
-        terms.append(("-" if draw(st.booleans()) else "") + (str(count) if count > 1 else "")
-                     + kind)
-    return "+".join(terms or ["H"])
-
-
 def _eigen_inertia(matrix) -> Inertia:
     # E8's smallest eigenvalue, 2 - 2 cos(pi/30) ~ 0.011, is the closest to 0
     eig = np.linalg.eigvalsh(np.array(matrix, dtype=float))
@@ -127,6 +103,30 @@ class TestCarriedInertia:
         f = parse_form_spec(spec)
         back = negate(negate(f))
         assert (back.inertia, back.matrix) == (f.inertia, f.matrix)
+        assert back.blocks == f.blocks
+
+
+class TestFormBlocks:
+    """A form is the tuple of its diagonal blocks; sums concatenate them and
+    the dense matrix is built only when asked for."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(signed_spec(), signed_spec())
+    def test_sum_concatenates_blocks(self, spec_a, spec_b):
+        a, b = parse_form_spec(spec_a), parse_form_spec(spec_b)
+        assert direct_sum(a, b).blocks == a.blocks + b.blocks
+
+    def test_base_forms_are_one_block_and_diag_one_per_entry(self):
+        assert [len(builtin_form(name).blocks) for name in ("E8", "H")] == [1, 1]
+        assert form_from_rows("H", [[0, 1], [1, 0]]).blocks == (((0, 1), (1, 0)),)
+        assert builtin_form("Diag(2,0,-1)").blocks == (((2,),), ((0,),), ((-1,),))
+        assert builtin_form("Diag(2,0,-1)").matrix == ((2, 0, 0), (0, 0, 0), (0, 0, -1))
+        assert parse_form_spec("H+Diag(3)").matrix == ((0, 1, 0), (1, 0, 0), (0, 0, 3))
+
+    def test_repeated_terms_share_their_blocks(self):
+        f = parse_form_spec("8K3+2E8")
+        assert (len(f.blocks), len({id(b) for b in f.blocks})) == (42, 3)
+        assert parse_form_spec("-8K3").blocks == negate(parse_form_spec("8K3")).blocks
 
 
 class TestRohlin:

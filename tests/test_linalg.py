@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _corpus import numeric_kernel_dim, singular_values
@@ -15,7 +15,7 @@ from spinspec.errors import ContractViolation
 from spinspec.exact import _to_fraction
 from spinspec.floquet import LaurentSymbol, finite_section, fredholm_via_sections
 from spinspec.linalg import (Inertia, connected_pieces, gauge_split, hermitian_eigenvalues,
-                             rational_ldl_inertia, sigma_min)
+                             is_hermitian, rational_ldl_inertia, sigma_min)
 from spinspec.spectra import SpinStructure
 
 
@@ -208,6 +208,28 @@ class TestHermiticityRule:
         assert s.hermitian_symmetric is hermitian
 
 
+class TestPairwiseHermiticity:
+    """``is_hermitian`` sums the norms pair by pair; its verdict is the one
+    the whole stack and its reversed block adjoint give, wherever the
+    defect is not within rounding of the tolerance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 7), n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           ratio=st.sampled_from([0.0, 0.1, 0.5, 2.0, 10.0]), as_list=st.booleans())
+    def test_verdict_equals_the_stacked_one(self, k, n, seed, ratio, as_list):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+        x = 0.5 * (x + x[::-1].conj().swapaxes(-1, -2))  # A_{-j} = A_j^H
+        e = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+        e -= e[::-1].conj().swapaxes(-1, -2)  # its adjoint-reversal is -e
+        if np.linalg.norm(e) > 0:
+            x += ratio * HERMITICITY_TOL * np.linalg.norm(x) / np.linalg.norm(e) * 0.5 * e
+        stacked = (np.linalg.norm(x - x[::-1].conj().swapaxes(-1, -2))
+                   <= HERMITICITY_TOL * np.linalg.norm(x))
+        assert is_hermitian(list(x) if as_list else x) is bool(stacked)
+        assert stacked == (ratio <= 1.0 or np.linalg.norm(e) == 0)
+
+
 class TestSigmaMin:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 12), k=st.integers(1, 4), singular=st.booleans(),
@@ -312,10 +334,13 @@ def split_spectrum(b, split):
                                    np.full(odd.size - sigma.size, shift - mass)]))
 
 
-def assert_gauged(h, m, split):
+def assert_gauged(h, m, split, deviation=0.0):
     """``gauge_split(h)`` gave the real reference gauge: the dense section
     with the eigenvalues of ``h``, or the off-diagonal block of a split
-    whose ``split_spectrum`` is those eigenvalues."""
+    whose ``split_spectrum`` is those eigenvalues.  ``deviation`` is the
+    most the diagonal of ``h``, as the test built it, departs from the
+    split's two levels; dropping it moves each eigenvalue by at most as
+    much (Weyl's inequality)."""
     want = reference_gauge(h).real
     assert m.dtype == float
     if split is None:
@@ -325,7 +350,7 @@ def assert_gauged(h, m, split):
     even, odd = split[:2]
     assert np.array_equal(m, want[np.ix_(even, odd)])
     assert np.all(np.abs(np.linalg.eigvalsh(h) - split_spectrum(m, split))
-                  <= 1e-12 * np.linalg.norm(h, 2))
+                  <= deviation + 1e-12 * np.linalg.norm(h, 2))
 
 
 class TestRealGauge:
@@ -349,6 +374,10 @@ class TestRealGauge:
     @settings(max_examples=20, deadline=None)
     @given(n=st.sampled_from([8, 16, 32]), mass=st.floats(0.1, 2.0),
            bounding=st.booleans(), c=st.floats(-0.5, 0.5), periods=st.integers(4, 6))
+    # twists within the tolerance but above 1e-12 ||h||_2, the second also
+    # above the leading block's tolerance
+    @example(n=8, mass=1.0, bounding=False, c=6.32e-12, periods=4)
+    @example(n=8, mass=0.125, bounding=False, c=6.32e-12, periods=4)
     def test_mass_doubled_ladder_comes_back_real(self, n, mass, bounding, c, periods):
         # purely imaginary hops on two rails and real mass rungs: every
         # plaquette product is real, so the section has no flux; a twist
@@ -360,16 +389,28 @@ class TestRealGauge:
         h = finite_section(s, periods)
         g, split = gauge_split(h)
         assert (split is None) == (abs(c) > HERMITICITY_TOL * np.linalg.norm(h))
-        assert_gauged(h, g, split)
+        # each class's diagonal is its level +- c
+        assert_gauged(h, g, split, abs(c))
         # the gauge of a leading block is the leading block of the gauge
         rows = (periods - 1) * s.block_size
-        lead, lead_split = gauge_split(finite_section(s, periods - 1))
+        lead_h = finite_section(s, periods - 1)
+        lead, lead_split = gauge_split(lead_h)
         if split is None:
             assert lead_split is None and np.array_equal(g[:rows, :rows], lead)
-        else:
-            even, odd = split[:2]
-            assert np.array_equal(g[:np.count_nonzero(even < rows), :np.count_nonzero(odd < rows)],
-                                  lead)
+            return
+        even, odd = split[:2]
+        even, odd = even[even < rows], odd[odd < rows]
+        lead_b = g[:even.size, :odd.size]
+        if lead_split is not None:
+            assert np.array_equal(lead_b, lead)
+            return
+        # a twist within the whole section's tolerance but above the
+        # smaller leading block's: the block keeps its real gauge, whose
+        # even/odd block is the restricted one, and the restricted split
+        # gives its eigenvalues up to the twist
+        assert abs(c) > HERMITICITY_TOL * np.linalg.norm(lead_h)
+        assert np.array_equal(lead[np.ix_(even, odd)], lead_b)
+        assert_gauged(lead_h, lead_b, (even, odd) + tuple(split[2:]), abs(c))
 
     @settings(max_examples=40, deadline=None)
     @given(r1=st.floats(0.2, 2.0), r2=st.floats(0.2, 2.0), alpha=st.floats(0.0, 2 * math.pi),
