@@ -4,6 +4,8 @@ Every subcommand emits a versioned JSON report on one line of stdout (or
 CSV for spectra).  Exit codes: 0 success, 2 input/parse error, 3 domain
 or contract error.  The environment variable ``SPECTRAL_TOL`` overrides
 the default tolerance used for Fredholm verdicts and kernel detection.
+The command table ``_COMMANDS`` declares each command's positionals and
+flags; ``_read`` reads argv against it in one pass and ``_help`` prints it.
 
 The numeric handlers import ``floquet``, ``spectra`` and ``discretize``,
 and with them numpy, in their own bodies, so ``forms``, ``invariant``,
@@ -12,14 +14,11 @@ and with them numpy, in their own bodies, so ``forms``, ``invariant``,
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
-import re
 import sys
 import time
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .conventions import CIRCLE_GRID, FREDHOLM_TOL, GROUPING_TOL, convention_block
@@ -115,7 +114,7 @@ def _spectrum_results(sample) -> dict:
 
 
 def _emit_spectrum(args, sample, command, t0) -> int:
-    if args.format == "csv":
+    if args["format"] == "csv":
         lines = ["eigenvalue,multiplicity"]
         lines += [f"{lam!r},{m}" for lam, m in sample.pairs]
         sys.stdout.write("\n".join(lines) + "\n")
@@ -128,14 +127,14 @@ def _emit_spectrum(args, sample, command, t0) -> int:
 def _cmd_spectrum(args, command, t0) -> int:
     from .spectra import circle_spectrum, product_square_spectrum, sphere_spectrum
 
-    if args.kind == "circle":
-        sample = circle_spectrum(_spin(args.spin), args.c, args.band)
-    elif args.kind == "sphere":
-        sample = sphere_spectrum(args.l, args.kmax)
+    if args["kind"] == "circle":
+        sample = circle_spectrum(_spin(args["spin"]), args["c"], args["band"])
+    elif args["kind"] == "sphere":
+        sample = sphere_spectrum(args["l"], args["kmax"])
     else:
-        base = circle_spectrum(_spin(args.spin), args.c, args.band)
-        sample = product_square_spectrum(base, sphere_spectrum(args.l, args.kmax),
-                                         args.cutoff)
+        base = circle_spectrum(_spin(args["spin"]), args["c"], args["band"])
+        sample = product_square_spectrum(base, sphere_spectrum(args["l"], args["kmax"]),
+                                         args["cutoff"])
     return _emit_spectrum(args, sample, command, t0)
 
 
@@ -143,8 +142,8 @@ def _cmd_twist_scan(args, command, t0) -> int:
     from .discretize import kernel_twists
 
     ktol = _env_tol(1e-8)
-    locations = kernel_twists(_spin(args.spin), args.c_from, args.c_to,
-                              args.grid, args.massive, ktol)
+    locations = kernel_twists(_spin(args["spin"]), args["c-from"], args["c-to"],
+                              args["grid"], args["massive"], ktol)
     results = {
         "kernel_twists_mod1": [{"value": c, "tol": 1e-6} for c in locations],
         "cover_operator_fredholm": not locations,
@@ -153,11 +152,19 @@ def _cmd_twist_scan(args, command, t0) -> int:
     return 0
 
 
+class _InputError(Exception):
+    """A usage error or an unreadable input file: exit 2, the text on stderr."""
+
+
 def _load_symbol(path: str) -> LaurentSymbol:
     from .floquet import LaurentSymbol
 
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = parse_problem_file(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError(f"error: cannot read {path}: {exc}") from None
+    obj = parse_problem_file(text)
     if not isinstance(obj, LaurentSymbol):
         raise ContractViolation(f"{path} does not contain a [symbol] section")
     return obj
@@ -166,9 +173,9 @@ def _load_symbol(path: str) -> LaurentSymbol:
 def _cmd_fredholm(args, command, t0) -> int:
     from .floquet import is_fredholm
 
-    s = _load_symbol(args.file)
-    tol = args.tol if args.tol is not None else _env_tol(FREDHOLM_TOL)
-    rep = is_fredholm(s, tol=tol, grid=args.grid)
+    s = _load_symbol(args["file"])
+    tol = args["tol"] if args["tol"] is not None else _env_tol(FREDHOLM_TOL)
+    rep = is_fredholm(s, tol=tol, grid=args["grid"])
     results = {
         "is_fredholm": rep.is_fredholm,
         "min_singular": {"value": rep.min_singular, "tol": rep.tol},
@@ -186,8 +193,8 @@ def _cmd_fredholm(args, command, t0) -> int:
 def _cmd_index(args, command, t0) -> int:
     from .floquet import toeplitz_index
 
-    s = _load_symbol(args.file)
-    tol = args.tol if args.tol is not None else _env_tol(FREDHOLM_TOL)
+    s = _load_symbol(args["file"])
+    tol = args["tol"] if args["tol"] is not None else _env_tol(FREDHOLM_TOL)
     idx = toeplitz_index(s, tol=tol)
     _emit(_report(command, {"index": idx}, {"fredholm_tol": tol}, t0))
     return 0
@@ -196,7 +203,7 @@ def _cmd_index(args, command, t0) -> int:
 def _cmd_spectral_flow(args, command, t0) -> int:
     from .floquet import twist_crossings
 
-    result = twist_crossings(_load_symbol(args.file))
+    result = twist_crossings(_load_symbol(args["file"]))
     results = {
         "flow": result.flow,
         "crossings": [{"parameter": {"value": c, "tol": 1e-6}, "direction": d}
@@ -216,12 +223,11 @@ _INVARIANT_DEFAULTS = {"rho": "0", "sig-v": 0, "sig-w": 0, "n": 4}
 def _invariant_record(args) -> dict:
     """The [invariant] record the flags describe: the kind, the flags given,
     and the defaults of the inputs the kind reads that were not given."""
-    given = {key: getattr(args, key.replace("-", "_")) for key in _INVARIANT_FLAGS}
     record = {key: value for key, value in _INVARIANT_DEFAULTS.items()
-              if key in INVARIANT_INPUTS[args.kind]}
-    record["kind"] = args.kind
-    record.update((key, value) for key, value in given.items() if value is not None)
-    if args.strict:
+              if key in INVARIANT_INPUTS[args["kind"]]}
+    record["kind"] = args["kind"]
+    record.update((key, args[key]) for key in _INVARIANT_FLAGS if args[key] is not None)
+    if args["strict"]:
         record["strict"] = "true"
     return record
 
@@ -250,150 +256,174 @@ def _form_results(form) -> dict:
 
 
 def _cmd_forms(args, command, t0) -> int:
-    if args.action == "list":
+    if args["command"][1] == "list":
         _emit(_report(command, {"names": list(BUILTIN_FORM_NAMES)}, {}, t0))
         return 0
-    form = builtin_form(args.name) if args.action == "show" else parse_form_spec(args.spec)
+    form = builtin_form(args["name"]) if "name" in args else parse_form_spec(args["spec"])
     _emit(_report(command, _form_results(form), {}, t0), form)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="spinspec",
-                                description="Model Dirac spectra, Floquet symbol "
-                                            "analysis and exact invariant arithmetic.")
-    p.add_argument("--convention", action="store_true",
-                   help="print the convention block as JSON and exit")
-    sub = p.add_subparsers(dest="cmd")
+class _Arg(NamedTuple):
+    """A flag or positional: the type its text is read as (``bool`` for a
+    switch, which takes no text), its default, its choices (any when empty)."""
+    type: Callable = str
+    default: object = None
+    choices: Tuple[str, ...] = ()
+    help: str = ""
 
-    sp = sub.add_parser("spectrum", help="closed-form model spectra")
-    sp.add_argument("kind", choices=["circle", "sphere", "product"])
-    sp.add_argument("--spin", default="bounding", choices=["bounding", "nonbounding"])
-    sp.add_argument("--c", type=float, default=0.0, help="twist coefficient")
-    sp.add_argument("--band", type=int, default=8)
-    sp.add_argument("--l", type=int, default=2, help="sphere dimension")
-    sp.add_argument("--kmax", type=int, default=8)
-    sp.add_argument("--cutoff", type=float, default=25.0)
-    sp.add_argument("--format", default="json", choices=["json", "csv"])
 
-    ts = sub.add_parser("twist-scan", help="locate twists with a discrete kernel")
-    ts.add_argument("--spin", default="bounding", choices=["bounding", "nonbounding"])
-    ts.add_argument("--c-from", type=float, default=0.0)
-    ts.add_argument("--c-to", type=float, default=1.0)
-    ts.add_argument("--steps", type=int, default=200,
-                    help="accepted for compatibility; has no effect, kernels "
-                         "are located exactly")
-    ts.add_argument("--grid", type=int, default=32)
-    ts.add_argument("--massive", type=float, default=0.0,
-                    help="add an off-diagonal mass of this size")
+class _Command(NamedTuple):
+    """A command: positionals in order, then one subcommand if it has any."""
+    help: str
+    run: Optional[Callable] = None
+    positionals: Dict[str, _Arg] = {}
+    flags: Dict[str, _Arg] = {}
+    commands: Dict[str, "_Command"] = {}
 
-    fr = sub.add_parser("fredholm", help="symbol invertibility over the unit circle")
-    fr.add_argument("file")
-    fr.add_argument("--tol", type=float, default=None)
-    fr.add_argument("--grid", type=int, default=CIRCLE_GRID)
 
-    ix = sub.add_parser("index", help="half-line index of a Fredholm symbol")
-    ix.add_argument("file")
-    ix.add_argument("--tol", type=float, default=None)
+_SPIN = _Arg(str, "bounding", ("bounding", "nonbounding"))
+_FILE = {"file": _Arg()}
+_NO_EFFECT = "accepted for compatibility; has no effect, "
+_COMMANDS = {
+    "spectrum": _Command(
+        "closed-form model spectra", _cmd_spectrum,
+        {"kind": _Arg(choices=("circle", "sphere", "product"))},
+        {"spin": _SPIN, "c": _Arg(float, 0.0, help="twist"), "band": _Arg(int, 8),
+         "l": _Arg(int, 2, help="sphere dimension"), "kmax": _Arg(int, 8),
+         "cutoff": _Arg(float, 25.0), "format": _Arg(str, "json", ("json", "csv"))}),
+    "twist-scan": _Command(
+        "locate twists with a discrete kernel", _cmd_twist_scan, {},
+        {"spin": _SPIN, "c-from": _Arg(float, 0.0), "c-to": _Arg(float, 1.0),
+         "steps": _Arg(int, 200, help=_NO_EFFECT + "kernels are located exactly"),
+         "grid": _Arg(int, 32), "massive": _Arg(float, 0.0, help="off-diagonal mass")}),
+    "fredholm": _Command("symbol invertibility over the unit circle", _cmd_fredholm,
+                         _FILE, {"tol": _Arg(float), "grid": _Arg(int, CIRCLE_GRID)}),
+    "index": _Command("half-line index of a Fredholm symbol", _cmd_index, _FILE,
+                      {"tol": _Arg(float)}),
+    "spectral-flow": _Command(
+        "flow of the symbol's twist loop", _cmd_spectral_flow, _FILE,
+        {"steps": _Arg(int, 50, help=_NO_EFFECT + "crossings are the zeros of det A(z)")}),
+    "invariant": _Command(
+        "exact invariant arithmetic", _cmd_invariant,
+        {"kind": _Arg(choices=tuple(INVARIANT_INPUTS))},
+        {**{key: _Arg(int) for key in _INVARIANT_FLAGS}, "strict": _Arg(bool, False),
+         "rho": _Arg(help="rational, e.g. 1 or 3/2")}),
+    "forms": _Command("built-in intersection forms", _cmd_forms, commands={
+        "list": _Command("names of the built-in forms"),
+        "show": _Command("one built-in form", positionals={"name": _Arg()}),
+        "sum": _Command("a signed sum of built-in forms", positionals={"spec": _Arg()})}),
+}
+_SPINSPEC = _Command(
+    "Model Dirac spectra, Floquet symbol analysis and exact invariant arithmetic.",
+    flags={"convention": _Arg(bool, False, help="print the convention block as JSON")},
+    commands=_COMMANDS)
 
-    sf = sub.add_parser("spectral-flow", help="flow of the symbol's twist loop")
-    sf.add_argument("file")
-    sf.add_argument("--steps", type=int, default=50,
-                    help="accepted for compatibility; has no effect, crossings "
-                         "come from the zeros of det A(z)")
 
-    iv = sub.add_parser("invariant", help="exact invariant arithmetic")
-    iv.add_argument("kind", choices=list(INVARIANT_INPUTS))
-    for key in _INVARIANT_FLAGS:
-        if key == "rho":
-            iv.add_argument("--rho", help="rational, e.g. 1 or 3/2")
+def _help(node: _Command, prog: str) -> str:
+    """The --help text of a command: usage, then a row per subcommand,
+    positional and flag with its help, choices and default."""
+    rows = [(name, sub.help) for name, sub in node.commands.items()]
+    rows += [(name, "/".join(arg.choices)) for name, arg in node.positionals.items()]
+    rows.append(("-h, --help", "print this help"))
+    for name, arg in node.flags.items():
+        default = "" if arg.default is None or arg.type is bool else f"(default {arg.default})"
+        label = "--" + name + ("" if arg.type is bool else " " + arg.type.__name__.upper())
+        rows.append((label, " ".join(filter(None, (arg.help, "/".join(arg.choices), default)))))
+    usage = [prog, "[options]", *node.positionals] + ["COMMAND ..."] * bool(node.commands)
+    return "\n".join(["usage: " + " ".join(usage), "", node.help, ""]
+                     + [f"  {label:<22}{text}".rstrip() for label, text in rows]) + "\n"
+
+
+def _read(argv: List[str]) -> Optional[dict]:
+    """Each flag (at its default if not given) and positional of ``argv``
+    by name, and under "command" the commands chosen.  A value flag takes
+    the next token as it is; after '--' every token is positional.  Returns
+    None after printing -h/--help; raises _InputError on a usage error."""
+    node, prog, rest = _SPINSPEC, "spinspec", iter(argv)
+    args, positionals, dash_dash = {"command": [], "convention": False}, [], False
+
+    def fail(message):
+        raise _InputError(f"{prog}: error: {message}")
+
+    def value(arg, name, text):
+        if text is None:
+            fail(f"argument {name}: expected one argument")
+        try:
+            got = arg.type(text)
+        except ValueError:
+            fail(f"argument {name}: invalid {arg.type.__name__} value: {text!r}")
+        if arg.choices and got not in arg.choices:
+            fail(f"argument {name}: invalid choice: {text!r} (choose from "
+                 + ", ".join(map(repr, arg.choices)) + ")")
+        return got
+
+    for token in rest:
+        if token == "--" and not dash_dash:
+            dash_dash = True
+        elif token.startswith("-") and token != "-" and not dash_dash:
+            flag, eq, text = token.partition("=")
+            flag = "--help" if flag == "-h" else flag
+            names = [name for name in ("help", *node.flags)
+                     if flag.startswith("--") and ("--" + name).startswith(flag)]
+            if flag[2:] in names:  # a whole name wins over the longer names it begins
+                names = [flag[2:]]
+            if len(names) != 1:
+                fail(f"ambiguous option: {flag} could match --" + ", --".join(names)
+                     if names else f"unrecognized arguments: {token}")
+            if names[0] == "help":
+                sys.stdout.write(_help(node, prog))
+                return None
+            name, arg = names[0], node.flags[names[0]]
+            if arg.type is bool and eq:
+                fail(f"argument --{name}: ignored explicit argument {text!r}")
+            text = text if eq or arg.type is bool else next(rest, None)
+            args[name] = True if arg.type is bool else value(arg, "--" + name, text)
+        elif positionals:
+            name = positionals.pop(0)
+            args[name] = value(node.positionals[name], name, token)
+        elif node.commands:
+            node = node.commands[value(_Arg(choices=(*node.commands,)), "command", token)]
+            prog += " " + token
+            args["command"].append(token)
+            args.update((name, arg.default) for name, arg in node.flags.items())
+            positionals = list(node.positionals)
         else:
-            iv.add_argument("--" + key, type=int)
-    iv.add_argument("--strict", action="store_true")
-
-    fo = sub.add_parser("forms", help="built-in intersection forms")
-    fosub = fo.add_subparsers(dest="action", required=True)
-    fosub.add_parser("list")
-    fshow = fosub.add_parser("show")
-    fshow.add_argument("name")
-    fsum = fosub.add_parser("sum")
-    fsum.add_argument("spec")
-    return p
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process: built on first use, since building
-    costs more than most commands; parsing leaves it unchanged."""
-    return build_parser()
+            fail(f"unrecognized arguments: {token}")
+    missing = positionals + ["command"] * (bool(node.commands) and not args["convention"])
+    if missing:
+        fail("the following arguments are required: " + ", ".join(missing))
+    return args
 
 
 _EXIT3_COMMANDS = {"invariant", "index", "fredholm", "spectral-flow", "twist-scan"}
 _NUMERIC_COMMANDS = {"spectrum", "twist-scan", "fredholm", "index", "spectral-flow"}
 
 
-# -33/4, -0.5, -16, -inf, -nan: never a flag
-_NEGATIVE_VALUE = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
-
-
-def _shield_dash_values(argv: List[str]) -> Tuple[List[str], List[str]]:
-    """Return (tokens a report echoes, tokens argparse reads).
-
-    argparse takes a token that starts with '-' for a flag, but form specs
-    like -E8+3H and rationals like -33/4 are values.  The ``forms sum`` spec
-    goes behind '--', which the echo shows; a negative value after a flag is
-    attached to it (--rho=-33/4) for argparse only.
-    """
-    if argv[:2] == ["forms", "sum"] and "--" not in argv:
-        argv = argv[:2] + ["--"] + argv[2:]
-    tokens = []
-    for i, tok in enumerate(argv):
-        if tok == "--":
-            return argv, tokens + argv[i:]
-        prev = tokens[-1] if tokens else ""
-        if prev.startswith("--") and "=" not in prev and _NEGATIVE_VALUE.match(tok):
-            tokens[-1] = prev + "=" + tok
-        else:
-            tokens.append(tok)
-    return argv, tokens
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    argv, tokens = _shield_dash_values(list(sys.argv[1:]) if argv is None else list(argv))
-    parser = _parser()
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    if argv[:2] == ["forms", "sum"] and "--" not in argv:
+        argv.insert(2, "--")  # a spec may start with '-'; the echo shows the '--'
     try:
-        args = parser.parse_args(tokens)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.convention:
-        _emit(convention_block())
-        return 0
-    if args.cmd is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    if args.cmd in _NUMERIC_COMMANDS:
-        from . import discretize  # loads the numeric layers and numpy untimed
-    t0 = time.perf_counter()
-    rest = list(argv)
-    rest.remove(args.cmd)  # the subcommand token only: a file or value may equal it
-    command = [args.cmd] + rest
-    dispatch = {
-        "spectrum": _cmd_spectrum,
-        "twist-scan": _cmd_twist_scan,
-        "fredholm": _cmd_fredholm,
-        "index": _cmd_index,
-        "spectral-flow": _cmd_spectral_flow,
-        "invariant": _cmd_invariant,
-        "forms": _cmd_forms,
-    }
-    try:
-        return dispatch[args.cmd](args, command, t0)
-    except (ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args = _read(argv)
+        if args is None:
+            return 0
+        if args["convention"]:
+            _emit(convention_block())
+            return 0
+        cmd = args["command"][0]
+        if cmd in _NUMERIC_COMMANDS:
+            from . import discretize  # loads the numeric layers and numpy untimed
+        t0 = time.perf_counter()
+        rest = list(argv)
+        rest.remove(cmd)  # the subcommand token only: a file or value may equal it
+        return _COMMANDS[cmd].run(args, [cmd] + rest, t0)
+    except (_InputError, ParseError) as exc:
+        print(exc if isinstance(exc, _InputError) else f"error: {exc}", file=sys.stderr)
         return 2
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if args.cmd in _EXIT3_COMMANDS else 2
+        return 3 if args["command"][0] in _EXIT3_COMMANDS else 2
 
 
 def entry() -> None:

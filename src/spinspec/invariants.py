@@ -290,8 +290,11 @@ def alpha_n(n: int, *, ind_plus: int = None, dim_ker: int = None,
     """KO-valued index of the untwisted operator in dimension n:
     ind D+ for n = 0 (8), (1/2) ind D+ for n = 4 (8), dim ker D mod 2 for
     n = 1 (8), dim ker D+ mod 2 for n = 2 (8), zero otherwise.  For n = 4
-    the signature variant converts through -sign/16.
+    the signature variant converts through -sign/16.  A negative n is a
+    ContractViolation.
     """
+    if n < 0:
+        raise ContractViolation(f"dimension must be non-negative, got {n}")
     given = {k: v for k, v in (("ind_plus", ind_plus), ("dim_ker", dim_ker),
                                ("dim_ker_plus", dim_ker_plus), ("sign", sign))
              if v is not None}

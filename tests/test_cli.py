@@ -220,6 +220,18 @@ class TestFredholmCommands:
         code, _, _ = run(capsys, "fredholm", "/nonexistent/sym.txt")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["fredholm", "index", "spectral-flow"])
+    @pytest.mark.parametrize("case", ["directory", "unreadable", "not-utf8"])
+    def test_unreadable_file_exit_2(self, capsys, tmp_path, command, case):
+        path = tmp_path / "symbol.txt"
+        path.write_bytes(b"[symbol]\nblock-size: \xff\xfe\n")
+        denied = PermissionError(13, "Permission denied", str(path))
+        with mock.patch("spinspec.cli.open", create=True, side_effect=denied) \
+                if case == "unreadable" else contextlib.nullcontext():
+            code, out, err = run(capsys, command, str(tmp_path if case == "directory" else path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("grid", [8, 16, 32])
     @pytest.mark.parametrize("spin", ["bounding", "nonbounding"])
     def test_spectral_flow_loop(self, capsys, tmp_path, grid, spin):
@@ -381,6 +393,10 @@ class TestInvariantCommand:
         code, _, err = run(capsys, "invariant", "beta", "--rho", rho)
         assert code == 3
         assert err == f"error: {rho!r} is not an exact rational\n"
+
+    def test_negative_dimension_exit_3(self, capsys):
+        code, out, err = run(capsys, "invariant", "alpha", "--n", "-1")
+        assert (code, out, err) == (3, "", "error: dimension must be non-negative, got -1\n")
 
     def test_divisibility_violation_exit_3(self, capsys):
         code, _, _ = run(capsys, "invariant", "alpha", "--n", "4", "--sign", "-15")
@@ -551,6 +567,68 @@ class TestReportDocument:
         code, _, _ = run(capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, err", [
+        (["bogus"], "spinspec: error: argument command: invalid choice: 'bogus' (choose from "
+                    "'spectrum', 'twist-scan', 'fredholm', 'index', 'spectral-flow', "
+                    "'invariant', 'forms')"),
+        (["spectrum", "circle", "--bogus"],
+         "spinspec spectrum: error: unrecognized arguments: --bogus"),
+        (["invariant", "beta", "--sig", "3"], "spinspec invariant: error: ambiguous option: "
+                                              "--sig could match --sig-v, --sig-w, --sign"),
+        (["spectrum", "circle", "--band"],
+         "spinspec spectrum: error: argument --band: expected one argument"),
+        (["spectrum", "circle", "--band", "x"],
+         "spinspec spectrum: error: argument --band: invalid int value: 'x'"),
+        (["twist-scan", "--c-to", "x"],
+         "spinspec twist-scan: error: argument --c-to: invalid float value: 'x'"),
+        (["spectrum", "circle", "--spin", "weird"], "spinspec spectrum: error: argument --spin: "
+                                                    "invalid choice: 'weird' (choose from "
+                                                    "'bounding', 'nonbounding')"),
+        (["fredholm"], "spinspec fredholm: error: the following arguments are required: file"),
+        (["forms", "show", "K3", "extra"],
+         "spinspec forms show: error: unrecognized arguments: extra"),
+    ], ids=["unknown-command", "unknown-flag", "ambiguous-prefix", "no-value", "bad-int",
+            "bad-float", "invalid-choice", "missing-positional", "extra-positional"])
+    def test_usage_error_exit_2(self, capsys, argv, err):
+        assert run(capsys, *argv) == (2, "", err + "\n")
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    @pytest.mark.parametrize("argv, names", [
+        ([], ["spectrum", "twist-scan", "fredholm", "index", "spectral-flow", "invariant",
+              "forms", "--convention"]),
+        (["spectrum"], ["kind", "--spin", "--c", "--band", "--l", "--kmax", "--cutoff",
+                        "--format"]),
+        (["twist-scan"], ["--spin", "--c-from", "--c-to", "--steps", "--grid", "--massive"]),
+        (["fredholm"], ["file", "--tol", "--grid"]),
+        (["index"], ["file", "--tol"]),
+        (["spectral-flow"], ["file", "--steps"]),
+        (["invariant"], ["kind", "--rho", "--sig-v", "--sig-w", "--ind", "--n", "--sign",
+                         "--dim-ker", "--dim-ker-plus", "--strict"]),
+        (["forms"], ["list", "show", "sum"]),
+        (["forms", "show"], ["name"]),
+    ])
+    def test_help_exit_0(self, capsys, argv, names, flag):
+        code, out, err = run(capsys, *argv, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: " + " ".join(["spinspec", *argv]) + " ")
+        assert {line.split()[0] for line in out.splitlines()[4:]} == {*names, "-h,"}
+
+    @pytest.mark.parametrize("spaced, joined, code", [
+        (["spectrum", "circle", "--c", "-0.25", "--band", "2"],
+         ["spectrum", "circle", "--c=-0.25", "--band=2"], 0),
+        (["spectrum", "product", "--c", "-inf"], ["spectrum", "product", "--c=-inf"], 2),
+        (["twist-scan", "--c-from", "-1.3", "--c-to", "-0.3", "--grid", "16"],
+         ["twist-scan", "--c-from=-1.3", "--c-to=-0.3", "--grid=16"], 0),
+        (["invariant", "wcs", "--ind", "-2", "--sig-w", "-8", "--sig-v", "-16"],
+         ["invariant", "wcs", "--ind=-2", "--sig-w=-8", "--sig-v=-16"], 0),
+    ])
+    def test_negative_values_need_no_equals(self, capsys, spaced, joined, code):
+        answers = []
+        for argv in (spaced, joined):
+            got, out, err = run(capsys, *argv)
+            answers.append((got, err, json.loads(out)["results"] if out else None))
+        assert answers[0] == answers[1] and answers[0][0] == code
+
     def test_env_tolerance_override(self, capsys, monkeypatch, root_on_circle_file):
         monkeypatch.setenv("SPECTRAL_TOL", "1e-3")
         doc = run_json(capsys, "fredholm", root_on_circle_file)
@@ -609,7 +687,8 @@ def _fresh_process(script: str, *args: str) -> subprocess.CompletedProcess:
 
 
 # runs main on each argv in the JSON list argv[1], parses a [form] and an
-# [invariant] text, then prints the exit codes and the numpy modules loaded
+# [invariant] text, then prints the exit codes, the numpy modules loaded and
+# whether argparse was imported
 _EXACT_COMMANDS = """
 import contextlib, io, json, sys
 from spinspec.cli import main
@@ -619,7 +698,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 parse_problem_file("[form]\\nname: H\\n0 1\\n1 0\\n")
 parse_problem_file("[invariant]\\nkind: rohlin\\nsig-w: 8\\n")
 numpy = [m for m in sys.modules if m == "numpy" or m.startswith("numpy.")]
-print(json.dumps({"codes": codes, "numpy": numpy}))
+print(json.dumps({"codes": codes, "numpy": numpy, "argparse": "argparse" in sys.modules}))
 """
 
 
@@ -661,7 +740,8 @@ class TestReadmeExamples:
 class TestImportGraph:
     """Exact arithmetic needs no numpy: the exact commands run in a fresh
     interpreter without loading it (in this process numpy is loaded
-    already), and the numeric commands still load it on their own."""
+    already), and the numeric commands still load it on their own.  No
+    command, and no --help, imports argparse."""
 
     def test_exact_commands_load_no_numpy(self):
         argvs = [["forms", "list"], ["forms", "show", "E8"], ["forms", "sum", "-E8+3H"],
@@ -670,10 +750,12 @@ class TestImportGraph:
                  ["invariant", "w", "--ind", "2", "--sig-w", "0"],
                  ["invariant", "beta", "--rho", "1", "--sig-v", "-16"],
                  ["invariant", "wcs", "--ind", "0", "--sig-w", "8", "--sig-v", "-16"],
-                 ["--convention"], ["--help"]]
+                 ["--convention"], ["--help"], ["forms", "-h"],
+                 ["invariant", "--help"], ["fredholm", "-h"], ["spectrum", "--help"]]
         proc = _fresh_process(_EXACT_COMMANDS, json.dumps(argvs))
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"codes": [0] * len(argvs), "numpy": []}
+        assert json.loads(proc.stdout) == {"codes": [0] * len(argvs), "numpy": [],
+                                           "argparse": False}
 
     def test_fredholm_in_fresh_process(self, capsys, tmp_path):
         path = tmp_path / "general.txt"
@@ -688,8 +770,8 @@ class TestImportGraph:
 
 
 class TestParserReuse:
-    """main builds its parser once per process; commands run after other
-    commands, and after an argparse error, answer as in a fresh process."""
+    """main keeps no state between calls: commands run after other
+    commands, and after a usage error, answer as in a fresh process."""
 
     @staticmethod
     def _answer(code, out, err):
@@ -698,8 +780,7 @@ class TestParserReuse:
             doc.pop("timing_s")
         return code, err, doc
 
-    def test_sequence_matches_fresh_processes(self, capsys, monkeypatch, shifted_scalar_file):
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+    def test_sequence_matches_fresh_processes(self, capsys, shifted_scalar_file):
         sequence = [["forms", "sum", "-E8+E8+3H"],
                     ["spectrum", "torus"],
                     ["invariant", "beta", "--rho", "-33/4"],

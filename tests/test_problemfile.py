@@ -119,6 +119,8 @@ class TestInvariantRecords:
                                       "kind: rohlin\nsig-w: x",
                                       "kind: wcs\nind: 0\nsig-w: 8\nsig-v: 1.5",
                                       "kind: alpha\nn: 4\nsign: -16x",
+                                      "kind: alpha\nn: -1",
+                                      "kind: alpha\nn: -4\nsign: -16",
                                       "kind: w\nsig-w: 8"])
     def test_malformed_or_missing_input_is_contract_violation(self, body):
         rec = parse_problem_file(f"[invariant]\n{body}\n")
