@@ -16,11 +16,11 @@ patterns fall into several connected pieces, found on its first scan, is
 a direct sum: the scans solve each A(z) piece by piece, pieces of one
 size as one stack and a 1 x 1 piece as |a|.  The
 circle minimum of sigma_min(A(z)) is a Lipschitz branch-and-bound
-(Piyavskii; Shubert) with a certified lower bound, polished by one Brent
-search; the index runs the same loop as a decision, which splits arcs
-only until each clears the tolerance and makes no polish, and settles an
-arc it leaves open, or a bound that certifies no count, with one minimum
-scan, keeping the larger bound.
+(Piyavskii; Shubert) with a certified lower bound and one split rule: an
+arc splits while its bound is below the minimum's level, or, within a
+budget of depth and evaluations, while it does not clear the tolerance.
+The Fredholm verdict polishes the minimum by one Brent search; the index
+runs the same scan with no minimum level and no polish.
 The zeros of det A(z) come from one solve and one eigensolve of a block
 companion matrix (``_symbol_zeros``): the half-line index counts those
 in the unit disc (``_winding_index``), certified through the scan's
@@ -73,6 +73,8 @@ __all__ = [
 
 _CHUNK_BYTES = 2 * 1024 * 1024  # largest symbol stack one batched scan call holds
 _START_GRID = 32  # uniform points of the circle scan's first round
+_DECISION_DEPTH = 16  # halvings below 2 pi / grid to which the decision splits arcs
+_DECISION_EVALUATIONS = 4  # the decision's evaluations budget, per grid point
 # the points a of the disc map z = (w + a)/(1 + a' w), the second where the first fails
 _MOBIUS = (0.5 * cmath.exp(1j), 0.5 * cmath.exp(-2j))
 
@@ -294,25 +296,26 @@ def _sigma_min(s: LaurentSymbol, a: np.ndarray):
                                          for p in s._pieces])
 
 
-def _circle_scan(s: LaurentSymbol, grid: int, tol: Optional[float] = None):
-    """The branch-and-bound loop (Piyavskii; Shubert) of both circle
-    scans.  Returns the best angle and value, the least bound of the arcs
-    it closed less ``_rounding_allowance``, and the evaluations made.
+def _circle_scan(s: LaurentSymbol, grid: int, eps: float, tol: float):
+    """The branch-and-bound loop (Piyavskii; Shubert) of the circle scan.
+    Returns the best angle and value, the least bound of the arcs it
+    closed less ``_rounding_allowance``, and the evaluations made.
 
     sigma_min at ``_START_GRID`` equally spaced points (``grid`` if fewer)
     splits the circle into arcs, and an arc [a, b] is bounded below by
     (f(a) + f(b))/2 - L (b - a)/2, L = ``s.lipschitz_bound()``.  Each round
-    evaluates the midpoints of all arcs that do not clear a level in one
-    batched call, until every arc does.  For the minimum (``tol`` None)
-    the level is best - eps, eps = L pi / grid.  For the decision an arc
-    clears when its bound less the allowance exceeds ``tol``; an arc no
-    wider than 2 pi / grid is not split but closed as it is, which keeps
-    the lower bound at or below ``tol``, and the first value <= ``tol``
-    stops the scan with lower bound -inf.
+    evaluates the midpoints of the arcs it splits in one batched call and
+    closes the others.  One rule splits an arc: its bound is below
+    best - ``eps`` (the minimum's level), or best > ``tol``, its bound less
+    the allowance is <= ``tol`` and the decision's budget allows it: the
+    arc is wider than 2 pi / grid / 2^16, and the round's arcs that do not
+    clear ``tol`` are few enough to keep the scan within 4 grid
+    evaluations.  An arc no wider than 2 pi / grid clears the minimum's
+    level, so wider arcs take under 2 grid points.
     """
     lam = s.lipschitz_bound()
-    eps = lam * (math.pi / grid)
     allowance = _rounding_allowance(s)
+    floor = 2.0 * math.pi / grid / 2 ** _DECISION_DEPTH
 
     def sigma(thetas):
         return _scan(s, np.exp(1j * thetas), lambda stack: _sigma_min(s, stack))
@@ -327,13 +330,11 @@ def _circle_scan(s: LaurentSymbol, grid: int, tol: Optional[float] = None):
     evaluations = start
     lower = math.inf
     while True:
-        if tol is not None and best_value <= tol:
-            return best_theta, best_value, -math.inf, evaluations
         bound = 0.5 * (f_left + f_right) - lam * (0.5 * h)
-        if tol is None:
-            split = bound < best_value - eps
-        else:
-            split = (bound - allowance <= tol) & (h > 2.0 * math.pi / grid)
+        near = bound - allowance <= tol
+        split = (bound < best_value - eps) | near & (
+            best_value > tol and h > floor
+            and evaluations + np.count_nonzero(near) <= _DECISION_EVALUATIONS * grid)
         lower = min(lower, float(bound[~split].min(initial=math.inf)))
         if not split.any():
             return best_theta, best_value, lower - allowance, evaluations
@@ -349,18 +350,18 @@ def _circle_scan(s: LaurentSymbol, grid: int, tol: Optional[float] = None):
         f_left, f_right = np.concatenate([f_left, f_mid]), np.concatenate([f_mid, f_right])
 
 
-def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID) -> CircleMinimum:
+def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID,
+                           tol: float = FREDHOLM_TOL) -> CircleMinimum:
     """Global minimum of sigma_min(A(e^{i theta})) over the unit circle.
 
     With L = ``s.lipschitz_bound()`` (a Lipschitz constant of sigma_min in
     theta, by Weyl's inequality) and eps = L pi / grid, the returned value
     is within eps of the true minimum -- the guarantee of a uniform
-    ``grid``-point scan.  The scan is the branch-and-bound of
-    ``_circle_scan``, splitting each arc whose bound is below best - eps.
-    An arc no wider than 2 pi / grid always clears that level, so the
-    scan evaluates at most 2 * grid points (``grid`` when grid / 32 is a
-    power of two).  The least arc bound, less ``_rounding_allowance``, is
-    the certified ``lower_bound``.
+    ``grid``-point scan.  The scan is ``_circle_scan`` with this eps and
+    ``tol``, so a minimum just above ``tol`` gets a bound above it too,
+    within the decision's budget: at most 4 * grid evaluations, 2 * grid
+    when no arc splits for ``tol``.  The least arc bound, less
+    ``_rounding_allowance``, is the certified ``lower_bound``.
 
     Every sigma_min goes through ``symbol_eval`` and ``_sigma_min``.  When
     the nonzero patterns of the coefficients fall into several connected
@@ -378,9 +379,9 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID) -> CircleM
     """
     if grid < 16:
         raise ContractViolation("grid must be at least 16")
-    best_theta, best_value, lower, evaluations = _circle_scan(s, grid)
-    step = 2.0 * math.pi / grid
-    xtol = min(REFINE_TOL / max(s.lipschitz_bound(), 1.0), step)
+    lam, step = s.lipschitz_bound(), 2.0 * math.pi / grid
+    best_theta, best_value, lower, evaluations = _circle_scan(s, grid, lam * (math.pi / grid), tol)
+    xtol = min(REFINE_TOL / max(lam, 1.0), step)
     probes = 0
 
     def probe(theta: float) -> float:
@@ -405,10 +406,11 @@ class FredholmReport:
     which covers rounding and the Hermitian defect of a Hermitian-symmetric
     symbol.  ``verdict`` is ``"not-fredholm"`` when ``min_singular <= tol``,
     ``"fredholm"`` when ``lower_bound > tol``, and ``"inconclusive"``
-    otherwise.  ``index`` is the half-line index, certified as in
-    ``_winding_index``, or None when the symbol is not Fredholm at the
-    witness or the count is not certified.  ``evaluations`` counts the
-    sigma_min evaluations of the scan and its polish.
+    otherwise: a minimum just above ``tol``, where the decision's budget
+    runs out before every arc bound clears it.  ``index`` is the half-line index,
+    certified as in ``_winding_index``, when the verdict is ``"fredholm"``
+    (the rule of ``toeplitz_index``), else None.  ``evaluations`` counts
+    the sigma_min evaluations of the scan and its polish.
     """
 
     is_fredholm: bool
@@ -425,16 +427,16 @@ class FredholmReport:
 def is_fredholm(s: LaurentSymbol, tol: float = FREDHOLM_TOL,
                 grid: int = CIRCLE_GRID) -> FredholmReport:
     """Decide Fredholmness of the full-line operator: the symbol must be
-    invertible everywhere on the unit circle.  When ``min_singular``
-    clears ``tol``, the half-line index is filled in at any block size,
+    invertible everywhere on the unit circle.  When the verdict is
+    ``"fredholm"``, the half-line index is filled in at any block size,
     or left None when its zeros count is not certified."""
     check_tolerance(tol)
-    found = min_singular_on_circle(s, grid=grid)
+    found = min_singular_on_circle(s, grid=grid, tol=tol)
     value, witness = found
     fred = value > tol
     verdict = ("not-fredholm" if not fred else
                "fredholm" if found.lower_bound > tol else "inconclusive")
-    index = _winding_index(s, found.lower_bound) if fred else None
+    index = _winding_index(s, found.lower_bound) if verdict == "fredholm" else None
     return FredholmReport(is_fredholm=fred, min_singular=value, witness=witness, index=index,
                           grid_used=grid, tol=tol, lower_bound=found.lower_bound,
                           verdict=verdict, evaluations=found.evaluations)
@@ -444,25 +446,19 @@ def toeplitz_index(s: LaurentSymbol, tol: float = FREDHOLM_TOL) -> int:
     """Half-line index of a symbol whose sigma_min on the unit circle
     exceeds ``tol``.
 
-    One rule: the scan runs as a decision (``_circle_scan``), splitting an
-    arc only while its bound, less the allowance, is <= ``tol``, with no
-    polish.  Where it evaluates no sigma_min <= ``tol`` but leaves an arc
-    open at width 2 pi / CIRCLE_GRID, or its bound certifies no count,
-    ``min_singular_on_circle`` runs once, and the smaller sigma_min and
-    the larger lower bound of the two scans are kept.  A sigma_min <=
-    ``tol`` raises ``ContractViolation`` (not Fredholm); otherwise
-    ``_winding_index`` counts the zeros through the lower bound, and a
-    count it does not certify raises ``ContractViolation``.
+    One ``_circle_scan`` at CIRCLE_GRID with no minimum level (eps = inf)
+    and no polish: it splits arcs only for ``tol``, within the decision's
+    budget.  A sigma_min <= ``tol`` raises ``ContractViolation`` (not
+    Fredholm); a lower bound that clears ``tol``, as ``is_fredholm``'s
+    does for the verdict ``"fredholm"``, counts the zeros through
+    ``_winding_index``; any other bound, or a count it does not certify,
+    raises ``ContractViolation`` (not certified).
     """
     check_tolerance(tol)
-    _, value, lower, _ = _circle_scan(s, CIRCLE_GRID, tol)
-    index = _winding_index(s, lower) if lower > tol else None
-    if index is None and value > tol:
-        found = min_singular_on_circle(s)
-        value, lower = min(value, found[0]), max(lower, found.lower_bound)
-        index = _winding_index(s, lower) if value > tol else None
+    _, value, lower, _ = _circle_scan(s, CIRCLE_GRID, math.inf, tol)
     if value <= tol:
         raise ContractViolation("symbol is not Fredholm; the index is undefined")
+    index = _winding_index(s, lower) if lower > tol else None
     if index is None:
         raise ContractViolation("index is not certified")
     return index

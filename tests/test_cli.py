@@ -203,12 +203,19 @@ class TestFredholmCommands:
         assert code == 3 and "error" in err
 
     def test_index_near_a_circle_zero(self, capsys, tmp_path):
-        # sigma_min = 1.2e-6, just above --tol: `fredholm` prints index null,
-        # and `index` counts through the decision scan's bound
+        # sigma_min = d, just above --tol: both commands split arcs for the
+        # tolerance within one budget and print the index only when their
+        # bound clears it; at 1.05e-6 the budget runs out first
         path = tmp_path / "near_zero.txt"
-        path.write_text(symbol_to_text(LaurentSymbol.scalar({0: -(1 + 1.2e-6), 1: 1})))
-        assert run_json(capsys, "fredholm", str(path))["results"]["index"] is None
-        assert run_json(capsys, "index", str(path))["results"]["index"] == 0
+        for d, verdict, index in ((1.2e-6, "fredholm", 0), (1.05e-6, "inconclusive", None)):
+            path.write_text(symbol_to_text(LaurentSymbol.scalar({0: -(1 + d), 1: 1})))
+            res = run_json(capsys, "fredholm", str(path))["results"]
+            assert (res["verdict"], res["index"]) == (verdict, index)
+            if index is None:
+                code, out, err = run(capsys, "index", str(path))
+                assert (code, out) == (3, "") and "index is not certified" in err
+            else:
+                assert run_json(capsys, "index", str(path))["results"]["index"] == index
 
     def test_parse_failure_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -448,6 +455,15 @@ class TestFormsCommand:
         assert doc["results"]["rank"] == 22
         assert doc["results"]["signature"] == 0
 
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_sum_help_is_not_a_spec(self, capsys, flag):
+        # the help flag prints the help; -H is still the negated H
+        code, out, err = run(capsys, "forms", "sum", flag)
+        assert (code, err) == (0, "") and out.startswith("usage: spinspec forms sum ")
+        doc = run_json(capsys, "forms", "sum", "-H")
+        assert doc["command"] == ["forms", "sum", "--", "-H"]
+        assert doc["results"]["matrix"] == [[0, -1], [-1, 0]]
+
     def test_list(self, capsys):
         doc = run_json(capsys, "forms", "list")
         assert doc["results"]["names"] == list(BUILTIN_FORM_NAMES)
@@ -606,6 +622,7 @@ class TestReportDocument:
                          "--dim-ker", "--dim-ker-plus", "--strict"]),
         (["forms"], ["list", "show", "sum"]),
         (["forms", "show"], ["name"]),
+        (["forms", "sum"], ["spec"]),
     ])
     def test_help_exit_0(self, capsys, argv, names, flag):
         code, out, err = run(capsys, *argv, flag)

@@ -195,7 +195,7 @@ class TestMinSingularOnCircle:
         rng = np.random.default_rng(seed)
         s = LaurentSymbol({j: rng.normal(size=(block, block))
                            + 1j * rng.normal(size=(block, block)) for j in (-1, 0, 1)})
-        # the dense oracle holds every dyadic point the scan can evaluate
+        # the dense oracle holds every dyadic point the minimum's rule can evaluate
         start = min(grid, floquet._START_GRID)
         thetas = 2 * np.pi * np.arange(128 * start) / (128 * start)
         dense = [np.linalg.svd(symbol_eval(s, cmath.exp(1j * t)), compute_uv=False)[-1]
@@ -203,15 +203,20 @@ class TestMinSingularOnCircle:
         # a refinement that never improves leaves the scan's best point
         no_refine = lambda f, a, b, xtol: (0.5 * (a + b), math.inf)
         with mock.patch.object(floquet, "_brent", no_refine):
+            # tol = inf splits no arc for the decision: the minimum's rule
+            # alone, whose points are all in the dense oracle
+            minimum = min_singular_on_circle(s, grid=grid, tol=math.inf)
             found = min_singular_on_circle(s, grid=grid)
-        value, witness = found
-        # the scan and the one-point SVD each err by at most the allowance
-        at_witness = np.linalg.svd(symbol_eval(s, witness), compute_uv=False)[-1]
-        assert abs(value - at_witness) <= 2 * floquet._rounding_allowance(s)
+        assert min(dense) - 1e-12 * max(dense) <= minimum[0]
+        assert minimum.evaluations <= 2 * grid
+        assert found.evaluations <= floquet._DECISION_EVALUATIONS * grid
         eps = s.lipschitz_bound() * math.pi / grid
-        assert min(dense) - 1e-12 * max(dense) <= value <= min(dense) + eps
-        assert found.lower_bound <= min(dense)
-        assert found.evaluations <= 2 * grid
+        for value, witness in (minimum, found):
+            # the scan and the one-point SVD each err by at most the allowance
+            at_witness = np.linalg.svd(symbol_eval(s, witness), compute_uv=False)[-1]
+            assert abs(value - at_witness) <= 2 * floquet._rounding_allowance(s)
+            assert value <= min(dense) + eps
+        assert max(minimum.lower_bound, found.lower_bound) <= min(dense)
 
     def test_brent_polish_saves_probes(self):
         # the symbol of the pinned non-Hermitian fredholm report; the scan's
@@ -308,11 +313,11 @@ class TestCertificate:
     def test_verdicts(self):
         assert is_fredholm(LaurentSymbol.scalar({0: -2, 1: 1})).verdict == "fredholm"
         assert is_fredholm(LaurentSymbol.scalar({0: -1, 1: 1})).verdict == "not-fredholm"
-        # sigma_min = 1e-5 clears tol = 1e-6, but L pi / grid = 2e-2 keeps
-        # the certified bound below it
-        rep = is_fredholm(LaurentSymbol.scalar({0: -1 - 1e-5, 1: 1}), grid=16)
-        assert rep.is_fredholm and rep.verdict == "inconclusive"
-        assert rep.lower_bound <= 1e-5 <= rep.min_singular
+        # sigma_min = 1.05e-6 clears tol = 1e-6, but arcs of the decision's
+        # least width, 2 pi / grid / 2^16, keep the certified bound below it
+        rep = is_fredholm(LaurentSymbol.scalar({0: -1 - 1.05e-6, 1: 1}), grid=16)
+        assert rep.is_fredholm and rep.verdict == "inconclusive" and rep.index is None
+        assert rep.lower_bound <= 1.05e-6 <= rep.min_singular
 
     @settings(max_examples=40, deadline=None)
     @given(block=st.integers(1, 5),
@@ -452,15 +457,15 @@ class TestToeplitzIndex:
         assert toeplitz_index(s) == 0
 
     def test_uncertified_index(self):
-        # sigma_min = 3e-6 clears the tolerance, but the minimum scan's
-        # lower bound is negative and certifies no count; the decision
-        # scan splits arcs until each clears the tolerance, and counts the
-        # zero 1 + 3e-6 outside the disc
-        s = LaurentSymbol.scalar({0: -(1 + 3e-6), 1: 1})
+        # sigma_min = 1.05e-6 clears the tolerance, but the decision's
+        # budget runs out with a bound below it: both commands leave the
+        # index uncertified
+        s = LaurentSymbol.scalar({0: -(1 + 1.05e-6), 1: 1})
         rep = is_fredholm(s)
-        assert rep.lower_bound < 0.0
+        assert 0.0 < rep.lower_bound <= FREDHOLM_TOL < rep.min_singular
         assert rep.verdict == "inconclusive" and rep.index is None
-        assert toeplitz_index(s) == 0
+        with pytest.raises(ContractViolation, match="index is not certified"):
+            toeplitz_index(s)
         # zeros at 1/a' for both disc map points: no point serves
         r1, r2 = (1 / a.conjugate() for a in floquet._MOBIUS)
         both = LaurentSymbol.scalar({0: r1 * r2, 1: -(r1 + r2), 2: 1})
@@ -472,18 +477,25 @@ class TestToeplitzIndex:
     @pytest.mark.parametrize("d, index", [(1.2e-6, 0), (1.6e-6, 0), (-1.2e-6, -1), (-1.6e-6, -1)])
     def test_decision_bound_certifies_a_near_circle_zero(self, d, index):
         # the zero 1 + d sits where sigma_min is |d|, just above the
-        # tolerance: the decision closes an arc of width 2 pi / CIRCLE_GRID
-        # with a bound in (0, tol), the minimum scan's bound is negative,
-        # and the count goes through the larger, the zero's side of the circle
+        # tolerance: both scans split arcs below 2 pi / CIRCLE_GRID until
+        # each bound clears it, and count the zero on its side of the circle
         s = LaurentSymbol.scalar({0: -(1 + d), 1: 1})
-        _, value, lower, _ = floquet._circle_scan(s, floquet.CIRCLE_GRID, FREDHOLM_TOL)
-        assert 0.0 < lower <= FREDHOLM_TOL < value
+        _, value, lower, _ = floquet._circle_scan(s, floquet.CIRCLE_GRID, math.inf,
+                                                  FREDHOLM_TOL)
+        assert FREDHOLM_TOL < lower <= abs(d) <= value
         rep = is_fredholm(s)
-        assert rep.is_fredholm and rep.lower_bound < 0.0 and rep.index is None
+        assert (rep.verdict, rep.index) == ("fredholm", index)
+        assert rep.lower_bound > FREDHOLM_TOL
+        assert toeplitz_index(s) == index
+
+    def test_index_runs_one_scan(self):
+        s = LaurentSymbol.scalar({0: -(1 + 1.2e-6), 1: 1})
         with mock.patch.object(floquet, "min_singular_on_circle",
-                               wraps=floquet.min_singular_on_circle) as scan, \
-                mock.patch.object(floquet, "is_fredholm", side_effect=AssertionError):
-            assert toeplitz_index(s) == index
+                               side_effect=AssertionError), \
+                mock.patch.object(floquet, "is_fredholm", side_effect=AssertionError), \
+                mock.patch.object(floquet, "_circle_scan",
+                                  wraps=floquet._circle_scan) as scan:
+            assert toeplitz_index(s) == 0
         assert scan.call_count == 1
 
     @settings(max_examples=40, deadline=None)
@@ -497,11 +509,56 @@ class TestToeplitzIndex:
         scale = ratio * FREDHOLM_TOL / min_singular_on_circle(LaurentSymbol(coeffs))[0]
         s = LaurentSymbol({j: scale * a for j, a in coeffs.items()})
         rep = is_fredholm(s)
-        if not rep.is_fredholm:
-            with pytest.raises(ContractViolation, match="not Fredholm"):
-                toeplitz_index(s)
-        elif rep.index is not None:
+        if rep.verdict == "fredholm" and rep.index is not None:
             assert toeplitz_index(s) == rep.index
+        else:
+            # the index scan makes no polish: a symbol whose minimum sits at
+            # the tolerance may meet no sigma_min at or below it there
+            with pytest.raises(ContractViolation, match="not Fredholm|not certified") as raised:
+                toeplitz_index(s)
+            assert not rep.is_fredholm or "not certified" in str(raised.value)
+
+
+class TestOneSplitRule:
+    """``fredholm`` and ``index`` run one split rule: an arc splits below
+    the minimum's level, or, within the decision's budget, while its bound
+    does not clear the tolerance."""
+
+    @pytest.mark.parametrize("phi", [0.0, 0.37, 1.3, 2.9])
+    def test_near_circle_zeros(self, phi):
+        # -(1 + d) e^{i phi} + z has its zero at (1 + d) e^{i phi}: sigma_min
+        # is |d| at z = e^{i phi}, and the index is 0 outside the disc, -1 inside
+        grid = floquet.CIRCLE_GRID
+        window = math.pi / grid / 2 ** floquet._DECISION_DEPTH  # L = 1
+        for d in np.concatenate([np.logspace(-9, -2, 60), -np.logspace(-9, -2, 60)]):
+            s = LaurentSymbol.scalar({0: -(1 + d) * cmath.exp(1j * phi), 1: 1})
+            sigma, index = abs(d), 0 if d > 0 else -1
+            rep = is_fredholm(s)
+            assert rep.lower_bound <= sigma
+            assert rep.verdict != ("fredholm" if sigma <= FREDHOLM_TOL else "not-fredholm")
+            if rep.verdict == "inconclusive":
+                allowance = floquet._rounding_allowance(s)
+                assert sigma <= FREDHOLM_TOL + window + 2 * allowance
+            assert rep.evaluations <= floquet._DECISION_EVALUATIONS * grid + 202
+            if rep.verdict == "fredholm":
+                assert rep.index == toeplitz_index(s) == index
+            else:
+                assert rep.index is None
+                match = "not Fredholm" if rep.verdict == "not-fredholm" else "not certified"
+                with pytest.raises(ContractViolation, match=match):
+                    toeplitz_index(s)
+
+    def test_flat_valley_stays_within_the_evaluation_budget(self):
+        # sigma_min = 1.3e-6 on the whole circle: every arc of the first
+        # piece is near the tolerance, and only the budget ends the decision
+        s = LaurentSymbol({0: np.diag([1.3e-6, 1.0]), 1: np.diag([0.0, 0.5])})
+        budget = floquet._DECISION_EVALUATIONS * floquet.CIRCLE_GRID
+        rep = is_fredholm(s)
+        assert (rep.verdict, rep.index) == ("inconclusive", None)
+        assert rep.evaluations <= budget + 202
+        assert floquet._circle_scan(s, floquet.CIRCLE_GRID, math.inf, FREDHOLM_TOL)[3] <= budget
+        with pytest.raises(ContractViolation, match="not certified"):
+            toeplitz_index(s)
 
 
 block_diagonal_symbols = functools.cache(permuted_block_diagonal_symbols)
