@@ -402,8 +402,10 @@ _NUMERIC_COMMANDS = {"spectrum", "twist-scan", "fredholm", "index", "spectral-fl
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:2] == ["forms", "sum"] and "--" not in argv and argv[2:3] not in (["-h"], ["--help"]):
-        argv.insert(2, "--")  # a spec may start with '-'; the echo shows the '--'
+    if argv[:2] == ["forms", "sum"] and "--" not in argv:
+        flag = argv[2].partition("=")[0] if argv[2:] else ""
+        if not (flag == "-h" or len(flag) > 2 and "--help".startswith(flag)):  # as _read
+            argv.insert(2, "--")  # a spec may start with '-'; the echo shows the '--'
     try:
         args = _read(argv)
         if args is None:

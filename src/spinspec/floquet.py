@@ -20,7 +20,7 @@ circle minimum of sigma_min(A(z)) is a Lipschitz branch-and-bound
 arc splits while its bound is below the minimum's level, or, within a
 budget of depth and evaluations, while it does not clear the tolerance.
 The Fredholm verdict polishes the minimum by one Brent search; the index
-runs the same scan with no minimum level and no polish.
+runs the scan with no minimum level, and the polish only if it fails.
 The zeros of det A(z) come from one solve and one eigensolve of a block
 companion matrix (``_symbol_zeros``): the half-line index counts those
 in the unit disc (``_winding_index``), certified through the scan's
@@ -310,8 +310,7 @@ def _circle_scan(s: LaurentSymbol, grid: int, eps: float, tol: float):
     the allowance is <= ``tol`` and the decision's budget allows it: the
     arc is wider than 2 pi / grid / 2^16, and the round's arcs that do not
     clear ``tol`` are few enough to keep the scan within 4 grid
-    evaluations.  An arc no wider than 2 pi / grid clears the minimum's
-    level, so wider arcs take under 2 grid points.
+    evaluations.
     """
     lam = s.lipschitz_bound()
     allowance = _rounding_allowance(s)
@@ -350,6 +349,22 @@ def _circle_scan(s: LaurentSymbol, grid: int, eps: float, tol: float):
         f_left, f_right = np.concatenate([f_left, f_mid]), np.concatenate([f_mid, f_right])
 
 
+def _polish(s: LaurentSymbol, theta: float, value: float, grid: int):
+    """The better of (theta, value) and one Brent search (``_brent``) of
+    sigma_min over theta +- 2 pi/grid to REFINE_TOL / max(L, 1); its probes."""
+    step = 2.0 * math.pi / grid
+    probes = 0
+
+    def probe(x: float) -> float:
+        nonlocal probes
+        probes += 1
+        return float(_sigma_min(s, symbol_eval(s, cmath.exp(1j * x))))
+
+    x, v = _brent(probe, theta - step, theta + step,
+                  min(REFINE_TOL / max(s.lipschitz_bound(), 1.0), step))
+    return (x, v, probes) if v < value else (theta, value, probes)
+
+
 def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID,
                            tol: float = FREDHOLM_TOL) -> CircleMinimum:
     """Global minimum of sigma_min(A(e^{i theta})) over the unit circle.
@@ -361,7 +376,9 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID,
     ``tol``, so a minimum just above ``tol`` gets a bound above it too,
     within the decision's budget: at most 4 * grid evaluations, 2 * grid
     when no arc splits for ``tol``.  The least arc bound, less
-    ``_rounding_allowance``, is the certified ``lower_bound``.
+    ``_rounding_allowance``, is the certified ``lower_bound``.  ``_polish``
+    then refines the best point to within REFINE_TOL of its basin's
+    minimum when L >= 1, and REFINE_TOL * L -- the symbol's scale -- below.
 
     Every sigma_min goes through ``symbol_eval`` and ``_sigma_min``.  When
     the nonzero patterns of the coefficients fall into several connected
@@ -370,29 +387,13 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID,
     size as one stack and a 1 x 1 piece as |a|, and each ||A_j|| of L is
     the largest over the pieces.  L, the allowance, the evaluation points
     and the certificate are those of the whole block.
-
-    The best point is then refined by one Brent search (``_brent``) over
-    [best - 2 pi/grid, best + 2 pi/grid] to a bracket of
-    REFINE_TOL / max(L, 1): the polished value is within REFINE_TOL of its
-    basin's minimum when L >= 1, and within REFINE_TOL * L -- relative to
-    the symbol's scale -- below that.
     """
     if grid < 16:
         raise ContractViolation("grid must be at least 16")
-    lam, step = s.lipschitz_bound(), 2.0 * math.pi / grid
-    best_theta, best_value, lower, evaluations = _circle_scan(s, grid, lam * (math.pi / grid), tol)
-    xtol = min(REFINE_TOL / max(lam, 1.0), step)
-    probes = 0
-
-    def probe(theta: float) -> float:
-        nonlocal probes
-        probes += 1
-        return float(_sigma_min(s, symbol_eval(s, cmath.exp(1j * theta))))
-
-    x, v = _brent(probe, best_theta - step, best_theta + step, xtol)
-    if v < best_value:
-        best_value, best_theta = v, x
-    return CircleMinimum(best_value, cmath.exp(1j * best_theta), lower, evaluations + probes)
+    eps = s.lipschitz_bound() * (math.pi / grid)
+    theta, value, lower, evaluations = _circle_scan(s, grid, eps, tol)
+    theta, value, probes = _polish(s, theta, value, grid)
+    return CircleMinimum(value, cmath.exp(1j * theta), lower, evaluations + probes)
 
 
 @dataclass(frozen=True)
@@ -406,8 +407,9 @@ class FredholmReport:
     which covers rounding and the Hermitian defect of a Hermitian-symmetric
     symbol.  ``verdict`` is ``"not-fredholm"`` when ``min_singular <= tol``,
     ``"fredholm"`` when ``lower_bound > tol``, and ``"inconclusive"``
-    otherwise: a minimum just above ``tol``, where the decision's budget
-    runs out before every arc bound clears it.  ``index`` is the half-line index,
+    otherwise: an arc bound has not cleared ``tol`` when the arcs reach
+    width 2 pi / grid / 2^16 (about L pi / grid / 2^16 above ``tol``) or
+    the scan reaches 4 grid evaluations.  ``index`` is the half-line index,
     certified as in ``_winding_index``, when the verdict is ``"fredholm"``
     (the rule of ``toeplitz_index``), else None.  ``evaluations`` counts
     the sigma_min evaluations of the scan and its polish.
@@ -444,18 +446,18 @@ def is_fredholm(s: LaurentSymbol, tol: float = FREDHOLM_TOL,
 
 def toeplitz_index(s: LaurentSymbol, tol: float = FREDHOLM_TOL) -> int:
     """Half-line index of a symbol whose sigma_min on the unit circle
-    exceeds ``tol``.
-
-    One ``_circle_scan`` at CIRCLE_GRID with no minimum level (eps = inf)
-    and no polish: it splits arcs only for ``tol``, within the decision's
-    budget.  A sigma_min <= ``tol`` raises ``ContractViolation`` (not
-    Fredholm); a lower bound that clears ``tol``, as ``is_fredholm``'s
-    does for the verdict ``"fredholm"``, counts the zeros through
-    ``_winding_index``; any other bound, or a count it does not certify,
-    raises ``ContractViolation`` (not certified).
+    exceeds ``tol``: one ``_circle_scan`` at CIRCLE_GRID with no minimum
+    level (eps = inf), which splits arcs only for ``tol`` within the
+    decision's budget.  A lower bound that clears ``tol``, as for the
+    verdict ``"fredholm"``, counts the zeros through ``_winding_index``.
+    Otherwise ``_polish`` refines the best point, and a sigma_min <= ``tol``
+    raises ``ContractViolation`` (not Fredholm); any other bound, or a
+    count it does not certify, raises it too (not certified).
     """
     check_tolerance(tol)
-    _, value, lower, _ = _circle_scan(s, CIRCLE_GRID, math.inf, tol)
+    theta, value, lower, _ = _circle_scan(s, CIRCLE_GRID, math.inf, tol)
+    if lower <= tol < value:
+        value = _polish(s, theta, value, CIRCLE_GRID)[1]
     if value <= tol:
         raise ContractViolation("symbol is not Fredholm; the index is undefined")
     index = _winding_index(s, lower) if lower > tol else None

@@ -455,7 +455,7 @@ class TestFormsCommand:
         assert doc["results"]["rank"] == 22
         assert doc["results"]["signature"] == 0
 
-    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he", "--h", "--help=x"])
     def test_sum_help_is_not_a_spec(self, capsys, flag):
         # the help flag prints the help; -H is still the negated H
         code, out, err = run(capsys, "forms", "sum", flag)

@@ -488,15 +488,28 @@ class TestToeplitzIndex:
         assert rep.lower_bound > FREDHOLM_TOL
         assert toeplitz_index(s) == index
 
-    def test_index_runs_one_scan(self):
-        s = LaurentSymbol.scalar({0: -(1 + 1.2e-6), 1: 1})
+    @pytest.mark.parametrize("coeffs, verdict, polishes, outcome", [
+        ({0: -(1 + 1.2e-6), 1: 1}, "fredholm", 0, 0),
+        # a steep zero between the scan's points: only the polish of the
+        # failed scan meets a sigma_min at or below the tolerance
+        ({0: -100 * cmath.exp(1j), 1: 100}, "not-fredholm", 1, "not Fredholm"),
+        ({0: -(1 + 1.05e-6), 1: 1}, "inconclusive", 1, "not certified"),
+    ])
+    def test_index_runs_one_scan(self, coeffs, verdict, polishes, outcome):
+        s = LaurentSymbol.scalar(coeffs)
         with mock.patch.object(floquet, "min_singular_on_circle",
                                side_effect=AssertionError), \
                 mock.patch.object(floquet, "is_fredholm", side_effect=AssertionError), \
+                mock.patch.object(floquet, "_polish", wraps=floquet._polish) as polish, \
                 mock.patch.object(floquet, "_circle_scan",
                                   wraps=floquet._circle_scan) as scan:
-            assert toeplitz_index(s) == 0
-        assert scan.call_count == 1
+            if isinstance(outcome, int):
+                assert toeplitz_index(s) == outcome
+            else:
+                with pytest.raises(ContractViolation, match=outcome):
+                    toeplitz_index(s)
+        assert (scan.call_count, polish.call_count) == (1, polishes)
+        assert is_fredholm(s).verdict == verdict
 
     @settings(max_examples=40, deadline=None)
     @given(block=st.integers(1, 5), bandwidth=st.integers(1, 2),
@@ -509,14 +522,14 @@ class TestToeplitzIndex:
         scale = ratio * FREDHOLM_TOL / min_singular_on_circle(LaurentSymbol(coeffs))[0]
         s = LaurentSymbol({j: scale * a for j, a in coeffs.items()})
         rep = is_fredholm(s)
-        if rep.verdict == "fredholm" and rep.index is not None:
+        if not rep.is_fredholm:
+            with pytest.raises(ContractViolation, match="not Fredholm"):
+                toeplitz_index(s)
+        elif rep.verdict == "fredholm" and rep.index is not None:
             assert toeplitz_index(s) == rep.index
         else:
-            # the index scan makes no polish: a symbol whose minimum sits at
-            # the tolerance may meet no sigma_min at or below it there
-            with pytest.raises(ContractViolation, match="not Fredholm|not certified") as raised:
+            with pytest.raises(ContractViolation, match="not certified"):
                 toeplitz_index(s)
-            assert not rep.is_fredholm or "not certified" in str(raised.value)
 
 
 class TestOneSplitRule:
@@ -539,7 +552,9 @@ class TestOneSplitRule:
             if rep.verdict == "inconclusive":
                 allowance = floquet._rounding_allowance(s)
                 assert sigma <= FREDHOLM_TOL + window + 2 * allowance
-            assert rep.evaluations <= floquet._DECISION_EVALUATIONS * grid + 202
+            for eps in (s.lipschitz_bound() * math.pi / grid, math.inf):  # fredholm, index
+                scan = floquet._circle_scan(s, grid, eps, FREDHOLM_TOL)
+                assert scan[3] <= floquet._DECISION_EVALUATIONS * grid
             if rep.verdict == "fredholm":
                 assert rep.index == toeplitz_index(s) == index
             else:
@@ -555,8 +570,8 @@ class TestOneSplitRule:
         budget = floquet._DECISION_EVALUATIONS * floquet.CIRCLE_GRID
         rep = is_fredholm(s)
         assert (rep.verdict, rep.index) == ("inconclusive", None)
-        assert rep.evaluations <= budget + 202
-        assert floquet._circle_scan(s, floquet.CIRCLE_GRID, math.inf, FREDHOLM_TOL)[3] <= budget
+        for eps in (s.lipschitz_bound() * math.pi / floquet.CIRCLE_GRID, math.inf):
+            assert floquet._circle_scan(s, floquet.CIRCLE_GRID, eps, FREDHOLM_TOL)[3] <= budget
         with pytest.raises(ContractViolation, match="not certified"):
             toeplitz_index(s)
 

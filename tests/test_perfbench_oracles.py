@@ -39,10 +39,8 @@ def test_every_problem_of_seed_1_is_ok(workload, tmp_path):
 def test_fredholm_and_index_agree_on_the_floquet_batch(tmp_path, capsys):
     """``fredholm`` prints an index exactly where ``index`` certifies one,
     the same one, on every symbol file of seed 1's fredholm and index
-    problems.  Elsewhere ``index`` exits 3: "not Fredholm" only where the
-    verdict is ``not-fredholm``, and "not certified" otherwise, also on a
-    symbol that is not Fredholm where its scan, which has no polish, meets
-    no sigma_min at or below the tolerance."""
+    problems.  Elsewhere ``index`` exits 3: "not Fredholm" exactly where
+    the verdict is ``not-fredholm``, and "not certified" otherwise."""
     _, problems = workloads.generate("floquet-batch", 1, str(tmp_path))
     symbols = [p.argv[1:] for p in problems if p.argv and p.argv[0] in ("fredholm", "index")]
     assert len(symbols) == 24
@@ -54,6 +52,5 @@ def test_fredholm_and_index_agree_on_the_floquet_batch(tmp_path, capsys):
         if report["verdict"] == "fredholm" and report["index"] is not None:
             assert (code, json.loads(out)["results"]["index"]) == (0, report["index"]), argv
         else:
-            assert (code, out) == (3, ""), argv
-            assert "not certified" in err or (
-                "not Fredholm" in err and report["verdict"] == "not-fredholm"), argv
+            reason = "not Fredholm" if report["verdict"] == "not-fredholm" else "not certified"
+            assert (code, out) == (3, "") and reason in err, argv
