@@ -106,24 +106,6 @@ def _spin(name: str) -> SpinStructure:
         raise ContractViolation(f"unknown spin structure {name!r}") from None
 
 
-def _spectrum_results(sample) -> dict:
-    return {
-        "pairs": [[lam, int(m)] for lam, m in sample.pairs],
-        "band": sample.band,
-    }
-
-
-def _emit_spectrum(args, sample, command, t0) -> int:
-    if args["format"] == "csv":
-        lines = ["eigenvalue,multiplicity"]
-        lines += [f"{lam!r},{m}" for lam, m in sample.pairs]
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        _emit(_report(command, _spectrum_results(sample),
-                      {"grouping_tol": GROUPING_TOL}, t0))
-    return 0
-
-
 def _cmd_spectrum(args, command, t0) -> int:
     from .spectra import circle_spectrum, product_square_spectrum, sphere_spectrum
 
@@ -135,7 +117,17 @@ def _cmd_spectrum(args, command, t0) -> int:
         base = circle_spectrum(_spin(args["spin"]), args["c"], args["band"])
         sample = product_square_spectrum(base, sphere_spectrum(args["l"], args["kmax"]),
                                          args["cutoff"])
-    return _emit_spectrum(args, sample, command, t0)
+    try:  # an int past Python's limit on the digits it writes as text raises
+        if args["format"] == "csv":
+            text = "\n".join(["eigenvalue,multiplicity"]
+                             + [f"{lam!r},{m}" for lam, m in sample.pairs])
+        else:
+            results = {"pairs": [[lam, int(m)] for lam, m in sample.pairs], "band": sample.band}
+            text = report_to_json(_report(command, results, {"grouping_tol": GROUPING_TOL}, t0))
+    except ValueError:
+        raise ContractViolation("a multiplicity has too many digits to write") from None
+    sys.stdout.write(text + "\n")
+    return 0
 
 
 def _cmd_twist_scan(args, command, t0) -> int:

@@ -47,8 +47,14 @@ DEFAULT_LN_BRANCH = 0
 # Default relative tolerance for dense numerical linear algebra.
 DEFAULT_TOL = 1e-9
 
-# Relative tolerance of the one Hermiticity rule (``linalg.is_hermitian``):
-# ||M - M^H||_F <= HERMITICITY_TOL * ||M||_F.
+# Relative tolerance of the one Hermiticity rule (``linalg.hermiticity_holds``):
+# ||M - M^H||_F <= HERMITICITY_TOL * ||M||_F, a matrix against its adjoint or
+# a symbol's coefficient stack against its mirrored block adjoints.  Its norms
+# come from ``linalg.frobenius_norm``, which scales before it squares, so the
+# rule and every certificate hold for entries anywhere in the double range, as
+# long as the values of A(z) are themselves doubles.
+# FREDHOLM_TOL (and the CLI's --tol) is absolute: rescale it together with the
+# symbol.  The zero band of ``floquet.spectral_flow(family)`` is absolute too.
 HERMITICITY_TOL = 1e-12
 
 # Absolute tolerance separating symbol kernels from small positive minima

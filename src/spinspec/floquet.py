@@ -35,6 +35,12 @@ the rows; a Hermitian B is split the same way in turn, so a mass-doubled
 section at twist 0 takes one SVD per size of a block with a quarter of
 its rows.  A Hermitian block that does not split takes one ``eigvalsh``
 per size, any other block one SVD.
+
+Every Frobenius norm is ``linalg.frobenius_norm``, the Hermitian flag is
+the one rule ``linalg.hermiticity_holds``, and where two scaled values
+meet (sqrt(2 K) sqrt(beta), f/2 + f/2) they are formed so that they stay
+doubles: a symbol multiplied by 2^k keeps its verdicts at the tolerance
+2^k tol.
 """
 
 from __future__ import annotations
@@ -51,8 +57,8 @@ import numpy as np
 from .conventions import (CIRCLE_GRID, CLIFFORD_SIGN, FREDHOLM_TOL, INDEX_SIGN, REFINE_TOL,
                           floquet_to_twist)
 from .errors import ContractViolation, DegenerateCrossing, check_tolerance
-from .linalg import (connected_pieces, gauge_split, hermitian_eigenvalues, is_hermitian,
-                     sigma_min)
+from .linalg import (connected_pieces, frobenius_norm, gauge_split, hermitian_eigenvalues,
+                     hermiticity_holds, is_hermitian, sigma_min)
 from .spectra import SpectrumSample, spectra_match
 
 __all__ = [
@@ -84,8 +90,10 @@ class LaurentSymbol:
 
     ``coeffs`` maps integer offsets to square blocks of one common size;
     missing offsets are zero.  ``hermitian_symmetric`` is set when
-    A_{-j} = A_j^* for all j, which makes A(z) Hermitian on |z| = 1; the
-    blocks A_{-d}, ..., A_d are checked as one stack by ``is_hermitian``.
+    A_{-j} = A_j^* for all j, which makes A(z) Hermitian on |z| = 1: the
+    stack A_{-d}, ..., A_d against its mirrored block adjoints
+    A_d^*, ..., A_{-d}^* passes the Hermiticity rule
+    (``linalg.hermiticity_holds``) as one array.
     """
 
     def __init__(self, coeffs: Mapping[int, object]):
@@ -111,8 +119,7 @@ class LaurentSymbol:
         self._offsets = np.array(sorted(blocks))
         self._stacked = np.stack([blocks[j].reshape(-1) for j in sorted(blocks)])
         self.bandwidth = max(abs(j) for j in blocks)
-        self.hermitian_symmetric = is_hermitian(
-            [self.coeff(j) for j in range(-self.bandwidth, self.bandwidth + 1)])
+        self.hermitian_symmetric = bool(hermiticity_holds(*_mirrored(self)))
 
     @classmethod
     def scalar(cls, coeffs: Mapping[int, complex]) -> "LaurentSymbol":
@@ -177,6 +184,18 @@ def _spectral_norms(a: np.ndarray) -> np.ndarray:
     if a.shape[-1] == 1:
         return np.abs(a[..., 0, 0])
     return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
+def _mirrored(s: LaurentSymbol):
+    """The stack A_{-d}, ..., A_d of a symbol's coefficients and its
+    mirrored block adjoints A_d^H, ..., A_{-d}^H; they are equal exactly
+    when A_{-j} = A_j^H for every j.  When the offsets fill -d..d the
+    stack is a view of the stacked coefficients, and only the adjoints
+    are copied."""
+    n, d = s.block_size, s.bandwidth
+    stack = (s._stacked.reshape(-1, n, n) if s._offsets.size == 2 * d + 1
+             else np.stack([s.coeff(j) for j in range(-d, d + 1)]))
+    return stack, stack[::-1].conj().swapaxes(-1, -2)
 
 
 def symbol_eval(s: LaurentSymbol, z) -> np.ndarray:
@@ -276,12 +295,9 @@ def _rounding_allowance(s: LaurentSymbol) -> float:
     delta = sum_j ||A_j - A_{-j}^H||_F, which bounds ||A(z) - A(z)^H||_F on
     the circle: the eigensolve reads one triangle of A(z) only.
     """
-    total = sum(np.linalg.norm(a) for a in s.coeffs.values())
-    allowance = 8.0 * s.block_size * np.finfo(float).eps * total
+    allowance = 8.0 * s.block_size * np.finfo(float).eps * frobenius_norm(s._stacked, axis=1).sum()
     if s.hermitian_symmetric:
-        d = s.bandwidth
-        allowance += sum(np.linalg.norm(s.coeff(j) - s.coeff(-j).conj().T)
-                         for j in range(-d, d + 1))
+        allowance += frobenius_norm(np.subtract(*_mirrored(s)), axis=(1, 2)).sum()
     return float(allowance)
 
 
@@ -329,7 +345,7 @@ def _circle_scan(s: LaurentSymbol, grid: int, eps: float, tol: float):
     evaluations = start
     lower = math.inf
     while True:
-        bound = 0.5 * (f_left + f_right) - lam * (0.5 * h)
+        bound = 0.5 * f_left + 0.5 * f_right - lam * (0.5 * h)
         near = bound - allowance <= tol
         split = (bound < best_value - eps) | near & (
             best_value > tol and h > floor
@@ -351,7 +367,10 @@ def _circle_scan(s: LaurentSymbol, grid: int, eps: float, tol: float):
 
 def _polish(s: LaurentSymbol, theta: float, value: float, grid: int):
     """The better of (theta, value) and one Brent search (``_brent``) of
-    sigma_min over theta +- 2 pi/grid to REFINE_TOL / max(L, 1); its probes."""
+    sigma_min over theta +- 2 pi/grid to REFINE_TOL / max(L, 1), but to no
+    less than 16 ulps of 2 pi: a finer step only moves e^{i theta} by its
+    rounding, and its probes would run to Brent's cap.  Returns the probes
+    too."""
     step = 2.0 * math.pi / grid
     probes = 0
 
@@ -360,8 +379,8 @@ def _polish(s: LaurentSymbol, theta: float, value: float, grid: int):
         probes += 1
         return float(_sigma_min(s, symbol_eval(s, cmath.exp(1j * x))))
 
-    x, v = _brent(probe, theta - step, theta + step,
-                  min(REFINE_TOL / max(s.lipschitz_bound(), 1.0), step))
+    xtol = max(min(REFINE_TOL / max(s.lipschitz_bound(), 1.0), step), 16 * math.ulp(2 * math.pi))
+    x, v = _brent(probe, theta - step, theta + step, xtol)
     return (x, v, probes) if v < value else (theta, value, probes)
 
 
@@ -510,7 +529,7 @@ def _symbol_zeros(s: LaurentSymbol, lower_bound: float, vectors: bool) -> Option
     lo = int(s._offsets[0])
     d, n = int(s._offsets[-1]) - lo, s.block_size
     eps = 10.0 * np.finfo(float).eps
-    norms = np.linalg.norm(s._stacked, axis=1).sum()
+    norms = frobenius_norm(s._stacked, axis=1).sum()
     for a in _MOBIUS:
         # column k: the coefficients of (w + a)^k (1 + a' w)^(d-k), w^0 first
         weights = np.stack([functools.reduce(np.convolve, [[a, 1]] * k + [[1, np.conj(a)]] * (d - k))
@@ -520,9 +539,9 @@ def _symbol_zeros(s: LaurentSymbol, lower_bound: float, vectors: bool) -> Option
             monic = np.linalg.solve(q[d], q[d - 1::-1].transpose(1, 0, 2).reshape(n, d * n))
         except np.linalg.LinAlgError:  # Q_D singular
             continue
-        mu, lead = sum(np.linalg.norm(m) for m in np.hsplit(monic, d)), np.linalg.norm(q[d])
+        mu, lead = frobenius_norm(monic.reshape(n, d, n), axis=(0, 2)).sum(), frobenius_norm(q[d])
         rounding = eps * ((2 * d + 1) * (1 + abs(a)) ** d * norms + n * lead * mu)
-        backward = eps * n * d * d * math.sqrt((d - 1) * n + np.linalg.norm(monic) ** 2)
+        backward = eps * n * d * d * math.hypot(math.sqrt((d - 1) * n), frobenius_norm(monic))
         level = (rounding + backward * (1.0 + mu) * lead / (1.0 - backward)) / (1 - abs(a)) ** d
         if not (backward < 1.0 and level < lower_bound):  # also when M overflows
             continue
@@ -531,7 +550,7 @@ def _symbol_zeros(s: LaurentSymbol, lower_bound: float, vectors: bool) -> Option
         kernels = None
         if vectors:
             w, x = np.linalg.eig(companion)
-            kernels = x[-n:] / np.linalg.norm(x[-n:], axis=0)
+            kernels = x[-n:] / frobenius_norm(x[-n:], axis=0)
         else:
             w = np.linalg.eigvals(companion)
         return _Zeros(z=(w + a) / (1 + np.conj(a) * w), level=float(level), kernels=kernels)
@@ -760,9 +779,9 @@ def twist_crossings(s: LaurentSymbol) -> SpectralFlowResult:
         slopes = slope.real.diagonal() if k == 1 else np.linalg.eigvalsh(slope)
         least = float(np.abs(slopes).min())
         radius = 2.0 * beta / least if least > 0.0 else math.inf
-        if (k > n or least <= math.sqrt(2.0 * curvature * beta)
+        if (k > n or least <= math.sqrt(2.0 * curvature) * math.sqrt(beta)
                 or np.abs(z[idx] - zc).max() > radius
-                or np.linalg.norm(symbol_eval(s, zc) @ basis) > k * (beta + lip * radius)):
+                or frobenius_norm(symbol_eval(s, zc) @ basis) > k * (beta + lip * radius)):
             raise DegenerateCrossing(f"{k} zero(s) of det A(z) near c = {c:.9g} do not "
                                      "form a certified crossing")
         crossings += [(c, 1 if v > 0 else -1) for v in slopes]

@@ -1,7 +1,10 @@
 """Dense complex linear algebra.
 
 The routines operate on square complex matrices, or stacks of them, at
-desk scale (dimension up to a few thousand).  ``gauge_split`` reads the
+desk scale (dimension up to a few thousand).  Every Frobenius or
+Euclidean norm is ``frobenius_norm``, which scales before it squares, and
+the one Hermiticity rule, ``hermiticity_holds``, is written on it, so a
+matrix multiplied by 2^k keeps its verdicts.  ``gauge_split`` reads the
 nonzero entries of a Hermitian matrix once: through one forest that
 roots each connected piece of its graph once, it gauges a flux-free one
 into a real symmetric one with the same eigenvalues, whose eigensolve
@@ -35,6 +38,8 @@ __all__ = [
     "EigResult",
     "Inertia",
     "as_matrix",
+    "frobenius_norm",
+    "hermiticity_holds",
     "is_hermitian",
     "gauge_split",
     "connected_pieces",
@@ -65,32 +70,43 @@ class EigResult:
     residual: float
 
 
-def _within_hermiticity_tol(defect, size):
-    """The Hermiticity inequality ||x - x^H||_F <= HERMITICITY_TOL * ||x||_F,
-    given the Frobenius norms ``defect`` = ||x - x^H||_F and ``size`` =
-    ||x||_F, or arrays of them for one verdict per block."""
-    return defect <= HERMITICITY_TOL * size
+def frobenius_norm(x, axis=None):
+    """||x||_F, or with ``axis`` the norm over those axes of each block of
+    ``x``, for finite entries anywhere in the double range whose norm is a
+    double (Blue's remedy, ACM TOMS 4, 1978).  A norm from the plain sum
+    of squares between 2^-450 and the largest double stands, as no square
+    can then have left the range by more than rounding; a zero x has norm
+    0.  Otherwise each block is divided by the power of two at or below
+    its largest |entry| (2^-1022 at least) before it is squared, and that
+    scale multiplies the root.  Division by a power of two is exact, so
+    x 2^k has norm 2^k ||x||_F to rounding in the last bit.  A vector's
+    norm is its Euclidean norm."""
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.vdot(x, x).real) if axis is None else np.linalg.norm(x, axis=axis)
+    if ((norm > 2.0 ** -450) & (norm < math.inf)).all() or not x.any():
+        return norm
+    # 2^(e - 1) <= the largest |entry| < 2^e, but no less than 2^-1022, whose
+    # reciprocal is a double too
+    scale = np.ldexp(1.0, np.maximum(np.frexp(np.abs(x).max(axis, keepdims=True))[1] - 1, -1022))
+    return np.squeeze(scale, axis) * np.linalg.norm(x / scale, axis=axis)
+
+
+def hermiticity_holds(x, adjoint, axis=None):
+    """The one Hermiticity rule, ||x - adjoint||_F <= HERMITICITY_TOL *
+    ||x||_F on ``frobenius_norm``, with ``adjoint`` the adjoint x must
+    equal: x^H for a matrix, the mirrored block adjoints for the stack of
+    a Laurent symbol's coefficients.  A zero x passes, and x 2^k keeps the
+    verdict of x.  With ``axis``, one verdict per block."""
+    return frobenius_norm(x - adjoint, axis) <= HERMITICITY_TOL * frobenius_norm(x, axis)
 
 
 def is_hermitian(x) -> bool:
-    """The Hermiticity rule: ||x - x^H||_F <= HERMITICITY_TOL * ||x||_F,
-    so a zero matrix passes.
-
-    A (k, N, N) stack, or a sequence of k N x N blocks, stands for the
-    block anti-diagonal matrix with x[i] in block row i, whose adjoint is
-    the reversed stack of block adjoints; the stack A_{-d}, ..., A_d of a
-    Laurent symbol passes exactly when A_{-j} = A_j^H for every j.  The
-    norms are summed pair by pair, ||x[i] - x[k-1-i]^H||_F being the same
-    for i and k-1-i, so no stack or adjoint copy is built.
-    """
-    blocks = x.reshape(-1, *x.shape[-2:]) if isinstance(x, np.ndarray) else x
-    k = len(blocks)
-    defect = 0.0
-    for i in range((k + 1) // 2):
-        d = blocks[i] - blocks[k - 1 - i].conj().T
-        defect += (1 if 2 * i == k - 1 else 2) * np.vdot(d, d).real
-    size = sum(np.vdot(b, b).real for b in blocks)
-    return bool(_within_hermiticity_tol(math.sqrt(defect), math.sqrt(size)))
+    """The Hermiticity rule (``hermiticity_holds``) for one square matrix
+    against its adjoint."""
+    a = np.asarray(x)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ContractViolation("is_hermitian takes one square matrix")
+    return bool(hermiticity_holds(a, a.conj().T))
 
 
 def _square_blocks(m) -> np.ndarray:
@@ -129,13 +145,12 @@ def hermitian_eigenvalues(m) -> EigResult:
     """
     a = _square_blocks(m)
     adjoint = a.conj().swapaxes(-1, -2)
-    if not _within_hermiticity_tol(np.linalg.norm(a - adjoint, axis=(-2, -1)),
-                                   np.linalg.norm(a, axis=(-2, -1))).all():
+    if not np.all(hermiticity_holds(a, adjoint, axis=(-2, -1))):
         raise ContractViolation("matrix is not Hermitian within tolerance")
-    a = 0.5 * (a + adjoint)
+    a = 0.5 * a + 0.5 * adjoint  # a sum of halves: no entry overflows
     vals, vecs = np.linalg.eigh(a)  # ascending
     norm = np.max(np.abs(vals), axis=-1)
-    err = np.max(np.linalg.norm(a @ vecs - vecs * vals[..., None, :], axis=-2), axis=-1)
+    err = np.max(frobenius_norm(a @ vecs - vecs * vals[..., None, :], axis=-2), axis=-1)
     residual = float(np.max(np.divide(err, norm, out=np.zeros_like(err), where=norm > 0)))
     if residual > DEFAULT_TOL:
         raise ContractViolation(f"eigen residual {residual:.3e} exceeds tolerance {DEFAULT_TOL:.3e}")
@@ -226,17 +241,17 @@ def gauge_split(h: np.ndarray):
     h = np.ascontiguousarray(h, dtype=float if real else complex)
     n = h.shape[0]
     rows, cols, values, d, parity, _ = _forest(h)
-    # G - conj(G) = 2i Im G exactly and ||G||_F = ||h||_F, so this bound is
-    # the Hermiticity rule; the last row of G, tested first, can refute it
-    bound = HERMITICITY_TOL * np.linalg.norm(values)
+    # G is real when the Hermiticity rule holds for G against conj(G), as
+    # G - conj(G) = 2i Im G and ||G||_F = ||h||_F; the last row of G, tested
+    # first against the same bound on 2 ||Im G||_F, can refute it
+    bound = HERMITICITY_TOL * frobenius_norm(values)
     entries = values  # a real h is its own real gauge, D = I
     if not real:
         phases = np.array(d, dtype=complex)
         last = slice(int(np.searchsorted(rows, n - 1)), None)
-        if 2.0 * np.linalg.norm((values[last] * phases[cols[last]] * d[-1].conjugate()).imag) <= bound:
-            g = values * phases.conj()[rows]
-            g *= phases[cols]
-            if 2.0 * np.linalg.norm(g.imag) <= bound:
+        if 2.0 * frobenius_norm((values[last] * phases[cols[last]] * d[-1].conjugate()).imag) <= bound:
+            g = values * phases.conj()[rows] * phases[cols]
+            if hermiticity_holds(g, g.conj()):
                 entries = g.real
     parity = np.array(parity)
     levels = None

@@ -2,10 +2,14 @@
 engine tests and the acceptance suite, and the problem-file writers and
 fixture-corpus reader the tests use."""
 
+import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 from typing import Callable, List
 
 import numpy as np
@@ -195,6 +199,36 @@ def winding_test_symbols():
         coeffs = {deg - i - s: poly[i] for i in range(deg + 1)}
         out.append((LaurentSymbol.scalar(coeffs), winding))
     return out
+
+
+def perfbench_module(name: str):
+    """The module ``perfbench/<name>.py`` of this repository, loaded once."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(key, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+    return sys.modules[key]
+
+
+@functools.lru_cache(maxsize=None)
+def rescaling_symbols():
+    """Fifty symbols for the rescaling tests, built once: the invertible,
+    circle-zero, winding and permuted block-diagonal corpora, and for
+    blocks 2, 4 and 8 a conjugated diagonal symbol and a Hermitian family
+    shaped as the floquet-batch benchmark builds them (seed 3, half the
+    rows crossing)."""
+    workloads = perfbench_module("workloads")
+    out = (invertible_symbols() + circle_zero_symbols()
+           + [s for s, _ in winding_test_symbols()] + permuted_block_diagonal_symbols())
+    for n in (2, 4, 8):
+        out.append(LaurentSymbol(workloads._diagonal_symbol(
+            np.random.default_rng(3), n, 1, 1.0, False)[0]))
+        out.append(LaurentSymbol(workloads._hermitian_family(
+            np.random.default_rng(3), n, 50, n // 2, 1.0)[0]))
+    return tuple(out)
 
 
 def half_line_kernel_dims(symbol, periods=256, tol=1e-6):

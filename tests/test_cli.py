@@ -16,10 +16,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinspec
-from _corpus import signed_spec, symbol_to_text
+from _corpus import perfbench_module, signed_spec, symbol_to_text
 from spinspec.cli import main, report_to_json
 from spinspec.floquet import LaurentSymbol
 from spinspec.invariants import BUILTIN_FORM_NAMES, builtin_form, parse_form_spec
+from spinspec.problemfile import parse_problem_file
 
 
 def run(capsys, *argv):
@@ -106,6 +107,15 @@ class TestSpectrumCommand:
         code, out, err = run(capsys, "spectrum", "product", f"--cutoff={cutoff}")
         assert code == 2 and out == ""
         assert "cutoff must be finite" in err
+
+    @pytest.mark.parametrize("argv", [["sphere"], ["sphere", "--format", "csv"],
+                                      ["product", "--cutoff", "1e9", "--band", "2"]],
+                             ids=["sphere-json", "sphere-csv", "product"])
+    def test_multiplicity_too_long_to_write_exit_2(self, capsys, argv):
+        # 2^15000 has more digits than Python writes as text by default
+        code, out, err = run(capsys, "spectrum", *argv, "--l", "30000", "--kmax", "0")
+        assert code == 2 and out == ""
+        assert err == "error: a multiplicity has too many digits to write\n"
 
 
 class TestTwistScan:
@@ -216,6 +226,34 @@ class TestFredholmCommands:
                 assert (code, out) == (3, "") and "index is not certified" in err
             else:
                 assert run_json(capsys, "index", str(path))["results"]["index"] == index
+
+    @pytest.mark.parametrize("k", [-520, 520])
+    def test_rescaled_files_keep_their_reports(self, capsys, tmp_path, k):
+        """Seed 1's floquet-batch symbols, written with every entry times
+        2^k and run at --tol times 2^k, keep their verdicts, index, flow and
+        crossings; min_singular and lower_bound scale by 2^k."""
+        _, problems = perfbench_module("workloads").generate("floquet-batch", 1, str(tmp_path))
+        f = math.ldexp(1.0, k)
+        for pid in ("fredholm-n8", "index-n4", "spectral-flow-n4"):
+            argv = next(p.argv for p in problems if p.pid == pid)
+            s = parse_problem_file(open(argv[1], encoding="utf-8").read())
+            path = tmp_path / f"scaled-{pid}.txt"
+            path.write_text(symbol_to_text(LaurentSymbol({j: f * a for j, a in s.coeffs.items()})))
+            scaled = [str(path) if a == argv[1] else a for a in argv]
+            if "--tol" in argv:
+                i = argv.index("--tol") + 1
+                scaled[i] = repr(f * float(argv[i]))
+            base, got = run_json(capsys, *argv)["results"], run_json(capsys, *scaled)["results"]
+            for key in ("verdict", "index", "flow"):
+                assert got.get(key) == base.get(key), (pid, key)
+            if "lower_bound" in base:
+                assert base["verdict"] == "fredholm"
+                for value in (lambda r: r["min_singular"]["value"], lambda r: r["lower_bound"]):
+                    assert value(got) == pytest.approx(f * value(base), rel=1e-9), pid
+            assert len(got.get("crossings", [])) == len(base.get("crossings", []))
+            for a, b in zip(got.get("crossings", []), base.get("crossings", [])):
+                assert a["direction"] == b["direction"]
+                assert a["parameter"]["value"] == pytest.approx(b["parameter"]["value"], abs=1e-9)
 
     def test_parse_failure_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import (circle_zero_symbols, golden_section, invertible_symbols,
-                     numeric_kernel_dim, permuted_block_diagonal_symbols, section_index_oracle,
-                     singular_values, symbol_direct_sum, winding_test_symbols)
+                     numeric_kernel_dim, permuted_block_diagonal_symbols, rescaling_symbols,
+                     section_index_oracle, singular_values, symbol_direct_sum,
+                     winding_test_symbols)
 from spinspec import floquet
 from spinspec.conventions import (FREDHOLM_TOL, HERMITICITY_TOL, REFINE_TOL, floquet_to_twist,
                                   twist_to_floquet)
@@ -331,6 +332,75 @@ class TestCertificate:
         f = lambda t: np.linalg.svd(symbol_eval(s, cmath.exp(1j * t)), compute_uv=False)[-1]
         gap = abs(f(theta) - f(theta + delta))
         assert gap <= s.lipschitz_bound() * delta + 2 * floquet._rounding_allowance(s)
+
+
+def rescaled(s: LaurentSymbol, k: int) -> LaurentSymbol:
+    """``s`` with every coefficient multiplied by 2^k, which is exact."""
+    return LaurentSymbol({j: math.ldexp(1.0, k) * a for j, a in s.coeffs.items()})
+
+
+def rescaling_report(s: LaurentSymbol, tol: float) -> dict:
+    """What a rescaling must keep: the Hermitian flag, the Fredholm verdict
+    and index, ``toeplitz_index``'s answer or message, the twist loop's
+    flow and directions or the refusal's type, and the sweep's verdict;
+    and what it must scale: min_singular of a ``fredholm`` verdict, the
+    sweep's values (and the crossing twists, which stay)."""
+    rep = is_fredholm(s, tol)
+    out = {"hermitian": s.hermitian_symmetric, "verdict": rep.verdict, "index": rep.index,
+           "min_singular": rep.min_singular if rep.verdict == "fredholm" else None}
+    try:
+        out["toeplitz"] = toeplitz_index(s, tol)
+    except ContractViolation as exc:
+        out["toeplitz"] = str(exc)
+    try:
+        flow = twist_crossings(s)
+        out["flow"] = (flow.flow, [d for _, d in flow.crossings])
+        out["twists"] = [c for c, _ in flow.crossings]
+    except ContractViolation as exc:
+        out["flow"], out["twists"] = type(exc).__name__, []
+    sweep = fredholm_via_sections(s, (2 * s.bandwidth + 2, 4 * s.bandwidth + 4), tol)
+    out["sweep"], out["sweep_values"] = sweep.verdict, list(sweep.sigma_min)
+    return out
+
+
+class TestRescaling:
+    """A symbol multiplied by 2^k, far outside the range where squares of
+    its entries stay normal doubles, keeps every verdict at the tolerance
+    2^k FREDHOLM_TOL, and its values scale by 2^k."""
+
+    @pytest.mark.parametrize("case", range(50))
+    def test_reports_are_scale_free(self, case):
+        s = rescaling_symbols()[case]
+        base = rescaling_report(s, FREDHOLM_TOL)
+        for k in (-560, -520, 520, 560):
+            f = math.ldexp(1.0, k)
+            got = rescaling_report(rescaled(s, k), f * FREDHOLM_TOL)
+            for key in ("hermitian", "verdict", "index", "toeplitz", "flow", "sweep"):
+                assert got[key] == base[key], (k, key)
+            if base["min_singular"] is not None:
+                assert got["min_singular"] == pytest.approx(f * base["min_singular"], rel=1e-9)
+            assert got["sweep_values"] == pytest.approx([f * v for v in base["sweep_values"]],
+                                                        rel=1e-9)
+            assert got["twists"] == pytest.approx(base["twists"], abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
+    def test_a_decimal_scale_keeps_the_index(self, scale):
+        # 0.5 s + s z is Fredholm with index -1 at every scale s; the squares
+        # of entries of 1e160 overflow, those of 1e-170 underflow
+        s = LaurentSymbol.scalar({0: 0.5 * scale, 1: scale})
+        assert not s.hermitian_symmetric
+        assert is_fredholm(s, FREDHOLM_TOL * scale).verdict == "fredholm"
+        assert toeplitz_index(s, FREDHOLM_TOL * scale) == -1
+
+    def test_polish_stops_at_the_rounding_of_the_angle(self):
+        # REFINE_TOL / L is below the rounding of an angle once L is above a
+        # few million; the polish then stops at 16 ulps of 2 pi, a golden-
+        # section tail of about 30 probes, not at Brent's 200-probe cap
+        s = invertible_symbols()[0]
+        base = is_fredholm(s).evaluations
+        assert abs(is_fredholm(rescaled(s, -520), FREDHOLM_TOL / 2 ** 520).evaluations
+                   - base) <= 4
+        assert is_fredholm(rescaled(s, 520), FREDHOLM_TOL * 2 ** 520).evaluations <= base + 40
 
 
 class TestIsFredholm:

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 from unittest import mock
@@ -14,8 +15,9 @@ from spinspec.discretize import (DiscreteDirac, Scheme, build_circle_dirac, mass
 from spinspec.errors import ContractViolation
 from spinspec.exact import _to_fraction
 from spinspec.floquet import LaurentSymbol, finite_section, fredholm_via_sections
-from spinspec.linalg import (Inertia, connected_pieces, gauge_split, hermitian_eigenvalues,
-                             is_hermitian, rational_ldl_inertia, sigma_min)
+from spinspec.linalg import (Inertia, connected_pieces, frobenius_norm, gauge_split,
+                             hermitian_eigenvalues, is_hermitian, rational_ldl_inertia,
+                             sigma_min)
 from spinspec.spectra import SpinStructure
 
 
@@ -209,15 +211,18 @@ class TestHermiticityRule:
 
 
 class TestPairwiseHermiticity:
-    """``is_hermitian`` sums the norms pair by pair; its verdict is the one
-    the whole stack and its reversed block adjoint give, wherever the
-    defect is not within rounding of the tolerance."""
+    """``LaurentSymbol.hermitian_symmetric`` is the Hermiticity rule for the
+    coefficient stack A_{-d}, ..., A_d against its mirrored block adjoints;
+    its verdict is the one the whole stack and its reversed block adjoint
+    give, wherever the defect is not within rounding of the tolerance.
+    ``is_hermitian`` judges one matrix and refuses a stack."""
 
     @settings(max_examples=60, deadline=None)
-    @given(k=st.integers(1, 7), n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
-           ratio=st.sampled_from([0.0, 0.1, 0.5, 2.0, 10.0]), as_list=st.booleans())
-    def test_verdict_equals_the_stacked_one(self, k, n, seed, ratio, as_list):
+    @given(d=st.integers(0, 3), n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           ratio=st.sampled_from([0.0, 0.1, 0.5, 2.0, 10.0]))
+    def test_verdict_equals_the_stacked_one(self, d, n, seed, ratio):
         rng = np.random.default_rng(seed)
+        k = 2 * d + 1
         x = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
         x = 0.5 * (x + x[::-1].conj().swapaxes(-1, -2))  # A_{-j} = A_j^H
         e = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
@@ -226,8 +231,50 @@ class TestPairwiseHermiticity:
             x += ratio * HERMITICITY_TOL * np.linalg.norm(x) / np.linalg.norm(e) * 0.5 * e
         stacked = (np.linalg.norm(x - x[::-1].conj().swapaxes(-1, -2))
                    <= HERMITICITY_TOL * np.linalg.norm(x))
-        assert is_hermitian(list(x) if as_list else x) is bool(stacked)
+        assert LaurentSymbol({j - d: x[j] for j in range(k)}).hermitian_symmetric is bool(stacked)
         assert stacked == (ratio <= 1.0 or np.linalg.norm(e) == 0)
+        with pytest.raises(ContractViolation):
+            is_hermitian(x)
+
+
+class TestScaleSafeNorm:
+    """``frobenius_norm`` scales a block whose squares would leave the
+    double range before it squares it, so the norm and the Hermiticity
+    rule on it keep their answers for entries far outside that range."""
+
+    @pytest.mark.parametrize("k", [-1000, -560, 0, 560, 1000])
+    def test_norm_scales_exactly(self, k):
+        x = np.random.default_rng(5).normal(size=(3, 4, 4)) * (1 + 2j)
+        f = math.ldexp(1.0, k)
+        assert frobenius_norm(f * x) == pytest.approx(f * frobenius_norm(x), rel=1e-15)
+        assert frobenius_norm(x) == pytest.approx(np.linalg.norm(x), rel=1e-14)
+        np.testing.assert_array_equal(frobenius_norm(f * x, axis=(-2, -1)),
+                                      f * frobenius_norm(x, axis=(-2, -1)))
+        np.testing.assert_allclose(frobenius_norm(x, axis=-2),
+                                   np.linalg.norm(x, axis=-2), rtol=1e-14)
+        assert frobenius_norm(np.zeros((2, 2))) == 0.0
+
+    @pytest.mark.parametrize("k", [-560, 560])
+    def test_a_rescaled_shift_is_not_hermitian(self, k):
+        m = math.ldexp(1.0, k) * np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert not is_hermitian(m)
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            hermitian_eigenvalues(m)
+
+    def test_eigenvalues_near_the_top_of_the_range(self):
+        m = build_circle_dirac(16, Scheme.SPECTRAL, SpinStructure.BOUNDING, 0.3).matrix
+        base = hermitian_eigenvalues(m).eigenvalues
+        got = hermitian_eigenvalues(math.ldexp(1.0, 990) * m).eigenvalues
+        np.testing.assert_allclose(got / math.ldexp(1.0, 990), base, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-170])
+    def test_flux_survives_a_tiny_scale(self, scale):
+        flux = cmath.exp(0.7j)
+        h = scale * np.array([[0, 1, flux], [1, 0, 1], [flux.conjugate(), 1, 0]])
+        m, split = gauge_split(h)
+        assert split is None and m is h
+        np.testing.assert_allclose(np.linalg.eigvalsh(m / scale), [-1.37, -0.57, 1.95],
+                                   atol=0.01)
 
 
 class TestSigmaMin:

@@ -2,27 +2,15 @@
 wrong answer, or a CLI flag the harness passes that the CLI no longer
 takes, must fail here before it lowers the benchmark's correct_frac."""
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
+from _corpus import perfbench_module
 from spinspec.cli import main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads, run = _load("workloads"), _load("run")
+workloads, run = perfbench_module("workloads"), perfbench_module("run")
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
