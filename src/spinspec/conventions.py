@@ -64,8 +64,9 @@ FREDHOLM_TOL = 1e-6
 # Resolution of the certified unit-circle scan: its minimum is within
 # L*pi/CIRCLE_GRID of the true one (L the symbol's Lipschitz bound), the
 # guarantee of a uniform scan of CIRCLE_GRID points.  REFINE_TOL is the
-# accuracy of the Brent polish that follows the scan: absolute for
-# L >= 1, relative to L below.
+# accuracy of the Brent polish that follows the scan, in units of the
+# tolerance in use (tol / FREDHOLM_TOL): absolute for L >= 1 in those units,
+# relative to L below.
 CIRCLE_GRID = 512
 REFINE_TOL = 1e-8
 

@@ -93,7 +93,8 @@ class LaurentSymbol:
     A_{-j} = A_j^* for all j, which makes A(z) Hermitian on |z| = 1: the
     stack A_{-d}, ..., A_d against its mirrored block adjoints
     A_d^*, ..., A_{-d}^* passes the Hermiticity rule
-    (``linalg.hermiticity_holds``) as one array.
+    (``linalg.hermiticity_holds``) as one array, judged on its block
+    norms and those of its defect (``_hermitian_defects``).
     """
 
     def __init__(self, coeffs: Mapping[int, object]):
@@ -119,7 +120,12 @@ class LaurentSymbol:
         self._offsets = np.array(sorted(blocks))
         self._stacked = np.stack([blocks[j].reshape(-1) for j in sorted(blocks)])
         self.bandwidth = max(abs(j) for j in blocks)
-        self.hermitian_symmetric = bool(hermiticity_holds(*_mirrored(self)))
+        # ||A_j||_F of each offset, and ||A_j - A_{-j}^H||_F for j = -d..d:
+        # their norms are those of the stack and of its Hermitian defect.  A
+        # complex block as floats has the same norm and skips the modulus
+        self._block_norms = frobenius_norm(self._stacked.view(float), axis=1)
+        self._defects = _hermitian_defects(self)
+        self.hermitian_symmetric = bool(hermiticity_holds(self._block_norms, self._defects))
 
     @classmethod
     def scalar(cls, coeffs: Mapping[int, complex]) -> "LaurentSymbol":
@@ -186,16 +192,15 @@ def _spectral_norms(a: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
-def _mirrored(s: LaurentSymbol):
-    """The stack A_{-d}, ..., A_d of a symbol's coefficients and its
-    mirrored block adjoints A_d^H, ..., A_{-d}^H; they are equal exactly
-    when A_{-j} = A_j^H for every j.  When the offsets fill -d..d the
-    stack is a view of the stacked coefficients, and only the adjoints
-    are copied."""
-    n, d = s.block_size, s.bandwidth
-    stack = (s._stacked.reshape(-1, n, n) if s._offsets.size == 2 * d + 1
-             else np.stack([s.coeff(j) for j in range(-d, d + 1)]))
-    return stack, stack[::-1].conj().swapaxes(-1, -2)
+def _hermitian_defects(s: LaurentSymbol) -> np.ndarray:
+    """||A_j - A_{-j}^H||_F for j = -d..d: the block norms of the stack
+    A_{-d}, ..., A_d less its mirrored block adjoints, zero exactly when
+    A_{-j} = A_j^H for every j.  Blocks j and -j are adjoints of each
+    other up to sign, so only j <= 0 is formed."""
+    d = s.bandwidth
+    defect = np.stack([s.coeff(j) - s.coeff(-j).conj().T for j in range(-d, 1)])
+    half = frobenius_norm(defect.view(float), axis=(1, 2))
+    return np.concatenate([half, half[:d][::-1]])
 
 
 def symbol_eval(s: LaurentSymbol, z) -> np.ndarray:
@@ -295,9 +300,9 @@ def _rounding_allowance(s: LaurentSymbol) -> float:
     delta = sum_j ||A_j - A_{-j}^H||_F, which bounds ||A(z) - A(z)^H||_F on
     the circle: the eigensolve reads one triangle of A(z) only.
     """
-    allowance = 8.0 * s.block_size * np.finfo(float).eps * frobenius_norm(s._stacked, axis=1).sum()
+    allowance = 8.0 * s.block_size * np.finfo(float).eps * s._block_norms.sum()
     if s.hermitian_symmetric:
-        allowance += frobenius_norm(np.subtract(*_mirrored(s)), axis=(1, 2)).sum()
+        allowance += s._defects.sum()
     return float(allowance)
 
 
@@ -365,12 +370,14 @@ def _circle_scan(s: LaurentSymbol, grid: int, eps: float, tol: float):
         f_left, f_right = np.concatenate([f_left, f_mid]), np.concatenate([f_mid, f_right])
 
 
-def _polish(s: LaurentSymbol, theta: float, value: float, grid: int):
+def _polish(s: LaurentSymbol, theta: float, value: float, grid: int, tol: float):
     """The better of (theta, value) and one Brent search (``_brent``) of
-    sigma_min over theta +- 2 pi/grid to REFINE_TOL / max(L, 1), but to no
-    less than 16 ulps of 2 pi: a finer step only moves e^{i theta} by its
-    rounding, and its probes would run to Brent's cap.  Returns the probes
-    too."""
+    sigma_min over theta +- 2 pi/grid to REFINE_TOL / max(L', 1), with
+    L' = L FREDHOLM_TOL / ``tol`` the Lipschitz bound in the units in
+    which ``tol`` reads FREDHOLM_TOL, so a symbol and ``tol`` multiplied
+    by 2^k search alike.  The step is no less than 16 ulps of 2 pi: a
+    finer one only moves e^{i theta} by its rounding, and its probes would
+    run to Brent's cap.  Returns the probes too."""
     step = 2.0 * math.pi / grid
     probes = 0
 
@@ -379,7 +386,8 @@ def _polish(s: LaurentSymbol, theta: float, value: float, grid: int):
         probes += 1
         return float(_sigma_min(s, symbol_eval(s, cmath.exp(1j * x))))
 
-    xtol = max(min(REFINE_TOL / max(s.lipschitz_bound(), 1.0), step), 16 * math.ulp(2 * math.pi))
+    lam = s.lipschitz_bound() * (FREDHOLM_TOL / tol)
+    xtol = max(min(REFINE_TOL / max(lam, 1.0), step), 16 * math.ulp(2 * math.pi))
     x, v = _brent(probe, theta - step, theta + step, xtol)
     return (x, v, probes) if v < value else (theta, value, probes)
 
@@ -396,8 +404,9 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID,
     within the decision's budget: at most 4 * grid evaluations, 2 * grid
     when no arc splits for ``tol``.  The least arc bound, less
     ``_rounding_allowance``, is the certified ``lower_bound``.  ``_polish``
-    then refines the best point to within REFINE_TOL of its basin's
-    minimum when L >= 1, and REFINE_TOL * L -- the symbol's scale -- below.
+    then refines the best point to within REFINE_TOL ``tol`` / FREDHOLM_TOL
+    of its basin's minimum when L' = L FREDHOLM_TOL / ``tol`` >= 1, and
+    REFINE_TOL * L -- the symbol's scale -- below.
 
     Every sigma_min goes through ``symbol_eval`` and ``_sigma_min``.  When
     the nonzero patterns of the coefficients fall into several connected
@@ -411,7 +420,7 @@ def min_singular_on_circle(s: LaurentSymbol, grid: int = CIRCLE_GRID,
         raise ContractViolation("grid must be at least 16")
     eps = s.lipschitz_bound() * (math.pi / grid)
     theta, value, lower, evaluations = _circle_scan(s, grid, eps, tol)
-    theta, value, probes = _polish(s, theta, value, grid)
+    theta, value, probes = _polish(s, theta, value, grid, tol)
     return CircleMinimum(value, cmath.exp(1j * theta), lower, evaluations + probes)
 
 
@@ -476,7 +485,7 @@ def toeplitz_index(s: LaurentSymbol, tol: float = FREDHOLM_TOL) -> int:
     check_tolerance(tol)
     theta, value, lower, _ = _circle_scan(s, CIRCLE_GRID, math.inf, tol)
     if lower <= tol < value:
-        value = _polish(s, theta, value, CIRCLE_GRID)[1]
+        value = _polish(s, theta, value, CIRCLE_GRID, tol)[1]
     if value <= tol:
         raise ContractViolation("symbol is not Fredholm; the index is undefined")
     index = _winding_index(s, lower) if lower > tol else None
@@ -529,7 +538,7 @@ def _symbol_zeros(s: LaurentSymbol, lower_bound: float, vectors: bool) -> Option
     lo = int(s._offsets[0])
     d, n = int(s._offsets[-1]) - lo, s.block_size
     eps = 10.0 * np.finfo(float).eps
-    norms = frobenius_norm(s._stacked, axis=1).sum()
+    norms = s._block_norms.sum()
     for a in _MOBIUS:
         # column k: the coefficients of (w + a)^k (1 + a' w)^(d-k), w^0 first
         weights = np.stack([functools.reduce(np.convolve, [[a, 1]] * k + [[1, np.conj(a)]] * (d - k))

@@ -25,7 +25,6 @@ public names.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,33 +70,32 @@ class EigResult:
 
 
 def frobenius_norm(x, axis=None):
-    """||x||_F, or with ``axis`` the norm over those axes of each block of
-    ``x``, for finite entries anywhere in the double range whose norm is a
-    double (Blue's remedy, ACM TOMS 4, 1978).  A norm from the plain sum
-    of squares between 2^-450 and the largest double stands, as no square
-    can then have left the range by more than rounding; a zero x has norm
-    0.  Otherwise each block is divided by the power of two at or below
-    its largest |entry| (2^-1022 at least) before it is squared, and that
-    scale multiplies the root.  Division by a power of two is exact, so
-    x 2^k has norm 2^k ||x||_F to rounding in the last bit.  A vector's
-    norm is its Euclidean norm."""
-    with np.errstate(over="ignore"):
-        norm = np.sqrt(np.vdot(x, x).real) if axis is None else np.linalg.norm(x, axis=axis)
-    if ((norm > 2.0 ** -450) & (norm < math.inf)).all() or not x.any():
-        return norm
-    # 2^(e - 1) <= the largest |entry| < 2^e, but no less than 2^-1022, whose
-    # reciprocal is a double too
-    scale = np.ldexp(1.0, np.maximum(np.frexp(np.abs(x).max(axis, keepdims=True))[1] - 1, -1022))
-    return np.squeeze(scale, axis) * np.linalg.norm(x / scale, axis=axis)
+    """||x||_F of an array, or with ``axis`` the norm over those axes of
+    each block of ``x``, for finite entries anywhere in the double range
+    whose norm is a double (Blue's remedy, ACM TOMS 4, 1978): each block's
+    |entries| are multiplied by 2^-e, 2^(e - 1) <= their largest < 2^e
+    (e >= -1021), before they are squared, and the root by 2^e.  Scaling
+    by a power of two is exact, so x 2^k has norm 2^k ||x||_F.  An empty
+    or zero x has norm 0, and a vector's norm is its Euclidean norm.  The
+    squares are summed by numpy, not by a BLAS dot, whose threads can take
+    milliseconds to wake for one matrix."""
+    mag = np.abs(x)
+    # 2^-e is a double too: 2^-1024 is subnormal but exact
+    e = np.frexp(mag.max(axis, keepdims=True, initial=2.0 ** -1022))[1]
+    mag *= np.ldexp(1.0, -e)
+    return np.ldexp(np.sqrt(np.square(mag, out=mag).sum(axis)), np.squeeze(e, axis))
 
 
-def hermiticity_holds(x, adjoint, axis=None):
-    """The one Hermiticity rule, ||x - adjoint||_F <= HERMITICITY_TOL *
-    ||x||_F on ``frobenius_norm``, with ``adjoint`` the adjoint x must
-    equal: x^H for a matrix, the mirrored block adjoints for the stack of
-    a Laurent symbol's coefficients.  A zero x passes, and x 2^k keeps the
-    verdict of x.  With ``axis``, one verdict per block."""
-    return frobenius_norm(x - adjoint, axis) <= HERMITICITY_TOL * frobenius_norm(x, axis)
+def hermiticity_holds(x, defect, axis=None):
+    """The one Hermiticity rule, ||x - x^*||_F <= HERMITICITY_TOL *
+    ||x||_F on ``frobenius_norm``, given the ``defect`` x - x^* (or its
+    negative) against the adjoint x^* that x must equal: x^H for a matrix,
+    the mirrored block adjoints for the stack of a Laurent symbol's
+    coefficients.  Only the two norms enter, so either argument may be
+    any array with the same norm, such as the norms of its blocks.  A zero
+    x passes, and x 2^k keeps the verdict of x.  With ``axis``, one
+    verdict per block."""
+    return frobenius_norm(defect, axis) <= HERMITICITY_TOL * frobenius_norm(x, axis)
 
 
 def is_hermitian(x) -> bool:
@@ -106,7 +104,7 @@ def is_hermitian(x) -> bool:
     a = np.asarray(x)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractViolation("is_hermitian takes one square matrix")
-    return bool(hermiticity_holds(a, a.conj().T))
+    return bool(hermiticity_holds(a, a - a.conj().T))
 
 
 def _square_blocks(m) -> np.ndarray:
@@ -145,7 +143,7 @@ def hermitian_eigenvalues(m) -> EigResult:
     """
     a = _square_blocks(m)
     adjoint = a.conj().swapaxes(-1, -2)
-    if not np.all(hermiticity_holds(a, adjoint, axis=(-2, -1))):
+    if not np.all(hermiticity_holds(a, a - adjoint, axis=(-2, -1))):
         raise ContractViolation("matrix is not Hermitian within tolerance")
     a = 0.5 * a + 0.5 * adjoint  # a sum of halves: no entry overflows
     vals, vecs = np.linalg.eigh(a)  # ascending
@@ -251,7 +249,7 @@ def gauge_split(h: np.ndarray):
         last = slice(int(np.searchsorted(rows, n - 1)), None)
         if 2.0 * frobenius_norm((values[last] * phases[cols[last]] * d[-1].conjugate()).imag) <= bound:
             g = values * phases.conj()[rows] * phases[cols]
-            if hermiticity_holds(g, g.conj()):
+            if hermiticity_holds(g, g - g.conj()):
                 entries = g.real
     parity = np.array(parity)
     levels = None

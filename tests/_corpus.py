@@ -215,11 +215,12 @@ def perfbench_module(name: str):
 
 @functools.lru_cache(maxsize=None)
 def rescaling_symbols():
-    """Fifty symbols for the rescaling tests, built once: the invertible,
-    circle-zero, winding and permuted block-diagonal corpora, and for
-    blocks 2, 4 and 8 a conjugated diagonal symbol and a Hermitian family
-    shaped as the floquet-batch benchmark builds them (seed 3, half the
-    rows crossing)."""
+    """Fifty-two symbols for the rescaling tests, built once: the
+    invertible, circle-zero, winding and permuted block-diagonal corpora;
+    for blocks 2, 4 and 8 a conjugated diagonal symbol and a Hermitian
+    family shaped as the floquet-batch benchmark builds them (seed 3, half
+    the rows crossing); and the steep circle zeros c (z - e^i), c = 100
+    and 1000, whose Lipschitz bounds exceed the others' by far."""
     workloads = perfbench_module("workloads")
     out = (invertible_symbols() + circle_zero_symbols()
            + [s for s, _ in winding_test_symbols()] + permuted_block_diagonal_symbols())
@@ -228,6 +229,7 @@ def rescaling_symbols():
             np.random.default_rng(3), n, 1, 1.0, False)[0]))
         out.append(LaurentSymbol(workloads._hermitian_family(
             np.random.default_rng(3), n, 50, n // 2, 1.0)[0]))
+    out += [LaurentSymbol.scalar({0: -c * np.exp(1j), 1: c}) for c in (100, 1000)]
     return tuple(out)
 
 

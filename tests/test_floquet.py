@@ -368,7 +368,7 @@ class TestRescaling:
     its entries stay normal doubles, keeps every verdict at the tolerance
     2^k FREDHOLM_TOL, and its values scale by 2^k."""
 
-    @pytest.mark.parametrize("case", range(50))
+    @pytest.mark.parametrize("case", range(52))
     def test_reports_are_scale_free(self, case):
         s = rescaling_symbols()[case]
         base = rescaling_report(s, FREDHOLM_TOL)
@@ -392,15 +392,21 @@ class TestRescaling:
         assert is_fredholm(s, FREDHOLM_TOL * scale).verdict == "fredholm"
         assert toeplitz_index(s, FREDHOLM_TOL * scale) == -1
 
-    def test_polish_stops_at_the_rounding_of_the_angle(self):
-        # REFINE_TOL / L is below the rounding of an angle once L is above a
-        # few million; the polish then stops at 16 ulps of 2 pi, a golden-
-        # section tail of about 30 probes, not at Brent's 200-probe cap
+    def test_polish_is_scale_free(self):
+        # the polish reads the Lipschitz bound in units of tol, so a symbol
+        # and tol multiplied by 2^k search alike
         s = invertible_symbols()[0]
         base = is_fredholm(s).evaluations
-        assert abs(is_fredholm(rescaled(s, -520), FREDHOLM_TOL / 2 ** 520).evaluations
-                   - base) <= 4
-        assert is_fredholm(rescaled(s, 520), FREDHOLM_TOL * 2 ** 520).evaluations <= base + 40
+        for k in (-520, 520):
+            assert is_fredholm(rescaled(s, k), math.ldexp(FREDHOLM_TOL, k)).evaluations == base
+
+    def test_polish_stops_at_the_rounding_of_the_angle(self):
+        # at an unscaled tol, REFINE_TOL / L is below the rounding of an angle
+        # once L is above a few million; the polish then stops at 16 ulps of
+        # 2 pi, a golden-section tail of about 30 probes, not at Brent's
+        # 200-probe cap
+        s = invertible_symbols()[0]
+        assert is_fredholm(rescaled(s, 520)).evaluations <= is_fredholm(s).evaluations + 40
 
 
 class TestIsFredholm:
