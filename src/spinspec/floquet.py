@@ -40,7 +40,8 @@ Every Frobenius norm is ``linalg.frobenius_norm``, the Hermitian flag is
 the one rule ``linalg.hermiticity_holds``, and where two scaled values
 meet (sqrt(2 K) sqrt(beta), f/2 + f/2) they are formed so that they stay
 doubles: a symbol multiplied by 2^k keeps its verdicts at the tolerance
-2^k tol.
+2^k tol.  ``spectral_flow`` reads a family's eigenvalues in the family's
+own power of two, so a family multiplied by 2^k keeps its crossings.
 """
 
 from __future__ import annotations
@@ -659,6 +660,7 @@ def fredholm_via_sections(s: LaurentSymbol, sizes: Sequence[int],
     not constant on a class, and keeps the eigensolve of the whole
     section; an odd cycle does the same.
     """
+    check_tolerance(tol)
     if list(sizes) != sorted(set(sizes)) or len(sizes) < 2:
         raise ContractViolation("sizes must be strictly ascending, at least two of them")
     rows = [_section_rows(s, n) for n in sizes]
@@ -798,13 +800,15 @@ def twist_crossings(s: LaurentSymbol) -> SpectralFlowResult:
     return SpectralFlowResult(flow=sum(d for _, d in crossings), crossings=tuple(crossings))
 
 
-_PIN_EPS = 1e-11
-_ZERO_BAND = 1e-10  # eigenvalues this close to 0 count as 0, not negative
+_ZERO_BAND = 1e-10  # in the family's unit: eigenvalues this close to 0 count as 0
 _CROSSING_TOL = 1e-9  # width of the bracket that locates a crossing
 
 
-def _negative_counts(eigenvalues: np.ndarray) -> np.ndarray:
-    return np.count_nonzero(eigenvalues < -_ZERO_BAND, axis=-1)
+def _in_unit(eigenvalues: np.ndarray, e: int) -> tuple:
+    """The eigenvalues times 2^-e, exact above the subnormal range, and the
+    negative count of each row: the values below -``_ZERO_BAND``."""
+    x = np.ldexp(eigenvalues, -e)
+    return x, np.count_nonzero(x < -_ZERO_BAND, axis=-1)
 
 
 def _family_eigenvalues(family: Callable[[float], np.ndarray], cs) -> np.ndarray:
@@ -823,18 +827,18 @@ def _family_eigenvalues(family: Callable[[float], np.ndarray], cs) -> np.ndarray
 
 
 def _locate_crossings(family: Callable[[float], np.ndarray], lo: np.ndarray,
-                      hi: np.ndarray, n_lo: np.ndarray) -> np.ndarray:
-    """Halve every bracket [lo, hi], whose negative count is n_lo at lo
-    and another at hi, until it is no wider than ``_CROSSING_TOL``, and
-    return the upper ends.  Each round solves the midpoints of all open
-    brackets as one stack; a bracket moves lo to its midpoint where the
-    count there is n_lo and hi otherwise, so its ends keep different
-    counts."""
+                      hi: np.ndarray, n_lo: np.ndarray, e: int) -> np.ndarray:
+    """Halve every bracket [lo, hi], whose negative count in the unit 2^e
+    is n_lo at lo and another at hi, until it is no wider than
+    ``_CROSSING_TOL``, and return the upper ends.  Each round solves the
+    midpoints of all open brackets as one stack; a bracket moves lo to its
+    midpoint where the count there is n_lo and hi otherwise, so its ends
+    keep different counts."""
     lo, hi = lo.copy(), hi.copy()
     live = np.flatnonzero(hi - lo > _CROSSING_TOL)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        same = _negative_counts(_family_eigenvalues(family, mid)) == n_lo[live]
+        same = _in_unit(_family_eigenvalues(family, mid), e)[1] == n_lo[live]
         lo[live[same]] = mid[same]
         hi[live[~same]] = mid[~same]
         live = live[hi[live] - lo[live] > _CROSSING_TOL]
@@ -847,39 +851,42 @@ def spectral_flow(family: Callable[[float], np.ndarray], steps: int = 50) -> Spe
     ``family`` maps one c to one Hermitian matrix; its values are solved
     as stacks of at most ``_CHUNK_BYTES`` each, so the ``steps + 1`` scan
     points take one stacked solve for matrices up to 2 MiB / (steps + 1).
-    Their eigenvalues give each point's negative-eigenvalue count and the
-    pin check, and the first and last give the endpoint check.  Every scan
-    interval whose count changes is a bracket, and all brackets are
-    halved together, one stacked solve of their midpoints per round
+    Every eigenvalue is read in one unit, 2^e with 2^(e-1) <= the largest
+    |eigenvalue| of the scan points < 2^e (``_in_unit``).  In that unit
+    one band, ``_ZERO_BAND``, decides what is zero: an eigenvalue below
+    -band is negative, and one within the band at two consecutive scan
+    points is pinned at zero, which raises ``DegenerateCrossing``.  The
+    first and last points must be isospectral in the same unit (to 1e-8,
+    grouped at ``conventions.GROUPING_TOL``, away from truncation edges),
+    which makes the flow over one period well-defined.  A power of two
+    scales exactly, so 2^k F has the crossings of F.  Every scan interval
+    whose count changes is a bracket, and all brackets are halved
+    together, one stacked solve of their midpoints per round
     (``_locate_crossings``): ceil(log2(step / ``_CROSSING_TOL``)) rounds,
     25 at the default 50 steps.  A crossing is reported at the upper end
     of a bracket no wider than ``_CROSSING_TOL``; the direction is the
-    sign of the eigenvalue's motion (+1 for upward).  The endpoints must
-    be isospectral away from truncation edges, which makes the flow over
-    one period well-defined.  An eigenvalue pinned at zero across
-    consecutive scan points raises ``DegenerateCrossing``.  The twist loop
-    of a symbol takes its crossings from zeros instead
+    sign of the eigenvalue's motion (+1 for upward).  The band moves a
+    crossing by at most 2^e band over the eigenvalue's slope.  The twist
+    loop of a symbol takes its crossings from zeros instead
     (``twist_crossings``).
     """
-    if steps < 2:
-        raise ContractViolation("need at least 2 steps")
+    if not isinstance(steps, numbers.Integral) or steps < 2:
+        raise ContractViolation("steps must be an integer of at least 2")
     cs = np.linspace(0.0, 1.0, steps + 1)
-    eigs = _family_eigenvalues(family, cs)
-    s0 = SpectrumSample.from_eigenvalues(eigs[0], band=10 ** 9)
-    s1 = SpectrumSample.from_eigenvalues(eigs[-1], band=10 ** 9)
+    raw = _family_eigenvalues(family, cs)
+    e = int(np.frexp(np.abs(raw).max())[1])
+    eigs, counts = _in_unit(raw, e)
+    s0, s1 = (SpectrumSample.from_eigenvalues(v, band=10 ** 9) for v in (eigs[0], eigs[-1]))
     if not spectra_match(s0, s1, tol=1e-8):
         raise ContractViolation("family endpoints are not isospectral")
-
-    counts = _negative_counts(eigs)
-    pinned = np.min(np.abs(eigs), axis=-1) < _PIN_EPS
+    pinned = np.min(np.abs(eigs), axis=-1) <= _ZERO_BAND
     if np.any(pinned[1:] & pinned[:-1]):
         raise DegenerateCrossing("an eigenvalue stays at zero across an interval")
 
     dn = np.diff(counts)
     changed = np.flatnonzero(dn)
-    located = _locate_crossings(family, cs[changed], cs[changed + 1], counts[changed])
+    located = _locate_crossings(family, cs[changed], cs[changed + 1], counts[changed], e)
     crossings = []
     for d, hi in zip(dn[changed].tolist(), located.tolist()):
         crossings += [(hi, -1 if d > 0 else 1)] * abs(d)
-    flow = sum(d for _, d in crossings)
-    return SpectralFlowResult(flow=flow, crossings=tuple(crossings))
+    return SpectralFlowResult(flow=sum(d for _, d in crossings), crossings=tuple(crossings))

@@ -363,10 +363,49 @@ def rescaling_report(s: LaurentSymbol, tol: float) -> dict:
     return out
 
 
+@functools.cache
+def rescaling_families() -> list:
+    """(family, steps) pairs for the rescaling of ``spectral_flow``: the two
+    circle Dirac families of acceptance criterion 07 at 40 steps, the
+    branch 1/2 + 2 cos(2 pi c + 0.3) beside a constant 3, and 20 drawn
+    conjugated diagonal families with at least one crossing branch."""
+    out = [(lambda c, spin=spin: build_circle_dirac(16, Scheme.SPECTRAL, spin, c).matrix, 40)
+           for spin in (BOUND, NONBOUND)]
+    out.append((lambda c: np.diag([0.5 + 2.0 * math.cos(2 * math.pi * c + 0.3), 3.0])
+                .astype(complex), 50))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        block, steps = int(rng.integers(1, 9)), int(rng.integers(8, 41))
+        s, _ = conjugated_diagonal_family(rng, block, steps,
+                                          int(rng.integers(1, min(block, steps // 4) + 1)))
+        out.append((lambda c, s=s: hermitian_part(symbol_eval(s, twist_to_floquet(c))), steps))
+    return out
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().T)
+
+
 class TestRescaling:
     """A symbol multiplied by 2^k, far outside the range where squares of
     its entries stay normal doubles, keeps every verdict at the tolerance
-    2^k FREDHOLM_TOL, and its values scale by 2^k."""
+    2^k FREDHOLM_TOL, and its values scale by 2^k.  A Hermitian family
+    multiplied by 2^k keeps its spectral flow."""
+
+    @pytest.mark.parametrize("case", range(23))
+    def test_family_flow_is_scale_free(self, case):
+        # the zero band is read in the family's own unit, a power of two,
+        # so 2^k F has F's normalised eigenvalues and crossings
+        family, steps = rescaling_families()[case]
+        base = spectral_flow(family, steps=steps)
+        assert base.crossings
+        for k in (-560, -520, -40, -30, 30, 40, 520, 560):
+            f = math.ldexp(1.0, k)
+            got = spectral_flow(lambda c: f * family(c), steps=steps)
+            assert got.flow == base.flow, k
+            assert [d for _, d in got.crossings] == [d for _, d in base.crossings], k
+            assert [c for c, _ in got.crossings] == pytest.approx(
+                [c for c, _ in base.crossings], abs=floquet._CROSSING_TOL), k
 
     @pytest.mark.parametrize("case", range(52))
     def test_reports_are_scale_free(self, case):
@@ -953,6 +992,12 @@ class TestFredholmViaSections:
         with pytest.raises(ContractViolation):
             fredholm_via_sections(LaurentSymbol.scalar({0: 1}), (32, 16))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_a_bad_tolerance(self, tol):
+        # the one tolerance check, as in is_fredholm and toeplitz_index
+        with pytest.raises(ContractViolation, match="tolerance must be finite and positive"):
+            fredholm_via_sections(LaurentSymbol.scalar({-1: 1, 0: 3, 1: 1}), (4, 8), tol)
+
     def test_verdicts_agree_with_symbol_criterion(self):
         for s in invertible_symbols()[:4]:
             assert is_fredholm(s, grid=128).is_fredholm
@@ -1002,13 +1047,19 @@ def conjugated_diagonal_family(rng, block: int, steps: int, branches: int):
 def bisection_flow(family, steps: int) -> floquet.SpectralFlowResult:
     """Reference spectral flow: one solve per scan point, then per-point
     bisection on the negative-eigenvalue count of every scan interval
-    whose count changes, down to a bracket of ``_CROSSING_TOL``."""
+    whose count changes, down to a bracket of ``_CROSSING_TOL``.  An
+    eigenvalue counts as negative below -``_ZERO_BAND`` 2^e, where
+    2^(e-1) <= the largest |eigenvalue| of the scan points < 2^e."""
+    cs = np.linspace(0.0, 1.0, steps + 1)
+    scan = [hermitian_eigenvalues(family(c)).eigenvalues for c in cs]
+    _, e = math.frexp(max(float(np.abs(v).max()) for v in scan))
+    band = math.ldexp(floquet._ZERO_BAND, e)
+
     def count(c):
         eigenvalues = hermitian_eigenvalues(family(c)).eigenvalues
-        return int(np.count_nonzero(eigenvalues < -floquet._ZERO_BAND))
+        return int(np.count_nonzero(eigenvalues < -band))
 
-    cs = np.linspace(0.0, 1.0, steps + 1)
-    counts = [count(c) for c in cs]
+    counts = [int(np.count_nonzero(v < -band)) for v in scan]
     crossings = []
     for i in range(steps):
         dn = counts[i + 1] - counts[i]
@@ -1070,6 +1121,16 @@ class TestSpectralFlow:
         with pytest.raises(DegenerateCrossing):
             spectral_flow(fam, steps=10)
 
+    @pytest.mark.parametrize("steps", [2.5, 8.0, "8", None, 1, 0, -4])
+    def test_rejects_steps_that_are_not_an_integer_of_at_least_2(self, steps):
+        fam = lambda c: np.diag([c - 0.5, 1.0]).astype(complex)
+        with pytest.raises(ContractViolation, match="steps must be an integer of at least 2"):
+            spectral_flow(fam, steps=steps)
+
+    def test_takes_a_numpy_integer_of_steps(self):
+        fam = lambda c: np.diag([c - 0.5, 1.0]).astype(complex)
+        assert spectral_flow(fam, steps=np.int64(8)) == spectral_flow(fam, steps=8)
+
     def test_rejects_nonperiodic_family(self):
         fam = lambda c: np.diag(np.arange(8) + 0.3 * c).astype(complex)
         with pytest.raises(ContractViolation):
@@ -1117,10 +1178,7 @@ class TestSpectralFlow:
         rng = np.random.default_rng(seed)
         s, oracle = conjugated_diagonal_family(rng, block, steps, branches)
 
-        def fam(c):
-            a = symbol_eval(s, twist_to_floquet(c))
-            return 0.5 * (a + a.conj().T)
-
+        fam = lambda c: hermitian_part(symbol_eval(s, twist_to_floquet(c)))
         r = spectral_flow(fam, steps=steps)
         assert r == bisection_flow(fam, steps)
         assert [d for _, d in r.crossings] == [d for _, d in oracle]
