@@ -54,9 +54,9 @@ DEFAULT_TOL = 1e-9
 # rule and every certificate hold for entries anywhere in the double range, as
 # long as the values of A(z) are themselves doubles.
 # FREDHOLM_TOL (and the CLI's --tol) is absolute: rescale it together with the
-# symbol.  The zero band of ``floquet.spectral_flow(family)`` is 1e-10 of the
+# symbol.  The zero band of ``floquet.spectral_flow(family)`` is 1e-13 of the
 # family's scale, the least power of two above the largest |eigenvalue| of its
-# scan points.
+# scan points; its crossings are located by sign.
 HERMITICITY_TOL = 1e-12
 
 # Absolute tolerance separating symbol kernels from small positive minima

@@ -800,15 +800,12 @@ def twist_crossings(s: LaurentSymbol) -> SpectralFlowResult:
     return SpectralFlowResult(flow=sum(d for _, d in crossings), crossings=tuple(crossings))
 
 
-_ZERO_BAND = 1e-10  # in the family's unit: eigenvalues this close to 0 count as 0
+_ZERO_BAND = 1e-13  # in the family's unit: a scan-point eigenvalue this close to 0 is 0
 _CROSSING_TOL = 1e-9  # width of the bracket that locates a crossing
 
 
-def _in_unit(eigenvalues: np.ndarray, e: int) -> tuple:
-    """The eigenvalues times 2^-e, exact above the subnormal range, and the
-    negative count of each row: the values below -``_ZERO_BAND``."""
-    x = np.ldexp(eigenvalues, -e)
-    return x, np.count_nonzero(x < -_ZERO_BAND, axis=-1)
+def _negative_counts(eigenvalues: np.ndarray, band: float) -> np.ndarray:
+    return np.count_nonzero(eigenvalues < -band, axis=-1)
 
 
 def _family_eigenvalues(family: Callable[[float], np.ndarray], cs) -> np.ndarray:
@@ -827,18 +824,19 @@ def _family_eigenvalues(family: Callable[[float], np.ndarray], cs) -> np.ndarray
 
 
 def _locate_crossings(family: Callable[[float], np.ndarray], lo: np.ndarray,
-                      hi: np.ndarray, n_lo: np.ndarray, e: int) -> np.ndarray:
-    """Halve every bracket [lo, hi], whose negative count in the unit 2^e
-    is n_lo at lo and another at hi, until it is no wider than
-    ``_CROSSING_TOL``, and return the upper ends.  Each round solves the
-    midpoints of all open brackets as one stack; a bracket moves lo to its
-    midpoint where the count there is n_lo and hi otherwise, so its ends
-    keep different counts."""
+                      hi: np.ndarray, n_lo: np.ndarray) -> np.ndarray:
+    """Halve every bracket [lo, hi], whose negative count is n_lo at lo
+    and another at hi, until it is no wider than ``_CROSSING_TOL``, and
+    return the upper ends.  Each round solves the midpoints of all open
+    brackets as one stack; a bracket moves lo to its midpoint where the
+    count there is n_lo and hi otherwise.  A midpoint counts by sign
+    alone, so the search closes on the zero, not on the edge of the
+    band."""
     lo, hi = lo.copy(), hi.copy()
     live = np.flatnonzero(hi - lo > _CROSSING_TOL)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        same = _in_unit(_family_eigenvalues(family, mid), e)[1] == n_lo[live]
+        same = _negative_counts(_family_eigenvalues(family, mid), 0.0) == n_lo[live]
         lo[live[same]] = mid[same]
         hi[live[~same]] = mid[~same]
         live = live[hi[live] - lo[live] > _CROSSING_TOL]
@@ -851,31 +849,33 @@ def spectral_flow(family: Callable[[float], np.ndarray], steps: int = 50) -> Spe
     ``family`` maps one c to one Hermitian matrix; its values are solved
     as stacks of at most ``_CHUNK_BYTES`` each, so the ``steps + 1`` scan
     points take one stacked solve for matrices up to 2 MiB / (steps + 1).
-    Every eigenvalue is read in one unit, 2^e with 2^(e-1) <= the largest
-    |eigenvalue| of the scan points < 2^e (``_in_unit``).  In that unit
-    one band, ``_ZERO_BAND``, decides what is zero: an eigenvalue below
-    -band is negative, and one within the band at two consecutive scan
-    points is pinned at zero, which raises ``DegenerateCrossing``.  The
-    first and last points must be isospectral in the same unit (to 1e-8,
-    grouped at ``conventions.GROUPING_TOL``, away from truncation edges),
-    which makes the flow over one period well-defined.  A power of two
-    scales exactly, so 2^k F has the crossings of F.  Every scan interval
-    whose count changes is a bracket, and all brackets are halved
-    together, one stacked solve of their midpoints per round
+    The scan points are read in one unit, 2^e with 2^(e-1) <= their
+    largest |eigenvalue| < 2^e, and there one band, ``_ZERO_BAND``, says
+    what is zero: an eigenvalue within it is 0, not negative, and one
+    within it at two consecutive scan points is pinned at zero, which
+    raises ``DegenerateCrossing``.  The band is the eigensolver's rounding
+    with room to spare, so it keeps a zero that falls on a scan point
+    (such as the seam c = 0 = 1) from splitting into a spurious pair.
+    The first and last points must be isospectral in the same unit (to
+    1e-8, grouped at ``conventions.GROUPING_TOL``, away from truncation
+    edges), which makes the flow over one period well-defined.  A power
+    of two scales exactly, so 2^k F has the crossings of F.  Every scan
+    interval whose count changes is a bracket, and all brackets are
+    halved together, one stacked solve of their midpoints per round
     (``_locate_crossings``): ceil(log2(step / ``_CROSSING_TOL``)) rounds,
-    25 at the default 50 steps.  A crossing is reported at the upper end
-    of a bracket no wider than ``_CROSSING_TOL``; the direction is the
-    sign of the eigenvalue's motion (+1 for upward).  The band moves a
-    crossing by at most 2^e band over the eigenvalue's slope.  The twist
-    loop of a symbol takes its crossings from zeros instead
-    (``twist_crossings``).
+    25 at the default 50 steps.  The midpoints count by sign, so a
+    crossing is reported at the upper end of a bracket of width
+    ``_CROSSING_TOL`` around its zero, whatever the spread of the other
+    eigenvalues; only a zero within 2^e band / slope of a scan point is
+    taken to lie on it.  The direction is the sign of the eigenvalue's
+    motion (+1 for upward).  The twist loop of a symbol takes its
+    crossings from zeros instead (``twist_crossings``).
     """
     if not isinstance(steps, numbers.Integral) or steps < 2:
         raise ContractViolation("steps must be an integer of at least 2")
     cs = np.linspace(0.0, 1.0, steps + 1)
     raw = _family_eigenvalues(family, cs)
-    e = int(np.frexp(np.abs(raw).max())[1])
-    eigs, counts = _in_unit(raw, e)
+    eigs = np.ldexp(raw, -int(np.frexp(np.abs(raw).max())[1]))
     s0, s1 = (SpectrumSample.from_eigenvalues(v, band=10 ** 9) for v in (eigs[0], eigs[-1]))
     if not spectra_match(s0, s1, tol=1e-8):
         raise ContractViolation("family endpoints are not isospectral")
@@ -883,9 +883,10 @@ def spectral_flow(family: Callable[[float], np.ndarray], steps: int = 50) -> Spe
     if np.any(pinned[1:] & pinned[:-1]):
         raise DegenerateCrossing("an eigenvalue stays at zero across an interval")
 
+    counts = _negative_counts(eigs, _ZERO_BAND)
     dn = np.diff(counts)
     changed = np.flatnonzero(dn)
-    located = _locate_crossings(family, cs[changed], cs[changed + 1], counts[changed], e)
+    located = _locate_crossings(family, cs[changed], cs[changed + 1], counts[changed])
     crossings = []
     for d, hi in zip(dn[changed].tolist(), located.tolist()):
         crossings += [(hi, -1 if d > 0 else 1)] * abs(d)

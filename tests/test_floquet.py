@@ -1047,9 +1047,10 @@ def conjugated_diagonal_family(rng, block: int, steps: int, branches: int):
 def bisection_flow(family, steps: int) -> floquet.SpectralFlowResult:
     """Reference spectral flow: one solve per scan point, then per-point
     bisection on the negative-eigenvalue count of every scan interval
-    whose count changes, down to a bracket of ``_CROSSING_TOL``.  An
-    eigenvalue counts as negative below -``_ZERO_BAND`` 2^e, where
-    2^(e-1) <= the largest |eigenvalue| of the scan points < 2^e."""
+    whose count changes, down to a bracket of ``_CROSSING_TOL``.  At a
+    scan point an eigenvalue counts as negative below -``_ZERO_BAND`` 2^e,
+    where 2^(e-1) <= the largest |eigenvalue| of the scan points < 2^e;
+    at a bisection point, below 0."""
     cs = np.linspace(0.0, 1.0, steps + 1)
     scan = [hermitian_eigenvalues(family(c)).eigenvalues for c in cs]
     _, e = math.frexp(max(float(np.abs(v).max()) for v in scan))
@@ -1057,7 +1058,7 @@ def bisection_flow(family, steps: int) -> floquet.SpectralFlowResult:
 
     def count(c):
         eigenvalues = hermitian_eigenvalues(family(c)).eigenvalues
-        return int(np.count_nonzero(eigenvalues < -band))
+        return int(np.count_nonzero(eigenvalues < 0))
 
     counts = [int(np.count_nonzero(v < -band)) for v in scan]
     crossings = []
@@ -1084,14 +1085,14 @@ class TestSpectralFlow:
         assert r.flow == -1
         assert len(r.crossings) == 1
         c_star, direction = r.crossings[0]
-        assert abs(c_star - 0.5) < 1e-6 and direction == -1
+        assert abs(c_star - 0.5) < floquet._CROSSING_TOL and direction == -1
 
     def test_nonbounding_circle_family(self):
         fam = lambda c: build_circle_dirac(16, Scheme.SPECTRAL, NONBOUND, c).matrix
         r = spectral_flow(fam, steps=24)
         assert r.flow == -1
-        c_star, _ = r.crossings[0]
-        assert abs(c_star) < 1e-6
+        c_star, _ = r.crossings[0]  # at the seam c = 0 = 1, a scan point
+        assert abs(c_star) < floquet._CROSSING_TOL
 
     def test_constant_family(self):
         fam = lambda c: np.diag([1.0, -2.0]).astype(complex)
@@ -1109,6 +1110,17 @@ class TestSpectralFlow:
             r = spectral_flow(fam, steps=24)
             kernels = 1  # exactly one kernel twist per period for either structure
             assert abs(r.flow) == kernels
+
+    @pytest.mark.parametrize("steps", [50, 7])
+    @pytest.mark.parametrize("big", [1e6, 1e9])
+    def test_a_wide_spread_keeps_the_crossing_at_its_zero(self, big, steps):
+        # the band is read in the unit of the largest eigenvalue, but the
+        # crossing is located by sign: c - 1/2 crosses at 1/2, on the scan
+        # grid at 50 steps and off it at 7
+        fam = lambda c: np.diag([c - 0.5, big]).astype(complex)
+        r = spectral_flow(fam, steps=steps)
+        assert r.flow == 1 and len(r.crossings) == 1
+        assert r.crossings[0][0] == pytest.approx(0.5, abs=floquet._CROSSING_TOL)
 
     def test_two_crossings_in_one_interval(self):
         fam = lambda c: np.diag([c - 0.51, c - 0.52, 5.0]).astype(complex)
