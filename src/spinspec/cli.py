@@ -7,9 +7,13 @@ the default tolerance used for Fredholm verdicts and kernel detection.
 The command table ``_COMMANDS`` declares each command's positionals and
 flags; ``_read`` reads argv against it in one pass and ``_help`` prints it.
 
-The numeric handlers import ``floquet``, ``spectra`` and ``discretize``,
-and with them numpy, in their own bodies, so ``forms``, ``invariant``,
-``--convention`` and ``--help`` start without loading numpy.
+The handlers import the layer they run on in their own bodies, and
+``main`` imports it before the timer starts: ``floquet``, and with it
+numpy, for a command that reads a symbol file (``fredholm``, ``index``,
+``spectral-flow``), and ``spectra``, which loads no numpy, for a command
+that takes a spin structure (``spectrum``, ``twist-scan``).  So only the
+symbol-file commands load numpy; ``forms``, ``invariant``,
+``--convention`` and ``--help`` load neither layer.
 """
 
 from __future__ import annotations
@@ -131,7 +135,7 @@ def _cmd_spectrum(args, command, t0) -> int:
 
 
 def _cmd_twist_scan(args, command, t0) -> int:
-    from .discretize import kernel_twists
+    from .spectra import kernel_twists
 
     ktol = _env_tol(1e-8)
     locations = kernel_twists(_spin(args["spin"]), args["c-from"], args["c-to"],
@@ -389,7 +393,6 @@ def _read(argv: List[str]) -> Optional[dict]:
 
 
 _EXIT3_COMMANDS = {"invariant", "index", "fredholm", "spectral-flow", "twist-scan"}
-_NUMERIC_COMMANDS = {"spectrum", "twist-scan", "fredholm", "index", "spectral-flow"}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -406,8 +409,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             _emit(convention_block())
             return 0
         cmd = args["command"][0]
-        if cmd in _NUMERIC_COMMANDS:
-            from . import discretize  # loads the numeric layers and numpy untimed
+        # import the layer the command runs on before its timer starts
+        if "file" in _COMMANDS[cmd].positionals:  # a symbol file: floquet, and numpy
+            from . import floquet
+        elif "spin" in _COMMANDS[cmd].flags:  # the circle model's closed forms
+            from . import spectra
         t0 = time.perf_counter()
         rest = list(argv)
         rest.remove(cmd)  # the subcommand token only: a file or value may equal it

@@ -16,13 +16,10 @@ with the recorded branch of ln z, z = exp(-i c) reproduces the twist-c
 operator.  Weight lifts are stored in angle units, so the lift of a
 degree-d circle map rises by 2*pi*d across one period.
 
-``kernel_twists`` reads the kernels of the twisted spectral family off
-the closed-form circle lattice, with no operator build and no eigensolve:
-the spectral scheme's untwisted eigenvalues are mu = -(lattice modes), the
-twist term is a multiple of the identity, so the twist-c spectrum is
-mu + CLIFFORD_SIGN * c, and the mass-doubled one is
-+-hypot(mu + CLIFFORD_SIGN * c, m).  A kernel sits at
-c = -CLIFFORD_SIGN * mu, and only when the mass is below the tolerance.
+The kernels of the twisted spectral family are read off the closed-form
+lattice by ``spectra.kernel_twists``, with no build here and no
+eigensolve; ``spectra.circle_modes`` returns that lattice as a list of
+floats, which ``build_circle_dirac`` turns into an array.
 """
 
 from __future__ import annotations
@@ -36,10 +33,10 @@ from typing import Optional
 import numpy as np
 
 from .conventions import CLIFFORD_SIGN, DEFAULT_LN_BRANCH
-from .errors import ContractViolation, check_tolerance
+from .errors import ContractViolation
 from .floquet import LaurentSymbol
 from .linalg import hermitian_eigenvalues, is_hermitian
-from .spectra import SpectrumSample, SpinStructure, circle_modes
+from .spectra import SpectrumSample, SpinStructure, _check_grid, circle_modes
 
 __all__ = [
     "Scheme",
@@ -49,7 +46,6 @@ __all__ = [
     "grid_angles",
     "build_circle_dirac",
     "gauge_conjugate",
-    "kernel_twists",
     "fourier_laplace_family",
     "period_symbol",
     "mass_doubled",
@@ -129,11 +125,6 @@ class FourierLaplaceOperator:
     ln_z: complex
 
 
-def _check_grid(n: int) -> None:
-    if n < 8 or n % 2 != 0:
-        raise ContractViolation("grid size must be even and at least 8")
-
-
 def _wrap_sign(spin: SpinStructure) -> float:
     return -1.0 if spin is SpinStructure.BOUNDING else 1.0
 
@@ -145,14 +136,14 @@ def build_circle_dirac(n: int, scheme: Scheme, spin: SpinStructure,
     Both schemes shift by the scalar twist term, which acts as -c under
     the recorded Clifford sign.  The spectral scheme's eigenvalues are the
     negated ``spectra.circle_modes`` for k = -n/2 .. n/2 - 1, shifted by
-    -c, to machine precision (``kernel_twists`` reads them without this
-    build); the central-difference ones agree to O(h^2) away from the
+    -c, to machine precision (``spectra.kernel_twists`` reads them without
+    this build); the central-difference ones agree to O(h^2) away from the
     band edge.
     """
     _check_grid(n)
     theta = grid_angles(n)
     if scheme is Scheme.SPECTRAL:
-        modes = circle_modes(spin, -n // 2, n // 2)
+        modes = np.array(circle_modes(spin, -n // 2, n // 2))
         f = np.exp(-1j * np.outer(modes, theta)) / math.sqrt(n)
         m = (f.conj().T * -modes) @ f
         m = 0.5 * (m + m.conj().T)
@@ -171,44 +162,6 @@ def build_circle_dirac(n: int, scheme: Scheme, spin: SpinStructure,
 def _twisted(untwisted: np.ndarray, c: float) -> np.ndarray:
     """Add the scalar twist term, CLIFFORD_SIGN * c on the diagonal."""
     return untwisted + CLIFFORD_SIGN * float(c) * np.eye(untwisted.shape[0])
-
-
-def kernel_twists(spin: SpinStructure, c_from: float, c_to: float,
-                  grid: int, mass: float, ktol: float) -> list:
-    """Twists c mod 1 in [c_from, c_to] where the spectral-scheme operator
-    on ``grid`` sites (mass-doubled when ``mass`` is nonzero) has a kernel.
-
-    Nothing is built or solved: the untwisted eigenvalues are the negated
-    lattice modes mu of ``spectra.circle_modes``, the twist adds
-    CLIFFORD_SIGN * c times the identity (``_twisted``), and the
-    mass-doubled operator, which squares to (A^2 + m^2) (x) I, has
-    +-hypot(mu + CLIFFORD_SIGN * c, m).  Each |eigenvalue| is least at
-    c = -CLIFFORD_SIGN * mu, clipped to the range; that twist is kept when
-    it is below ``ktol``, so a kernel within ``ktol`` just outside the
-    range is reported at the range end.  Locations closer than 1e-6 mod 1
-    merge into the one with the least |eigenvalue|, so an in-range kernel
-    outranks another kernel's clipped copy at a range end.  A non-finite
-    range end or mass, or a ``ktol`` that is not finite and positive, is
-    rejected.
-    """
-    if not all(math.isfinite(x) for x in (c_from, c_to, mass)):
-        raise ContractViolation("twist range and mass must be finite")
-    check_tolerance(ktol)
-    if c_to <= c_from:
-        raise ContractViolation("empty twist range")
-    _check_grid(grid)
-    mu = -circle_modes(spin, -grid // 2, grid // 2)
-    cs = np.clip(-CLIFFORD_SIGN * mu, c_from, c_to)
-    gaps = np.hypot(mu + CLIFFORD_SIGN * cs, mass)
-    kept = gaps < ktol
-    merged = []  # (twist mod 1, |eigenvalue|)
-    for c, gap in sorted(zip((cs[kept] % 1.0).tolist(), gaps[kept].tolist())):
-        if merged and min(abs(c - merged[-1][0]), 1.0 - abs(c - merged[-1][0])) <= 1e-6:
-            if gap < merged[-1][1]:
-                merged[-1] = (c, gap)
-        else:
-            merged.append((c, gap))
-    return [c for c, _ in merged]
 
 
 def gauge_conjugate(d: DiscreteDirac, u: WeightFunction, c: float) -> np.ndarray:

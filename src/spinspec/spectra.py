@@ -6,6 +6,19 @@ a disk), with spectrum {k + 1/2}, and the non-bounding one with spectrum
 the recorded Clifford sign.  Round spheres of dimension l >= 2 have
 eigenvalues +-(l/2 + k) with multiplicity 2^floor(l/2) * C(k+l-1, k), so
 the square of the operator is bounded below by l^2/4.
+
+``kernel_twists`` reads the kernels of the twisted circle family off the
+same lattice, with no operator build and no eigensolve: the spectral
+circle model on n grid sites (``discretize.build_circle_dirac``) has the
+untwisted eigenvalues mu = -(lattice mode) for the n modes of
+``circle_modes(spin, -n/2, n/2)``, the twist term is a multiple of the
+identity, so the twist-c spectrum is mu + CLIFFORD_SIGN * c, and the
+mass-doubled one is +-hypot(mu + CLIFFORD_SIGN * c, m).  A kernel sits at
+c = -CLIFFORD_SIGN * mu, and only when the mass is below the tolerance.
+
+The module loads no numpy at import: the closed forms are plain Python
+floats, and only ``SpectrumSample.values``, ``from_eigenvalues`` and
+``spectra_match`` import numpy, in their own bodies.
 """
 
 from __future__ import annotations
@@ -13,18 +26,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, List
 
 from .conventions import CLIFFORD_SIGN, DEFAULT_TOL, EDGE_EXCLUSION, GROUPING_TOL
-from .errors import ContractViolation
+from .errors import ContractViolation, check_tolerance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SpinStructure",
     "SpectrumSample",
     "circle_modes",
     "circle_spectrum",
+    "kernel_twists",
     "sphere_spectrum",
     "product_square_spectrum",
     "spectra_match",
@@ -96,11 +111,15 @@ class SpectrumSample:
     @classmethod
     def from_eigenvalues(cls, values: Iterable[float], band: int,
                          symmetric: bool = False) -> "SpectrumSample":
+        import numpy as np
+
         vals = np.sort(np.asarray(list(values), dtype=float)).tolist()
         return cls(pairs=_group((v, 1) for v in vals), band=band, symmetric=symmetric)
 
     def values(self) -> np.ndarray:
         """Eigenvalues expanded with multiplicity, ascending."""
+        import numpy as np
+
         return np.array([lam for lam, m in self.pairs for _ in range(m)])
 
     def min_abs(self) -> float:
@@ -113,11 +132,15 @@ class SpectrumSample:
         return 0
 
 
-def circle_modes(spin: SpinStructure, k_from: int, k_to: int) -> np.ndarray:
-    """The untwisted circle lattice: k + 1/2 (bounding) or k (non-bounding)
-    for k_from <= k < k_to, ascending."""
-    offset = 0.5 if spin is SpinStructure.BOUNDING else 0.0
-    return np.arange(k_from, k_to, dtype=float) + offset
+def _offset(spin: SpinStructure) -> float:
+    return 0.5 if spin is SpinStructure.BOUNDING else 0.0
+
+
+def circle_modes(spin: SpinStructure, k_from: int, k_to: int) -> List[float]:
+    """The untwisted circle lattice as a list of floats: k + 1/2 (bounding)
+    or k (non-bounding) for k_from <= k < k_to, ascending."""
+    offset = _offset(spin)
+    return [k + offset for k in range(k_from, k_to)]
 
 
 def circle_spectrum(spin: SpinStructure, c: float, band: int) -> SpectrumSample:
@@ -128,8 +151,71 @@ def circle_spectrum(spin: SpinStructure, c: float, band: int) -> SpectrumSample:
         raise ContractViolation("band must be >= 1")
     if not math.isfinite(c):
         raise ContractViolation("twist must be finite")
-    vals = circle_modes(spin, -band, band + 1) + CLIFFORD_SIGN * float(c)
-    return SpectrumSample.from_eigenvalues(vals, band=band)
+    shift = CLIFFORD_SIGN * float(c)
+    # adding one float to an ascending list keeps it ascending
+    return SpectrumSample(pairs=_group((mode + shift, 1)
+                                       for mode in circle_modes(spin, -band, band + 1)),
+                          band=band)
+
+
+def _check_grid(n: int) -> None:
+    """A circle grid is even, at least 8 and at most 2^53 sites, so that
+    each of its lattice modes k + 1/2, |k| <= n/2, is an exact float."""
+    if n < 8 or n % 2 != 0:
+        raise ContractViolation("grid size must be even and at least 8")
+    if n > 2 ** 53:
+        raise ContractViolation("grid size must be at most 2**53")
+
+
+def kernel_twists(spin: SpinStructure, c_from: float, c_to: float,
+                  grid: int, mass: float, ktol: float) -> list:
+    """Twists c mod 1 in [c_from, c_to] where the spectral circle model on
+    ``grid`` sites (mass-doubled when ``mass`` is nonzero) has a kernel.
+
+    Nothing is built or solved (see the module docstring): each lattice
+    mode gives the eigenvalue mu + CLIFFORD_SIGN * c, or
+    +-hypot(mu + CLIFFORD_SIGN * c, m) with a mass, whose modulus is least
+    at c = -CLIFFORD_SIGN * mu, clipped to the range; that twist is kept
+    when the modulus there is below ``ktol``, so a kernel within ``ktol``
+    just outside the range is reported at the range end.  Locations closer
+    than 1e-6 mod 1 merge into the one with the least |eigenvalue|, so an
+    in-range kernel outranks another kernel's clipped copy at a range end.
+
+    Every in-range mode gives the same (c mod 1, |m|), and every mode below
+    (above) the range gives the twist c_from (c_to) with a modulus that
+    grows with its distance from that end.  The merge keeps the least
+    modulus of equal twists, so the nearest mode on each side of each end
+    decides the answer, and the work is the same for every ``grid`` and
+    range.  A non-finite range end or mass, a ``ktol`` that is not finite
+    and positive, or a grid that ``_check_grid`` rejects, is rejected.
+    """
+    if not all(math.isfinite(x) for x in (c_from, c_to, mass)):
+        raise ContractViolation("twist range and mass must be finite")
+    check_tolerance(ktol)
+    if c_to <= c_from:
+        raise ContractViolation("empty twist range")
+    _check_grid(grid)
+    offset, half = _offset(spin), grid // 2
+    # mode k + offset has its kernel twist at CLIFFORD_SIGN * (k + offset),
+    # so an end c lies at k = CLIFFORD_SIGN * c - offset up to rounding; the
+    # five modes around that k hold the nearest mode on each side of c
+    near_ends = {min(max(math.floor(CLIFFORD_SIGN * end - offset) + d, -half), half - 1)
+                 for end in (c_from, c_to) for d in range(-2, 3)}
+    kept = []  # (twist mod 1, |eigenvalue|)
+    for k in near_ends:
+        mu = -(k + offset)
+        c = min(max(-CLIFFORD_SIGN * mu, c_from), c_to)
+        gap = abs(complex(mu + CLIFFORD_SIGN * c, mass))  # C hypot, as np.hypot; not math's
+        if gap < ktol:
+            kept.append((c % 1.0, gap))
+    merged = []
+    for c, gap in sorted(kept):
+        if merged and min(abs(c - merged[-1][0]), 1.0 - abs(c - merged[-1][0])) <= 1e-6:
+            if gap < merged[-1][1]:
+                merged[-1] = (c, gap)
+        else:
+            merged.append((c, gap))
+    return [c for c, _ in merged]
 
 
 def _sphere_multiplicity(l: int, k: int) -> int:
@@ -200,6 +286,8 @@ def spectra_match(a: SpectrumSample, b: SpectrumSample, tol: float) -> bool:
     |lambda| <= min(band) - EDGE_EXCLUSION.  Samples too small to leave an
     interior compare as equal (there is nothing trustworthy to compare).
     """
+    import numpy as np
+
     va, vb = a.values(), b.values()
     k = EDGE_EXCLUSION
     if len(va) <= 2 * k or len(vb) <= 2 * k:

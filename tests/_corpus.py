@@ -15,13 +15,14 @@ from typing import Callable, List
 import numpy as np
 from hypothesis import strategies as st
 
-from spinspec.conventions import DEFAULT_TOL, GROUPING_TOL
+from spinspec.conventions import CLIFFORD_SIGN, DEFAULT_TOL, GROUPING_TOL
 from spinspec.errors import ContractViolation, ParseError
 from spinspec.floquet import LaurentSymbol
 from spinspec.invariants import (IntersectionForm, KOElement, Mod2Rational, _as_fraction,
                                  beta, rohlin, w_cs, w_invariant)
 from spinspec.linalg import as_matrix
 from spinspec.problemfile import _build_record, _split_sections
+from spinspec.spectra import SpectrumSample, SpinStructure
 
 
 def singular_values(m) -> np.ndarray:
@@ -285,6 +286,48 @@ def lichnerowicz_bound_check(spectrum_sq, kappa_min: float, tol: float = DEFAULT
     if np.any(vals < -tol):
         raise ContractViolation("squared spectrum has negative entries")
     return bool(vals.min() >= kappa_min / 4.0 - tol)
+
+
+def numpy_circle_modes(spin: SpinStructure, k_from: int, k_to: int) -> np.ndarray:
+    """The circle lattice k + 1/2 (bounding) or k, k_from <= k < k_to, as
+    an np.arange: the array ``spectra.circle_modes`` lists."""
+    offset = 0.5 if spin is SpinStructure.BOUNDING else 0.0
+    return np.arange(k_from, k_to, dtype=float) + offset
+
+
+def numpy_circle_spectrum(spin: SpinStructure, c: float, band: int) -> SpectrumSample:
+    """Oracle of ``spectra.circle_spectrum``: the np.arange lattice,
+    shifted and sorted in numpy and grouped by ``from_eigenvalues``."""
+    vals = numpy_circle_modes(spin, -band, band + 1) + CLIFFORD_SIGN * float(c)
+    return SpectrumSample.from_eigenvalues(vals, band=band)
+
+
+def numpy_kernel_twists(spin: SpinStructure, c_from: float, c_to: float, grid: int,
+                        mass: float, ktol: float) -> list:
+    """Oracle of ``spectra.kernel_twists`` on valid input: every one of the
+    ``grid`` lattice modes mu at once, its kernel twist clipped to the
+    range, its |eigenvalue| there by np.hypot, and the same merge."""
+    mu = -numpy_circle_modes(spin, -grid // 2, grid // 2)
+    cs = np.clip(-CLIFFORD_SIGN * mu, c_from, c_to)
+    gaps = np.hypot(mu + CLIFFORD_SIGN * cs, mass)
+    kept = gaps < ktol
+    merged = []  # (twist mod 1, |eigenvalue|)
+    for c, gap in sorted(zip((cs[kept] % 1.0).tolist(), gaps[kept].tolist())):
+        if merged and min(abs(c - merged[-1][0]), 1.0 - abs(c - merged[-1][0])) <= 1e-6:
+            if gap < merged[-1][1]:
+                merged[-1] = (c, gap)
+        else:
+            merged.append((c, gap))
+    return [c for c, _ in merged]
+
+
+def least_holding_grid(spin: SpinStructure, c_from: float, c_to: float, ktol: float) -> int:
+    """The least even grid >= 8 whose lattice holds every kernel twist
+    CLIFFORD_SIGN * (k + offset) within ktol + 1 of [c_from, c_to]."""
+    offset = 0.5 if spin is SpinStructure.BOUNDING else 0.0
+    ends = sorted(CLIFFORD_SIGN * c - offset for c in (c_from - ktol - 1, c_to + ktol + 1))
+    k_min, k_max = math.ceil(ends[0]), math.floor(ends[1])
+    return max(8, -2 * k_min, 2 * k_max + 2)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,11 +17,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinspec
-from _corpus import perfbench_module, signed_spec, symbol_to_text
+from _corpus import (least_holding_grid, numpy_kernel_twists, perfbench_module, signed_spec,
+                     symbol_to_text)
 from spinspec.cli import main, report_to_json
 from spinspec.floquet import LaurentSymbol
 from spinspec.invariants import BUILTIN_FORM_NAMES, builtin_form, parse_form_spec
 from spinspec.problemfile import parse_problem_file
+from spinspec.spectra import SpinStructure
 
 
 def run(capsys, *argv):
@@ -148,6 +151,26 @@ class TestTwistScan:
         assert docs[0]["results"] == docs[1]["results"]
         assert docs[0]["results"]["kernel_twists_mod1"]
 
+    @pytest.mark.parametrize("spin,c_from,c_to,mass", [
+        ("bounding", 0.0, 1.0, 0.0), ("nonbounding", 0.0, 1.0, 0.0),
+        ("bounding", -3.5, 7.25, 1e-9), ("nonbounding", -2.0, 2.0, 0.5)])
+    def test_grid_of_2_to_the_40(self, capsys, spin, c_from, c_to, mass):
+        # 2^40 lattice modes as floats would take 8 TiB; the scan reads the
+        # modes next to the range ends, so it answers as the least grid
+        # that holds every mode within ktol + 1 of the range
+        tracemalloc.start()
+        try:
+            doc = run_json(capsys, "twist-scan", "--spin", spin, "--c-from", str(c_from),
+                           "--c-to", str(c_to), "--massive", str(mass), "--grid", str(2 ** 40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        spin = SpinStructure(spin)
+        small = least_holding_grid(spin, c_from, c_to, 1e-8)
+        assert ([x["value"] for x in doc["results"]["kernel_twists_mod1"]]
+                == numpy_kernel_twists(spin, c_from, c_to, small, mass, 1e-8))
+
     @pytest.mark.parametrize("flag,value", [("--massive", "nan"), ("--massive", "inf"),
                                             ("--c-to", "inf"), ("--c-from", "-inf"),
                                             ("--c-from", "-nan"), ("--c-from", "-Infinity"),
@@ -161,6 +184,13 @@ class TestTwistScan:
         assert err.startswith("error:")
         if flag == "--grid":
             assert "grid size must be even and at least 8" in err
+
+    def test_grid_holds_exact_modes_only(self, capsys):
+        # past 2^53 sites a lattice mode k + 1/2 is no longer a float
+        assert run_json(capsys, "twist-scan", "--grid", str(2 ** 53))["results"][
+            "kernel_twists_mod1"] == [{"value": 0.5, "tol": 1e-6}]
+        assert run(capsys, "twist-scan", "--grid", str(2 ** 53 + 2)) == (
+            3, "", "error: grid size must be at most 2**53\n")
 
 
 class TestFredholmCommands:
@@ -792,10 +822,27 @@ class TestReadmeExamples:
                 assert tokens[1] == "--convention" or doc["schema"] == "spinspec.report/2"
 
 
+# runs main on each closed-form argv in the JSON list argv[1], then on the
+# fredholm argv argv[2], and prints the exit codes and whether numpy was
+# loaded after the closed forms and after fredholm
+_CLOSED_FORM_COMMANDS = """
+import contextlib, io, json, sys
+from spinspec.cli import main
+def numpy_loaded():
+    return any(m == "numpy" or m.startswith("numpy.") for m in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+    closed_form_numpy = numpy_loaded()
+    codes.append(main(json.loads(sys.argv[2])))
+print(json.dumps({"codes": codes, "numpy": [closed_form_numpy, numpy_loaded()]}))
+"""
+
+
 class TestImportGraph:
-    """Exact arithmetic needs no numpy: the exact commands run in a fresh
-    interpreter without loading it (in this process numpy is loaded
-    already), and the numeric commands still load it on their own.  No
+    """Exact arithmetic and the closed forms need no numpy: the exact,
+    ``spectrum`` and ``twist-scan`` commands run in a fresh interpreter
+    without loading it (in this process numpy is loaded already), and the
+    commands that read a symbol file still load it on their own.  No
     command, and no --help, imports argparse."""
 
     def test_exact_commands_load_no_numpy(self):
@@ -811,6 +858,28 @@ class TestImportGraph:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"codes": [0] * len(argvs), "numpy": [],
                                            "argparse": False}
+
+    def test_closed_form_commands_load_no_numpy(self, tmp_path):
+        # the README's spectrum and twist-scan lines, and its circle line as
+        # JSON too; fredholm after them must load numpy, or the check is void
+        lines = [shlex.split(line, comments=True) for line in _readme_blocks("Command line")[0]]
+        argvs = [tokens[1:] for tokens in lines if tokens[1:2] in (["spectrum"], ["twist-scan"])]
+        circle = next(argv for argv in argvs if argv[:2] == ["spectrum", "circle"])
+        at = circle.index("--format")
+        argvs.append(circle[:at] + circle[at + 2:])
+        assert {tuple(argv[:2]) for argv in argvs if argv[0] == "spectrum"} == {
+            ("spectrum", kind) for kind in ("circle", "sphere", "product")}
+        assert ["csv" in argv for argv in argvs if argv[1] == "circle"] == [True, False]
+        assert sorted("--massive" in argv for argv in argvs if argv[0] == "twist-scan") == [
+            False, True]
+        symbol = next(b for b in _readme_blocks("Problem files") if b[0] == "[symbol]")
+        path = tmp_path / "symbol.txt"
+        path.write_text("\n".join(symbol) + "\n")
+        proc = _fresh_process(_CLOSED_FORM_COMMANDS, json.dumps(argvs),
+                              json.dumps(["fredholm", str(path)]))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"codes": [0] * (len(argvs) + 1),
+                                           "numpy": [False, True]}
 
     def test_fredholm_in_fresh_process(self, capsys, tmp_path):
         path = tmp_path / "general.txt"

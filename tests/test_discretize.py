@@ -10,13 +10,13 @@ from _corpus import golden_section, numeric_kernel_dim, singular_values
 from spinspec import discretize
 from spinspec.discretize import (Scheme, WeightFunction, build_circle_dirac,
                                  fourier_laplace_family, gauge_conjugate,
-                                 grid_angles, kernel_twists, mass_doubled,
-                                 period_symbol, spectrum_sample)
+                                 grid_angles, mass_doubled, period_symbol,
+                                 spectrum_sample)
 from spinspec.errors import ContractViolation
 from spinspec.floquet import finite_section, symbol_eval
 from spinspec.conventions import CLIFFORD_SIGN, twist_to_floquet
 from spinspec.linalg import hermitian_eigenvalues
-from spinspec.spectra import SpinStructure, circle_spectrum, spectra_match
+from spinspec.spectra import SpinStructure, circle_spectrum, kernel_twists, spectra_match
 
 BOUND = SpinStructure.BOUNDING
 NONBOUND = SpinStructure.NONBOUNDING

@@ -1,21 +1,24 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import lichnerowicz_bound_check, spectrum_contains
+from _corpus import (least_holding_grid, lichnerowicz_bound_check, numpy_circle_spectrum,
+                     numpy_kernel_twists, spectrum_contains)
 from spinspec.cli import main
+from spinspec.conventions import CLIFFORD_SIGN
 from spinspec.discretize import (Scheme, WeightFunction, build_circle_dirac,
                                  gauge_conjugate, grid_angles, spectrum_sample)
 from spinspec.errors import ContractViolation
 from spinspec.spectra import (SpectrumSample, SpinStructure,
                               check_exact_twist_invariance,
                               check_twist_periodicity, circle_spectrum,
-                              product_square_spectrum, spectra_match,
-                              sphere_spectrum)
+                              kernel_twists, product_square_spectrum,
+                              spectra_match, sphere_spectrum)
 
 BOUND = SpinStructure.BOUNDING
 NONBOUND = SpinStructure.NONBOUNDING
@@ -276,3 +279,84 @@ class TestLichnerowiczBound:
         bad = SpectrumSample.from_eigenvalues([-1.0, 1.0], band=2)
         with pytest.raises(ContractViolation):
             lichnerowicz_bound_check(bad, kappa_min=0.0)
+
+
+def _twist_end(rng, spin, grid, ktol):
+    """A range end: a lattice kernel twist, one within ktol or an ulp of
+    it, +-0.0, a point of the lattice's span, or far outside it."""
+    offset = 0.5 if spin is BOUND else 0.0
+    lattice = CLIFFORD_SIGN * (rng.randint(-grid // 2 - 2, grid // 2 + 1) + offset)
+    kind = rng.randrange(7)
+    if kind == 0:
+        return lattice
+    if kind == 1:
+        return lattice + rng.choice([-1, 1]) * ktol * rng.random()
+    if kind == 2:
+        return lattice + rng.choice([-1, 1]) * ktol * rng.choice([1.0, 1.0 + 1e-6])
+    if kind == 3:
+        return math.nextafter(lattice, rng.choice([-math.inf, math.inf]))
+    if kind == 4:
+        return rng.choice([0.0, -0.0])
+    if kind == 5:
+        return rng.uniform(-grid / 2 - 3, grid / 2 + 3)
+    return rng.choice([-1, 1]) * rng.choice([1e6, 2.0 ** 60, 1e300])
+
+
+def _kernel_draw(rng):
+    """One input of ``kernel_twists``: both spins, grids 8-1024, masses 0,
+    below and above ktol, range ends from ``_twist_end`` or ranges below
+    1, 1 to 4 and more than 4 wide."""
+    spin = rng.choice([BOUND, NONBOUND])
+    grid = 2 * rng.randint(4, 512)
+    ktol = rng.choice([1e-8, 1e-8, 1e-8, 1e-3, 0.3, 1.7])
+    mass = rng.choice([0.0, -0.0, ktol * rng.random(), -ktol * rng.random(), ktol,
+                       ktol * (1.0 + rng.random()), rng.uniform(0.1, 2.0)])
+    c_from = _twist_end(rng, spin, grid, ktol)
+    if rng.random() < 0.5:
+        c_to = _twist_end(rng, spin, grid, ktol)
+    else:
+        c_to = c_from + rng.choice([rng.uniform(1e-9, 1.0), rng.uniform(1.0, 4.0),
+                                    rng.uniform(4.0, grid)])
+    if c_to == c_from:  # a width below the ulp of a far end
+        c_to = math.nextafter(c_from, math.inf)
+    c_from, c_to = min(c_from, c_to), max(c_from, c_to)
+    return spin, c_from, c_to, grid, mass, ktol
+
+
+class TestNumpyOracles:
+    """The list-based lattice and the kernel scan of a few modes next to
+    the range ends give, bit for bit, what the np.arange lattice and the
+    scan of every grid mode at once give (the oracles in ``_corpus``)."""
+
+    def test_kernel_twists_match_the_vectorized_scan(self):
+        rng = random.Random(20261021)
+        sizes = set()
+        for _ in range(2400):
+            draw = _kernel_draw(rng)
+            got = kernel_twists(*draw)
+            assert repr(got) == repr(numpy_kernel_twists(*draw)), draw
+            sizes.add(len(got))
+        assert sizes >= {0, 1, 2}
+
+    def test_circle_spectrum_matches_the_arange_lattice(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            spin = rng.choice([BOUND, NONBOUND])
+            band = rng.randint(1, 300)
+            half = rng.randint(-20, 20) / 2.0
+            c = rng.choice([0.0, -0.0, half, half + 1e-12, math.nextafter(half, -math.inf),
+                            rng.uniform(-5.0, 5.0), rng.uniform(-1e9, 1e9),
+                            rng.choice([-1, 1]) * rng.choice([1e17, 1e20, 5e-324])])
+            got, want = circle_spectrum(spin, c, band), numpy_circle_spectrum(spin, c, band)
+            assert repr((got.pairs, got.band)) == repr((want.pairs, want.band)), (spin, c, band)
+
+    def test_kernel_twists_do_not_depend_on_a_larger_grid(self):
+        # modes further than ktol + 1 from the range give nothing
+        rng = random.Random(11)
+        for _ in range(300):
+            spin, _, _, _, mass, ktol = _kernel_draw(rng)
+            c_from = rng.choice([rng.uniform(-60.0, 60.0), rng.randint(-60, 60) / 2.0, -0.0])
+            c_to = c_from + rng.choice([rng.uniform(1e-6, 1.0), rng.uniform(1.0, 30.0)])
+            small = least_holding_grid(spin, c_from, c_to, ktol)
+            assert (kernel_twists(spin, c_from, c_to, 2 ** 40, mass, ktol)
+                    == numpy_kernel_twists(spin, c_from, c_to, small, mass, ktol))
